@@ -3,11 +3,8 @@ from .nets import (
     EmptyTextError,
     Parameter,
     PolicyNet,
-    encode_graph,
-    encode_text,
     load_checkpoint,
     save_checkpoint,
-    score_candidates,
     sync_target,
 )
 from .optim import AdamState, apply_update
@@ -17,11 +14,8 @@ __all__ = [
     "EmptyTextError",
     "Parameter",
     "PolicyNet",
-    "encode_graph",
-    "encode_text",
     "load_checkpoint",
     "save_checkpoint",
-    "score_candidates",
     "sync_target",
     "AdamState",
     "apply_update",

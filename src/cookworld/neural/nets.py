@@ -303,29 +303,6 @@ class PolicyNet:
         return self.score_tensor(state, self.text_tensor(candidate))
 
 
-# -- spec-level operations ---------------------------------------------------
-
-def encode_graph(net: PolicyNet, obs: KGObservation) -> np.ndarray:
-    return net.graph_vector(obs)[0]
-
-
-def encode_text(net: PolicyNet, text: str) -> np.ndarray:
-    return net.text_vector(text)[0]
-
-
-def score_candidates(net: PolicyNet, state: np.ndarray, candidates: Sequence[np.ndarray]) -> np.ndarray:
-    if len(candidates) == 0:
-        raise EmptyCandidatesError("no candidates to score")
-    state2d = np.atleast_2d(np.asarray(state, dtype=np.float64))
-    cand2d = np.stack([np.asarray(c, dtype=np.float64).reshape(-1) for c in candidates])
-    with ad.no_grad():
-        return net.score_tensor(ad.constant(state2d), ad.constant(cand2d)).data[:, 0]
-
-
-def backward(net: PolicyNet, loss: Tensor) -> None:
-    loss.backward()
-
-
 def sync_target(online: PolicyNet, target: PolicyNet) -> None:
     for name, p in online.params.items():
         np.copyto(target.params[name].data, p.data)

@@ -1,11 +1,9 @@
-"""Replay records for both policy levels, plus a JSON-lines log format."""
+"""Replay records for both policy levels."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..goals import Goal, GoalSet
 from ..kg import KGObservation
@@ -73,71 +71,3 @@ class MetaTransition:
     @property
     def next_candidates(self) -> tuple[str, ...]:
         return self.next_goal_set.texts
-
-
-def transition_to_json(tr: SubTransition | MetaTransition) -> dict:
-    if isinstance(tr, SubTransition):
-        return {
-            "type": "sub",
-            "obs": tr.obs.as_lists(),
-            "goal": tr.goal.text if tr.goal is not None else None,
-            "action": tr.action,
-            "r_sub": tr.r_sub,
-            "r_goal": tr.r_goal,
-            "next_obs": tr.next_obs.as_lists(),
-            "next_admissible": list(tr.next_admissible),
-            "done": tr.done,
-            "level": tr.level,
-        }
-    return {
-        "type": "meta",
-        "obs": tr.obs.as_lists(),
-        "goal": tr.goal.text,
-        "r_meta": tr.r_meta,
-        "next_obs": tr.next_obs.as_lists(),
-        "next_goal_set": list(tr.next_goal_set.texts),
-        "done": tr.done,
-        "level": tr.level,
-    }
-
-
-def transition_from_json(doc: dict) -> SubTransition | MetaTransition:
-    if doc["type"] == "sub":
-        return SubTransition(
-            obs=KGObservation.from_lists(doc["obs"]),
-            goal=Goal.from_text(doc["goal"]) if doc["goal"] is not None else None,
-            action=doc["action"],
-            r_sub=float(doc["r_sub"]),
-            r_goal=float(doc["r_goal"]),
-            next_obs=KGObservation.from_lists(doc["next_obs"]),
-            next_admissible=tuple(doc["next_admissible"]),
-            done=bool(doc["done"]),
-            level=doc["level"],
-        )
-    if doc["type"] == "meta":
-        return MetaTransition(
-            obs=KGObservation.from_lists(doc["obs"]),
-            goal=Goal.from_text(doc["goal"]),
-            r_meta=float(doc["r_meta"]),
-            next_obs=KGObservation.from_lists(doc["next_obs"]),
-            next_goal_set=GoalSet(Goal.from_text(t) for t in doc["next_goal_set"]),
-            done=bool(doc["done"]),
-            level=doc["level"],
-        )
-    raise ValueError(f"unknown transition type {doc.get('type')!r}")
-
-
-def write_transition_log(path: str | Path, transitions: Iterable[SubTransition | MetaTransition]) -> None:
-    with open(path, "w") as fh:
-        for tr in transitions:
-            fh.write(json.dumps(transition_to_json(tr), sort_keys=True) + "\n")
-
-
-def read_transition_log(path: str | Path) -> list[SubTransition | MetaTransition]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(transition_from_json(json.loads(line)))
-    return out

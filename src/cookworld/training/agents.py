@@ -1,8 +1,10 @@
-"""Greedy rollout agents used for validation, testing, and oracle checks."""
+"""Greedy rollout agents used for validation, testing, and oracle checks,
+and the ε-greedy selection rule that training shares with them."""
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from functools import partial
+from typing import Callable, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -12,6 +14,23 @@ from ..engine.walkthrough import walkthrough
 from ..goals import Goal, generate_goal_set, goal_terminated
 from ..kg import KGObservation
 from ..neural.nets import PolicyNet
+
+T = TypeVar("T")
+
+
+def epsilon_greedy(
+    candidates: Sequence[T],
+    q_fn: Optional[Callable[[], np.ndarray]],
+    rng: Optional[np.random.Generator] = None,
+    eps: float = 0.0,
+) -> T:
+    """Pick uniformly when q_fn is None or when rng.random() < eps, otherwise
+    the argmax of q_fn(), which scores the candidates in order. With an rng
+    and a q_fn, random() is drawn even when eps is 0, so that the stream
+    does not depend on eps."""
+    if q_fn is None or (rng is not None and rng.random() < eps):
+        return candidates[int(rng.integers(0, len(candidates)))]
+    return candidates[int(np.argmax(q_fn()))]
 
 
 class Agent(Protocol):
@@ -30,14 +49,13 @@ class FlatAgent:
         pass
 
     def act(self, obs: KGObservation, admissible: list[str]) -> str:
-        q = self.net.q_values(obs, None, admissible)
-        return admissible[int(np.argmax(q))]
+        return epsilon_greedy(admissible, partial(self.net.q_values, obs, None, admissible))
 
 
 class HierarchicalAgent:
     """Greedy goal selection by the meta net, greedy goal-conditioned actions
     by the sub net. The goal persists until accomplished or the episode ends.
-    A None meta net (or a provided rng) selects goals uniformly at random."""
+    Without a meta net, goal_rng selects goals uniformly at random."""
 
     def __init__(self, sub_net: PolicyNet, meta_net: Optional[PolicyNet] = None,
                  goal_rng: Optional[np.random.Generator] = None):
@@ -49,25 +67,18 @@ class HierarchicalAgent:
     def start_episode(self, spec: GameSpec, obs: KGObservation) -> None:
         self.goal = None
 
-    def _select_goal(self, obs: KGObservation) -> Goal:
-        goal_set = generate_goal_set(obs)
-        goals = list(goal_set)
-        if self.meta_net is not None:
-            q = self.meta_net.q_values(obs, None, [g.text for g in goals])
-            return goals[int(np.argmax(q))]
-        if self.goal_rng is not None:
-            return goals[int(self.goal_rng.integers(0, len(goals)))]
-        return goals[0]
-
     def observe(self, next_obs: KGObservation, done: bool) -> None:
         if self.goal is not None and goal_terminated(next_obs, self.goal, done, False):
             self.goal = None
 
     def act(self, obs: KGObservation, admissible: list[str]) -> str:
         if self.goal is None:
-            self.goal = self._select_goal(obs)
-        q = self.sub_net.q_values(obs, self.goal.text, admissible)
-        return admissible[int(np.argmax(q))]
+            goal_set = generate_goal_set(obs)
+            goal_q = None
+            if self.meta_net is not None:
+                goal_q = partial(self.meta_net.q_values, obs, None, goal_set.texts)
+            self.goal = epsilon_greedy(goal_set.goals, goal_q, self.goal_rng)
+        return epsilon_greedy(admissible, partial(self.sub_net.q_values, obs, self.goal.text, admissible))
 
 
 class WalkthroughAgent:

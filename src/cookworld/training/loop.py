@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -15,14 +16,13 @@ from ..engine.spec import GameSpec
 from ..engine.state import admissible_actions, reset, step
 from ..engine.vocab import Vocabulary, default_vocabulary
 from ..goals import Goal, GoalSet, generate_goal_set, goal_reward, goal_terminated
-from ..kg import KGObservation
-from ..neural.nets import PolicyNet, save_checkpoint, load_checkpoint, sync_target
+from ..neural.nets import PolicyNet, clone_net, save_checkpoint, load_checkpoint, sync_target
 from ..neural.optim import AdamState
 from ..rl.counts import VisitCounter, accumulate_meta_reward, bebold_reward, compose_sub_reward
 from ..rl.dqn import td_update
 from ..rl.replay import PrioritizedBuffer, gated_flush
 from ..rl.transitions import MetaTransition, SubTransition
-from .agents import FlatAgent, HierarchicalAgent, normalized_rollout
+from .agents import FlatAgent, HierarchicalAgent, epsilon_greedy, normalized_rollout
 from .config import TrainConfig
 from .metrics import MetricsWriter
 from .scheduler import LevelScheduler
@@ -62,6 +62,84 @@ def _child_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, stream)).generate_state(1)[0])
 
 
+def _stream_rng(seed: int, stream: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, stream)))
+
+
+class Learner:
+    """One policy level's Double DQN learner: online and target nets, Adam
+    state, the prioritized replay buffer and the rng that samples it, the
+    update count, the last loss and the best-validation snapshot. Its
+    checkpoint is `<name>.npz` in a run directory."""
+
+    def __init__(self, name: str, cfg: TrainConfig, vocab: Vocabulary, state_parts: int,
+                 capacity: int, net_seed: int, rng: np.random.Generator):
+        self.name = name
+        self.cfg = cfg
+        self.online = PolicyNet(
+            vocab,
+            hidden_dim=cfg.hidden_dim,
+            rgcn_layers=cfg.rgcn_layers,
+            state_parts=state_parts,
+            ff_dim=cfg.ff_dim,
+            scorer_hidden=cfg.scorer_hidden,
+            seed=net_seed,
+        )
+        self.target = clone_net(self.online)
+        self.adam = AdamState(self.online)
+        self.buffer = PrioritizedBuffer(capacity, cfg.per_alpha, cfg.per_beta_start, cfg.per_epsilon)
+        self.rng = rng
+        self.updates = 0
+        self.last_loss: Optional[float] = None
+        self.best_params: Optional[dict[str, np.ndarray]] = None
+
+    def maybe_update(self, beta: float) -> None:
+        """One TD update once the buffer holds a batch; a hard target copy
+        every target_sync_every updates."""
+        cfg = self.cfg
+        if len(self.buffer) < cfg.batch_size:
+            return
+        self.buffer.beta = beta
+        self.last_loss = td_update(
+            self.buffer,
+            self.online,
+            self.target,
+            cfg.batch_size,
+            cfg.gamma,
+            self.rng,
+            self.adam,
+            lr=cfg.lr,
+            clip_norm=cfg.grad_clip,
+            weight_decay=cfg.weight_decay,
+        )
+        self.updates += 1
+        if self.updates % cfg.target_sync_every == 0:
+            sync_target(self.online, self.target)
+
+    def snapshot(self) -> None:
+        self.best_params = {k: p.data.copy() for k, p in self.online.params.items()}
+
+    def restore(self) -> None:
+        """Roll the online and target nets back to the last snapshot."""
+        if self.best_params is not None:
+            self._set_params(self.best_params)
+
+    def _set_params(self, values: dict[str, np.ndarray]) -> None:
+        for name, p in self.online.params.items():
+            np.copyto(p.data, values[name])
+        self.online.bump_version()
+        sync_target(self.online, self.target)
+
+    def save(self, directory: Path) -> None:
+        save_checkpoint(self.online, directory / f"{self.name}.npz", self.adam.as_dict())
+
+    def load(self, directory: Path) -> None:
+        net, adam = load_checkpoint(directory / f"{self.name}.npz", self.online.vocab)
+        self._set_params({name: p.data for name, p in net.params.items()})
+        if adam is not None:
+            self.adam = AdamState.from_dict(self.online, adam)
+
+
 class Trainer:
     def __init__(
         self,
@@ -84,57 +162,33 @@ class Trainer:
             raise ValueError(f"no training games for levels: {missing}")
 
         self.uses_goals = cfg.variant != "GATA"
-        self.has_meta_net = cfg.variant in ("H-KGA", "H-KGA-HalfJoint", "H-KGA-Ind")
         self.phase2_start = cfg.episodes // 2 + 1  # first episode of the second phase
 
         seed = cfg.seed
-        self.rng_level = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
-        self.rng_game = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 1)))
-        self.rng_meta = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 2)))
-        self.rng_sub = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 3)))
-        self.rng_buf_meta = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 4)))
-        self.rng_buf_sub = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 5)))
+        self.rng_level = _stream_rng(seed, 0)
+        self.rng_game = _stream_rng(seed, 1)
+        self.rng_meta = _stream_rng(seed, 2)
+        self.rng_sub = _stream_rng(seed, 3)
+        self.sub = Learner(
+            "sub", cfg, self.vocab, 2 if self.uses_goals else 1, cfg.buffer_capacity_sub,
+            _child_seed(seed, 11), _stream_rng(seed, 5),
+        )
+        self.meta: Optional[Learner] = None
+        if cfg.variant in ("H-KGA", "H-KGA-HalfJoint", "H-KGA-Ind"):
+            self.meta = Learner(
+                "meta", cfg, self.vocab, 1, cfg.buffer_capacity_meta,
+                _child_seed(seed, 10), _stream_rng(seed, 4),
+            )
+        # meta first, so that run_state.json lists buf_meta before buf_sub
+        self.learners = [learner for learner in (self.meta, self.sub) if learner is not None]
 
-        net_kwargs = dict(
-            hidden_dim=cfg.hidden_dim,
-            rgcn_layers=cfg.rgcn_layers,
-            ff_dim=cfg.ff_dim,
-            scorer_hidden=cfg.scorer_hidden,
-        )
-        sub_parts = 2 if self.uses_goals else 1
-        self.sub_online = PolicyNet(self.vocab, state_parts=sub_parts, seed=_child_seed(seed, 11), **net_kwargs)
-        self.sub_target = PolicyNet(self.vocab, state_parts=sub_parts, seed=_child_seed(seed, 11), **net_kwargs)
-        sync_target(self.sub_online, self.sub_target)
-        self.sub_adam = AdamState(self.sub_online)
-        if self.has_meta_net:
-            self.meta_online = PolicyNet(self.vocab, state_parts=1, seed=_child_seed(seed, 10), **net_kwargs)
-            self.meta_target = PolicyNet(self.vocab, state_parts=1, seed=_child_seed(seed, 10), **net_kwargs)
-            sync_target(self.meta_online, self.meta_target)
-            self.meta_adam = AdamState(self.meta_online)
-        else:
-            self.meta_online = None
-            self.meta_target = None
-            self.meta_adam = None
-
-        self.meta_buffer = PrioritizedBuffer(
-            cfg.buffer_capacity_meta, cfg.per_alpha, cfg.per_beta_start, cfg.per_epsilon
-        )
-        self.sub_buffer = PrioritizedBuffer(
-            cfg.buffer_capacity_sub, cfg.per_alpha, cfg.per_beta_start, cfg.per_epsilon
-        )
         self.counter = VisitCounter()
         self.scheduler = LevelScheduler(cfg.levels, beta=cfg.beta_schedule, window=cfg.perf_window)
 
         self.episode = 0
         self.k = 0  # global interaction step counter
-        self.updates_meta = 0
-        self.updates_sub = 0
         self.best_val = 0.0
         self.patience_count = 0
-        self.last_loss_meta: Optional[float] = None
-        self.last_loss_sub: Optional[float] = None
-        self._snap_meta: Optional[dict[str, np.ndarray]] = None
-        self._snap_sub: Optional[dict[str, np.ndarray]] = None
 
         self.metrics: Optional[MetricsWriter] = None
         if self.out_dir is not None:
@@ -144,6 +198,22 @@ class Trainer:
             self.metrics = MetricsWriter(
                 self.out_dir / "metrics.csv", cfg.levels, append=resume
             )
+
+    @property
+    def sub_buffer(self) -> PrioritizedBuffer:
+        return self.sub.buffer
+
+    @property
+    def meta_buffer(self) -> Optional[PrioritizedBuffer]:
+        return self.meta.buffer if self.meta is not None else None
+
+    @property
+    def updates_sub(self) -> int:
+        return self.sub.updates
+
+    @property
+    def updates_meta(self) -> int:
+        return self.meta.updates if self.meta is not None else 0
 
     # -- exploration schedule -------------------------------------------------
 
@@ -163,7 +233,7 @@ class Trainer:
         return False
 
     def _trains_meta(self, episode: int) -> bool:
-        if not self.has_meta_net:
+        if self.meta is None:
             return False
         if self.cfg.variant == "H-KGA":
             return True
@@ -173,26 +243,6 @@ class Trainer:
         if self.cfg.variant == "H-KGA-Ind":
             return episode < self.phase2_start
         return True
-
-    # -- selection --------------------------------------------------------------
-
-    def _select_goal(self, obs: KGObservation, goal_set: GoalSet, episode: int, eps: float) -> Goal:
-        goals = list(goal_set)
-        if self._random_goal_phase(episode) or self.meta_online is None:
-            return goals[int(self.rng_meta.integers(0, len(goals)))]
-        if float(self.rng_meta.random()) < eps:
-            return goals[int(self.rng_meta.integers(0, len(goals)))]
-        q = self.meta_online.q_values(obs, None, [g.text for g in goals])
-        return goals[int(np.argmax(q))]
-
-    def _select_action(
-        self, obs: KGObservation, goal: Optional[Goal], admissible: list[str], eps: float
-    ) -> str:
-        if float(self.rng_sub.random()) < eps:
-            return admissible[int(self.rng_sub.integers(0, len(admissible)))]
-        cond = goal.text if goal is not None else None
-        q = self.sub_online.q_values(obs, cond, admissible)
-        return admissible[int(np.argmax(q))]
 
     # -- updates -----------------------------------------------------------------
 
@@ -206,41 +256,9 @@ class Trainer:
         if episode <= cfg.warmup_episodes:
             return
         if self.k % cfg.update_freq_meta == 0 and self._trains_meta(episode):
-            if len(self.meta_buffer) >= cfg.batch_size:
-                self.meta_buffer.beta = self._per_beta(episode)
-                self.last_loss_meta = td_update(
-                    self.meta_buffer,
-                    self.meta_online,
-                    self.meta_target,
-                    cfg.batch_size,
-                    cfg.gamma,
-                    self.rng_buf_meta,
-                    self.meta_adam,
-                    lr=cfg.lr,
-                    clip_norm=cfg.grad_clip,
-                    weight_decay=cfg.weight_decay,
-                )
-                self.updates_meta += 1
-                if self.updates_meta % cfg.target_sync_every == 0:
-                    sync_target(self.meta_online, self.meta_target)
+            self.meta.maybe_update(self._per_beta(episode))
         if self.k % cfg.update_freq_sub == 0 and self._trains_sub(episode):
-            if len(self.sub_buffer) >= cfg.batch_size:
-                self.sub_buffer.beta = self._per_beta(episode)
-                self.last_loss_sub = td_update(
-                    self.sub_buffer,
-                    self.sub_online,
-                    self.sub_target,
-                    cfg.batch_size,
-                    cfg.gamma,
-                    self.rng_buf_sub,
-                    self.sub_adam,
-                    lr=cfg.lr,
-                    clip_norm=cfg.grad_clip,
-                    weight_decay=cfg.weight_decay,
-                )
-                self.updates_sub += 1
-                if self.updates_sub % cfg.target_sync_every == 0:
-                    sync_target(self.sub_online, self.sub_target)
+            self.sub.maybe_update(self._per_beta(episode))
 
     # -- episodes -------------------------------------------------------------------
 
@@ -259,6 +277,7 @@ class Trainer:
         spec = games[game_index]
 
         state, obs = reset(spec, step_limit=cfg.step_limit_train)
+        admissible = tuple(admissible_actions(state))
         self.counter.reset_episode()
         self.counter.record_visit(obs)
         cache_meta: list[MetaTransition] = []
@@ -274,18 +293,27 @@ class Trainer:
             lost=False,
         )
 
+        meta_net = None
+        if self.meta is not None and not self._random_goal_phase(episode):
+            meta_net = self.meta.online
         t = 0
         done = False
         while not done and t < cfg.step_limit_train:
             goal: Optional[Goal] = None
             if self.uses_goals:
-                goal = self._select_goal(obs, generate_goal_set(obs), episode, eps)
+                goal_set = generate_goal_set(obs)
+                goal_q = None
+                if meta_net is not None:
+                    goal_q = partial(meta_net.q_values, obs, None, goal_set.texts)
+                goal = epsilon_greedy(goal_set.goals, goal_q, self.rng_meta, eps)
+            cond = goal.text if goal is not None else None
             span_start = t
             r_meta_parts: list[float] = []
             goal_obs = obs
             while True:
-                admissible = admissible_actions(state)
-                action = self._select_action(obs, goal, admissible, eps)
+                action = epsilon_greedy(
+                    admissible, partial(self.sub.online.q_values, obs, cond, admissible), self.rng_sub, eps
+                )
                 state, next_obs, r_env, done = step(state, action)
                 self.counter.record_visit(next_obs)
                 if goal is not None:
@@ -303,7 +331,7 @@ class Trainer:
                     span_over = goal_terminated(next_obs, goal, done, t >= cfg.step_limit_train)
                 else:
                     span_over = done or t >= cfg.step_limit_train
-                next_admissible = () if done else tuple(admissible_actions(state))
+                admissible = () if done else tuple(admissible_actions(state))
                 cache_sub.append(
                     SubTransition(
                         obs=obs,
@@ -312,7 +340,7 @@ class Trainer:
                         r_sub=r_sub,
                         r_goal=r_goal,
                         next_obs=next_obs,
-                        next_admissible=next_admissible,
+                        next_admissible=admissible,
                         done=span_over,
                         level=level,
                     )
@@ -324,20 +352,21 @@ class Trainer:
                 obs = next_obs
                 if span_over:
                     break
-            if self.uses_goals and goal is not None:
+            if goal is not None:
                 r_meta = accumulate_meta_reward(r_meta_parts)
-                next_goal_set = GoalSet([]) if done else generate_goal_set(obs)
-                cache_meta.append(
-                    MetaTransition(
-                        obs=goal_obs,
-                        goal=goal,
-                        r_meta=r_meta,
-                        next_obs=obs,
-                        next_goal_set=next_goal_set,
-                        done=done,
-                        level=level,
+                if self.meta is not None:
+                    next_goal_set = GoalSet([]) if done else generate_goal_set(obs)
+                    cache_meta.append(
+                        MetaTransition(
+                            obs=goal_obs,
+                            goal=goal,
+                            r_meta=r_meta,
+                            next_obs=obs,
+                            next_goal_set=next_goal_set,
+                            done=done,
+                            level=level,
+                        )
                     )
-                )
                 record.goal_spans.append(GoalSpan(goal.text, span_start, t, r_meta))
 
         record.steps = state.steps
@@ -348,12 +377,12 @@ class Trainer:
 
         record.meta_cached = len(cache_meta)
         record.sub_cached = len(cache_sub)
-        if self.uses_goals:
+        if self.meta is not None:
             record.meta_accepted = gated_flush(
-                self.meta_buffer, cache_meta, level, cfg.tau, cfg.level_aware_buffer
+                self.meta.buffer, cache_meta, level, cfg.tau, cfg.level_aware_buffer
             )
         record.sub_accepted = gated_flush(
-            self.sub_buffer, cache_sub, level, cfg.tau, cfg.level_aware_buffer
+            self.sub.buffer, cache_sub, level, cfg.tau, cfg.level_aware_buffer
         )
 
         if self.metrics is not None:
@@ -363,8 +392,8 @@ class Trainer:
                 "train",
                 level,
                 record.normalized_score,
-                self.last_loss_meta,
-                self.last_loss_sub,
+                self.meta.last_loss if self.meta is not None else None,
+                self.sub.last_loss,
                 eps,
                 probs,
             )
@@ -374,11 +403,11 @@ class Trainer:
 
     def _eval_agent(self, episode: int, stream: int):
         if not self.uses_goals:
-            return FlatAgent(self.sub_online)
-        if self._random_goal_phase(episode) or self.meta_online is None:
+            return FlatAgent(self.sub.online)
+        if self._random_goal_phase(episode) or self.meta is None:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(self.cfg.seed, 6, stream, episode)))
-            return HierarchicalAgent(self.sub_online, None, goal_rng=rng)
-        return HierarchicalAgent(self.sub_online, self.meta_online)
+            return HierarchicalAgent(self.sub.online, None, goal_rng=rng)
+        return HierarchicalAgent(self.sub.online, self.meta.online)
 
     def validate(self) -> float:
         scores = []
@@ -402,34 +431,17 @@ class Trainer:
         if v_val >= self.best_val:
             self.best_val = v_val
             self.patience_count = 0
-            self._snap_sub = {k: p.data.copy() for k, p in self.sub_online.params.items()}
-            if self.meta_online is not None:
-                self._snap_meta = {k: p.data.copy() for k, p in self.meta_online.params.items()}
+            for learner in self.learners:
+                learner.snapshot()
             if self.out_dir is not None:
                 self._save_policies(self.out_dir / "best")
         else:
             self.patience_count += 1
             if self.patience_count > self.cfg.patience:
-                self._restore_snapshots()
+                for learner in self.learners:
+                    learner.restore()
                 self.patience_count = 0
         return v_val
-
-    def _restore_snapshots(self) -> None:
-        if self._snap_sub is not None:
-            for name, values in self._snap_sub.items():
-                np.copyto(self.sub_online.params[name].data, values)
-            self.sub_online.bump_version()
-            sync_target(self.sub_online, self.sub_target)
-        if self._snap_meta is not None and self.meta_online is not None:
-            for name, values in self._snap_meta.items():
-                np.copyto(self.meta_online.params[name].data, values)
-            self.meta_online.bump_version()
-            sync_target(self.meta_online, self.meta_target)
-
-    def restore_best(self) -> None:
-        """Load the best-validation policies (what best/ holds) back into the
-        online nets, e.g. before a final test evaluation."""
-        self._restore_snapshots()
 
     # -- full run ------------------------------------------------------------------------
 
@@ -461,9 +473,8 @@ class Trainer:
 
     def _save_policies(self, directory: Path) -> None:
         directory.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(self.sub_online, directory / "sub.npz", self.sub_adam.as_dict())
-        if self.meta_online is not None:
-            save_checkpoint(self.meta_online, directory / "meta.npz", self.meta_adam.as_dict())
+        for learner in self.learners:
+            learner.save(directory)
         (directory / "run_state.json").write_text(json.dumps(self._run_state_dict(), indent=2) + "\n")
 
     def save_latest(self) -> None:
@@ -471,7 +482,15 @@ class Trainer:
         self._save_policies(directory)
 
     def _run_state_dict(self) -> dict:
-        run_state = {
+        rng = {
+            "level": self.rng_level.bit_generator.state,
+            "game": self.rng_game.bit_generator.state,
+            "meta": self.rng_meta.bit_generator.state,
+            "sub": self.rng_sub.bit_generator.state,
+        }
+        for learner in self.learners:
+            rng[f"buf_{learner.name}"] = learner.rng.bit_generator.state
+        return {
             "episode": self.episode,
             "k": self.k,
             "updates_meta": self.updates_meta,
@@ -481,16 +500,8 @@ class Trainer:
             "scheduler_history": {
                 level: list(self.scheduler._history[level]) for level in self.scheduler.levels
             },
-            "rng": {
-                "level": self.rng_level.bit_generator.state,
-                "game": self.rng_game.bit_generator.state,
-                "meta": self.rng_meta.bit_generator.state,
-                "sub": self.rng_sub.bit_generator.state,
-                "buf_meta": self.rng_buf_meta.bit_generator.state,
-                "buf_sub": self.rng_buf_sub.bit_generator.state,
-            },
+            "rng": rng,
         }
-        return run_state
 
     def _load_run_state(self) -> None:
         directory = self.out_dir / "latest"
@@ -500,8 +511,6 @@ class Trainer:
         run_state = json.loads(state_path.read_text())
         self.episode = run_state["episode"]
         self.k = run_state["k"]
-        self.updates_meta = run_state["updates_meta"]
-        self.updates_sub = run_state["updates_sub"]
         self.best_val = run_state["best_val"]
         self.patience_count = run_state["patience_count"]
         for level, history in run_state["scheduler_history"].items():
@@ -512,24 +521,11 @@ class Trainer:
         self.rng_game.bit_generator.state = rng_states["game"]
         self.rng_meta.bit_generator.state = rng_states["meta"]
         self.rng_sub.bit_generator.state = rng_states["sub"]
-        self.rng_buf_meta.bit_generator.state = rng_states["buf_meta"]
-        self.rng_buf_sub.bit_generator.state = rng_states["buf_sub"]
-
-        sub_net, sub_adam = load_checkpoint(directory / "sub.npz", self.vocab)
-        for name, p in self.sub_online.params.items():
-            np.copyto(p.data, sub_net.params[name].data)
-        self.sub_online.bump_version()
-        sync_target(self.sub_online, self.sub_target)
-        if sub_adam is not None:
-            self.sub_adam = AdamState.from_dict(self.sub_online, sub_adam)
-        if self.meta_online is not None and (directory / "meta.npz").exists():
-            meta_net, meta_adam = load_checkpoint(directory / "meta.npz", self.vocab)
-            for name, p in self.meta_online.params.items():
-                np.copyto(p.data, meta_net.params[name].data)
-            self.meta_online.bump_version()
-            sync_target(self.meta_online, self.meta_target)
-            if meta_adam is not None:
-                self.meta_adam = AdamState.from_dict(self.meta_online, meta_adam)
+        for learner in self.learners:
+            # the checkpoint first: it refuses a run of another variant
+            learner.load(directory)
+            learner.rng.bit_generator.state = rng_states[f"buf_{learner.name}"]
+            learner.updates = run_state[f"updates_{learner.name}"]
 
 
 # -- evaluation ---------------------------------------------------------------------

@@ -411,13 +411,13 @@ def test_criterion_ablation_plumbing():
     tr = Trainer(cfg, s1)
     for _ in range(8):
         tr.run_episode()
-    frozen = {k: p.data.copy() for k, p in tr.sub_online.params.items()}
+    frozen = {k: p.data.copy() for k, p in tr.sub.online.params.items()}
     sub_updates_phase1 = tr.updates_sub
     for _ in range(8):
         tr.run_episode()
     if tr.updates_sub != sub_updates_phase1:
         report("ablation-plumbing", False, "Ind phase 2 updated the sub-policy")
-    for k, p in tr.sub_online.params.items():
+    for k, p in tr.sub.online.params.items():
         if not np.array_equal(p.data, frozen[k]):
             report("ablation-plumbing", False, f"Ind phase 2 changed {k}")
     report("ablation-plumbing", True)

@@ -1,0 +1,64 @@
+"""The benchmark's tracer still sees the training loop's calls.
+
+perfbench/tracing.py measures the program by wrapping the names callers bind
+(`cookworld.training.loop.td_update`, `...loop.gated_flush`, and so on). A
+refactor that calls around those names would leave the benchmark's per-layer
+metrics silently reading zero, so this test traces a tiny H-KGA run and
+checks that every hook fired. It runs in a subprocess because installing the
+tracer patches the cookworld modules for the rest of the process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import collections, json, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+
+tracer = Tracer()
+tracer.install()
+
+from cookworld.engine.generate import generate_game
+from cookworld.training.config import TrainConfig
+from cookworld.training.loop import Trainer
+
+games = {"S1": [generate_game("S1", s) for s in range(3)]}
+val = {"S1": [generate_game("S1", 50)]}
+cfg = TrainConfig(
+    levels=("S1",), episodes=6, warmup_episodes=0, update_freq_meta=3, update_freq_sub=5,
+    batch_size=4, tau=0.5, r_min=-0.05, hidden_dim=8, ff_dim=8, scorer_hidden=8, seed=5,
+)
+tr = Trainer(cfg, games, val, out_dir=sys.argv[2])
+for _ in range(6):
+    tr.run_episode()
+tr.validate()
+tr.save_latest()
+counts = collections.Counter(tracer.names[i] for i in tracer.name_id)
+print(json.dumps({"spans": counts, "updates_meta": tr.updates_meta, "updates_sub": tr.updates_sub}))
+"""
+
+
+def test_tracer_hooks_fire_on_training(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    spans = result["spans"]
+    assert result["updates_meta"] > 0 and result["updates_sub"] > 0
+    # every update of either level goes through the hooked td_update
+    assert spans["rl.dqn.td_update"] == result["updates_meta"] + result["updates_sub"]
+    # one validation writes best/, save_latest writes latest/: sub and meta each
+    assert spans["neural.nets.save_checkpoint"] == 4
+    assert spans["training.validate"] == 1
+    for name in ("rl.replay.gated_flush", "engine.step"):
+        assert spans.get(name, 0) > 0, name

@@ -137,6 +137,24 @@ def test_train_resume_continues_not_duplicating(tmp_path):
     assert max(episodes) == 7
 
 
+def test_train_resume_without_meta_checkpoint_refused(tmp_path, capsys):
+    games = tmp_path / "games"
+    out = tmp_path / "run"
+    run_cli("gen", "--levels", "S1", "--train", "2", "--val", "1", "--test", "1",
+            "--seed", "3", "--out", games)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "episodes": 2, "warmup_episodes": 1, "val_freq": 1, "variant": "GC-GATA",
+        "hidden_dim": 8, "ff_dim": 8, "scorer_hidden": 8, "seed": 1,
+    }))
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path) == 0
+    capsys.readouterr()
+    # GC-GATA's sub net fits H-KGA's, but its run has no meta.npz to resume
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
+                   "--variant", "H-KGA", "--resume") == 2
+    assert "meta.npz" in capsys.readouterr().err
+
+
 def test_train_invalid_variant_exit_code(tmp_path, capsys):
     games = tmp_path / "games"
     run_cli("gen", "--levels", "S1", "--train", "1", "--val", "1", "--test", "1",

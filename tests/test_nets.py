@@ -11,11 +11,8 @@ from cookworld.neural.nets import (
     EmptyTextError,
     PolicyNet,
     clone_net,
-    encode_graph,
-    encode_text,
     load_checkpoint,
     save_checkpoint,
-    score_candidates,
     sinusoidal_positions,
     sync_target,
 )
@@ -34,6 +31,13 @@ def tiny_net(vocab, seed=0, parts=1, layers=2, d=8):
     )
 
 
+def score(net, state, candidates):
+    """Scores candidate vectors against a state vector, no gradients recorded."""
+    cand = np.asarray(candidates, dtype=np.float64).reshape(len(candidates), net.d)
+    with ad.no_grad():
+        return net.score_tensor(ad.constant(np.atleast_2d(state)), ad.constant(cand)).data[:, 0]
+
+
 def small_obs():
     return KGObservation(
         [
@@ -48,21 +52,21 @@ def small_obs():
 
 def test_empty_observation_is_zero_vector(vocab):
     net = tiny_net(vocab)
-    assert np.array_equal(encode_graph(net, KGObservation([])), np.zeros(8))
+    assert np.array_equal(net.graph_vector(KGObservation([]))[0], np.zeros(8))
 
 
 def test_graph_permutation_invariance(vocab):
     net = tiny_net(vocab, seed=5)
     obs = small_obs()
     shuffled = KGObservation(list(obs)[::-1])
-    assert np.array_equal(encode_graph(net, obs), encode_graph(net, shuffled))
+    assert np.array_equal(net.graph_vector(obs)[0], net.graph_vector(shuffled)[0])
 
 
 def test_graph_deterministic_across_instances(vocab):
     a = tiny_net(vocab, seed=9)
     b = tiny_net(vocab, seed=9)
     obs = small_obs()
-    assert np.array_equal(encode_graph(a, obs), encode_graph(b, obs))
+    assert np.array_equal(a.graph_vector(obs)[0], b.graph_vector(obs)[0])
 
 
 def test_single_triplet_one_layer_hand_computed(vocab):
@@ -86,7 +90,7 @@ def test_single_triplet_one_layer_hand_computed(vocab):
     msg = h_knife @ w_on + e_on
     out_table = np.maximum(h_table @ w_self + bias + msg, 0.0)
     expected = (out_knife + out_table) / 2.0
-    assert np.allclose(encode_graph(net, obs), expected, atol=1e-12)
+    assert np.allclose(net.graph_vector(obs)[0], expected, atol=1e-12)
 
 
 def net_relations():
@@ -118,23 +122,23 @@ def test_single_token_hand_computed(vocab):
         + net.params["ff.b2"].data[0]
     )
     expected = layer_norm(h1 + ff, net.params["ln2.gain"].data[0], net.params["ln2.bias"].data[0])
-    assert np.allclose(encode_text(net, token), expected, atol=1e-12)
+    assert np.allclose(net.text_vector(token)[0], expected, atol=1e-12)
 
 
 def test_text_position_sensitivity(vocab):
     net = tiny_net(vocab, seed=3)
-    assert not np.allclose(encode_text(net, "find cilantro"), encode_text(net, "cilantro find"))
+    assert not np.allclose(net.text_vector("find cilantro")[0], net.text_vector("cilantro find")[0])
 
 
 def test_text_determinism(vocab):
     net = tiny_net(vocab, seed=3)
-    assert np.array_equal(encode_text(net, "find cilantro"), encode_text(net, "find cilantro"))
+    assert np.array_equal(net.text_vector("find cilantro")[0], net.text_vector("find cilantro")[0])
 
 
 def test_empty_text_raises(vocab):
     net = tiny_net(vocab)
     with pytest.raises(EmptyTextError):
-        encode_text(net, "   ")
+        net.text_vector("   ")
 
 
 # -- scorer ----------------------------------------------------------------------
@@ -142,7 +146,7 @@ def test_empty_text_raises(vocab):
 def test_score_single_candidate_is_scalar(vocab):
     net = tiny_net(vocab, parts=1)
     state = np.ones(8)
-    out = score_candidates(net, state, [np.ones(8)])
+    out = score(net, state, [np.ones(8)])
     assert out.shape == (1,)
 
 
@@ -150,7 +154,7 @@ def test_duplicate_candidates_duplicate_scores(vocab):
     net = tiny_net(vocab, parts=1)
     state = np.linspace(0, 1, 8)
     cand = np.linspace(1, 2, 8)
-    out = score_candidates(net, state, [cand, cand.copy()])
+    out = score(net, state, [cand, cand.copy()])
     assert out[0] == out[1]
 
 
@@ -160,7 +164,7 @@ def test_zero_weights_give_bias(vocab):
     net.params["scorer.w2"].data[:] = 0.0
     net.params["scorer.b1"].data[:] = 0.0
     net.params["scorer.b2"].data[:] = 0.25
-    out = score_candidates(net, np.ones(8), [np.zeros(8), np.ones(8)])
+    out = score(net, np.ones(8), [np.zeros(8), np.ones(8)])
     assert np.allclose(out, 0.25)
 
 
@@ -168,15 +172,15 @@ def test_candidate_independence(vocab):
     net = tiny_net(vocab, parts=1, seed=8)
     state = np.linspace(-1, 1, 8)
     cands = [np.cos(np.arange(8) + k) for k in range(5)]
-    full = score_candidates(net, state, cands)
-    subset = score_candidates(net, state, cands[2:3])
+    full = score(net, state, cands)
+    subset = score(net, state, cands[2:3])
     assert np.isclose(full[2], subset[0])
 
 
 def test_empty_candidates_raise(vocab):
     net = tiny_net(vocab, parts=1)
     with pytest.raises(EmptyCandidatesError):
-        score_candidates(net, np.ones(8), [])
+        score(net, np.ones(8), [])
     with pytest.raises(EmptyCandidatesError):
         net.q_values(small_obs(), None, [])
 

@@ -8,6 +8,7 @@ from cookworld.goals import generate_goal_set
 from cookworld.training.agents import (
     HierarchicalAgent,
     WalkthroughAgent,
+    epsilon_greedy,
     normalized_rollout,
     rollout,
 )
@@ -127,7 +128,7 @@ def test_reproducibility_bit_identical(s1_games, s1_val):
         summary = [
             (r.level, r.game_index, r.steps, r.score, tuple(r.env_rewards)) for r in records
         ]
-        params = {k: p.data.copy() for k, p in tr.sub_online.params.items()}
+        params = {k: p.data.copy() for k, p in tr.sub.online.params.items()}
         results.append((summary, params, tr.best_val))
     assert results[0][0] == results[1][0]
     assert results[0][2] == results[1][2]
@@ -151,14 +152,14 @@ def test_validation_rollback_restores_snapshots(s1_games, s1_val):
     for _ in range(5):
         tr.run_episode()
     tr.validate()  # establishes the snapshot (>= 0.0 always refreshes)
-    snap = {k: v.copy() for k, v in tr._snap_sub.items()}
+    snap = {k: v.copy() for k, v in tr.sub.best_params.items()}
     tr.best_val = 2.0  # force every later validation to be "worse"
-    for p in tr.sub_online.params.values():
+    for p in tr.sub.online.params.values():
         p.data += 0.125
-    tr.sub_online.bump_version()
+    tr.sub.online.bump_version()
     tr.validate()  # patience 1
     tr.validate()  # patience 2 > P=1 -> rollback
-    for k, p in tr.sub_online.params.items():
+    for k, p in tr.sub.online.params.items():
         assert np.array_equal(p.data, snap[k])
 
 
@@ -172,7 +173,7 @@ def test_random_init_policy_weak_on_s3():
     games = {"S3": games_for("S3", 3)}
     cfg = small_cfg(levels=("S3",))
     tr = Trainer(cfg, games)
-    agent = HierarchicalAgent(tr.sub_online, tr.meta_online)
+    agent = HierarchicalAgent(tr.sub.online, tr.meta.online)
     scores = [normalized_rollout(agent, g, 100) for g in games["S3"]]
     assert np.mean(scores) < 0.2
 
@@ -197,7 +198,7 @@ def test_evaluate_empty_set_raises():
 def test_scores_within_unit_interval(s1_games):
     cfg = small_cfg(episodes=5)
     tr = Trainer(cfg, s1_games)
-    agent = HierarchicalAgent(tr.sub_online, tr.meta_online)
+    agent = HierarchicalAgent(tr.sub.online, tr.meta.online)
     for g in s1_games["S1"]:
         assert 0.0 <= normalized_rollout(agent, g, 30) <= 1.0
 
@@ -213,11 +214,23 @@ def test_unknown_variant_rejected():
 def test_gata_has_no_goal_machinery(s1_games):
     cfg = small_cfg(variant="GATA", episodes=6)
     tr = Trainer(cfg, s1_games)
-    assert tr.meta_online is None
-    assert tr.sub_online.state_parts == 1
+    assert tr.meta is None
+    assert tr.sub.online.state_parts == 1
     rec = tr.run_episode()
     assert rec.goal_spans == []
     assert rec.meta_cached == 0
+    assert rec.sub_cached == rec.steps
+
+
+def test_gc_gata_has_no_meta_learner(s1_games):
+    cfg = small_cfg(variant="GC-GATA", episodes=6)
+    tr = Trainer(cfg, s1_games)
+    assert tr.meta is None and tr.learners == [tr.sub]
+    assert tr.meta_buffer is None and tr.updates_meta == 0
+    rec = tr.run_episode()
+    assert rec.goal_spans
+    assert rec.meta_cached == 0
+    assert not rec.meta_accepted
     assert rec.sub_cached == rec.steps
 
 
@@ -230,10 +243,12 @@ def test_gc_gata_uniform_goal_choice():
     assert len(goal_set) == 3
     cfg = small_cfg(variant="GC-GATA", levels=("S4",))
     tr = Trainer(cfg, {"S4": [spec]})
+    # GC-GATA has no meta net, so its goals come from the rule's uniform branch
+    assert tr.meta is None and tr._random_goal_phase(1)
     counts = {}
     draws = 100_000
     for _ in range(draws):
-        g = tr._select_goal(obs, goal_set, episode=1, eps=0.0)
+        g = epsilon_greedy(goal_set.goals, None, tr.rng_meta, eps=0.0)
         counts[g.text] = counts.get(g.text, 0) + 1
     for text, count in counts.items():
         assert abs(count / draws - 1 / 3) < 0.02, text
@@ -245,13 +260,13 @@ def test_ind_second_phase_freezes_sub(s1_games):
     tr = Trainer(cfg, s1_games)
     for _ in range(10):  # phase 1
         tr.run_episode()
-    sub_after_phase1 = {k: p.data.copy() for k, p in tr.sub_online.params.items()}
+    sub_after_phase1 = {k: p.data.copy() for k, p in tr.sub.online.params.items()}
     updates_phase1 = tr.updates_sub
     assert updates_phase1 > 0
     for _ in range(10):  # phase 2: meta only
         tr.run_episode()
     assert tr.updates_sub == updates_phase1
-    for k, p in tr.sub_online.params.items():
+    for k, p in tr.sub.online.params.items():
         assert np.array_equal(p.data, sub_after_phase1[k])
 
 

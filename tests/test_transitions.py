@@ -1,13 +1,8 @@
-"""Transition record adapters and the JSON-lines log round trip."""
+"""Transition record adapters."""
 
 from cookworld.goals import Goal, GoalSet
 from cookworld.kg import KGObservation, Triplet
-from cookworld.rl.transitions import (
-    MetaTransition,
-    SubTransition,
-    read_transition_log,
-    write_transition_log,
-)
+from cookworld.rl.transitions import MetaTransition, SubTransition
 
 
 def an_obs(room):
@@ -63,11 +58,3 @@ def test_meta_adapters():
     assert tr.cond_text is None
     assert tr.chosen_text == "diced cilantro"
     assert tr.next_candidates == ("prepare and eat meal",)
-
-
-def test_log_round_trip(tmp_path):
-    records = [sample_sub(), sample_meta(), sample_sub(goal=None)]
-    path = tmp_path / "transitions.jsonl"
-    write_transition_log(path, records)
-    loaded = read_transition_log(path)
-    assert loaded == records
