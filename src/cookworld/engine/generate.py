@@ -83,7 +83,7 @@ def _rng_for(level: str, seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, level_index)))
 
 
-def _sample_rooms(rng: np.random.Generator, count: int) -> tuple[list[str], dict, list[DoorSpec]]:
+def _sample_rooms(rng: np.random.Generator, count: int) -> tuple[list[str], dict]:
     """Lay rooms on a grid by random attachment, so adjacency is symmetric
     and direction-consistent by construction."""
     names = ["kitchen"]
@@ -123,7 +123,7 @@ def _sample_rooms(rng: np.random.Generator, count: int) -> tuple[list[str], dict
             edges[anchor][direction] = (name, None)
             edges[name][OPPOSITE_DIRECTION[direction]] = (anchor, None)
             break
-    return names, edges, []
+    return names, edges
 
 
 def _maybe_add_door(
@@ -145,7 +145,7 @@ def generate_game(level: str, seed: int) -> GameSpec:
     params = LEVEL_PARAMS[level]
     rng = _rng_for(level, seed)
 
-    room_names, edges, doors = _sample_rooms(rng, params.rooms)
+    room_names, edges = _sample_rooms(rng, params.rooms)
     doors = _maybe_add_door(rng, edges, params.door_prob)
     rooms = tuple(
         RoomSpec(

@@ -97,10 +97,6 @@ class ObjectSpec:
     def portable(self) -> bool:
         return self.kind in ("ingredient", "distractor", "tool", "cookbook")
 
-    @property
-    def is_food(self) -> bool:
-        return self.kind == "ingredient"
-
 
 @dataclass(frozen=True)
 class RecipeEntry:
@@ -134,12 +130,6 @@ class GameSpec:
         for room in self.rooms:
             if room.name == name:
                 return room
-        raise KeyError(name)
-
-    def door(self, name: str) -> DoorSpec:
-        for door in self.doors:
-            if door.name == name:
-                return door
         raise KeyError(name)
 
     def object(self, name: str) -> ObjectSpec:

@@ -93,14 +93,6 @@ class GameState:
         except KeyError:
             return False
 
-    def is_portable(self, name: str) -> bool:
-        if name == "meal":
-            return True
-        try:
-            return self.spec.object(name).portable
-        except KeyError:
-            return False
-
     def is_edible(self, name: str) -> bool:
         if not self.is_food(name):
             return False

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
 
 from ..kg import RELATIONS
 
@@ -39,11 +38,6 @@ _NO_RAW_FACT = ("cilantro", "parsley", "lettuce")
 def _load_list(name: str) -> tuple[str, ...]:
     path = resources.files("cookworld.engine.data").joinpath(name)
     lines = path.read_text().splitlines()
-    return tuple(line.strip() for line in lines if line.strip())
-
-
-def load_word_list(path: str | Path) -> tuple[str, ...]:
-    lines = Path(path).read_text().splitlines()
     return tuple(line.strip() for line in lines if line.strip())
 
 

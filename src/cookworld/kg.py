@@ -96,12 +96,6 @@ class KGObservation:
     def has(self, subject: str, obj: str, relation: str) -> bool:
         return Triplet(subject, obj, relation) in set(self.triplets)
 
-    def subjects(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for t in self.triplets:
-            seen.setdefault(t.subject, None)
-        return list(seen)
-
     def entities(self) -> list[str]:
         """All entity strings appearing as subject or object, sorted."""
         names = {t.subject for t in self.triplets} | {t.object for t in self.triplets}

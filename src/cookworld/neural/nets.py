@@ -96,12 +96,14 @@ class _GraphLayout:
             m[c > 0] /= c[c > 0][:, None]
 
 
-_LAYOUT_CACHE: OrderedDict[int, _GraphLayout] = OrderedDict()
+# keyed by the vocabulary too, because token ids depend on it; a Vocabulary
+# hashes by identity and the key holds it, so its id is never reused
+_LAYOUT_CACHE: OrderedDict[tuple, _GraphLayout] = OrderedDict()
 _LAYOUT_CACHE_SIZE = 4096
 
 
 def _layout_for(obs: KGObservation, vocab) -> _GraphLayout:
-    key = canonical_hash(obs)
+    key = (vocab, canonical_hash(obs))
     cached = _LAYOUT_CACHE.get(key)
     if cached is not None:
         _LAYOUT_CACHE.move_to_end(key)
@@ -137,7 +139,6 @@ class PolicyNet:
         self.ff_dim = ff_dim
         self.scorer_hidden = scorer_hidden
         self.seed = seed
-        self.version = 0
         self._vec_cache: dict = {}
         self.params: OrderedDict[str, Parameter] = OrderedDict()
 
@@ -180,7 +181,6 @@ class PolicyNet:
             p.zero_grad()
 
     def bump_version(self) -> None:
-        self.version += 1
         self._vec_cache.clear()
 
     def config(self) -> dict:
@@ -291,16 +291,6 @@ class PolicyNet:
         with ad.no_grad():
             scores = self.score_tensor(ad.constant(state), ad.constant(cand))
         return scores.data[:, 0]
-
-    def q_single(self, obs: KGObservation, cond_text: Optional[str], candidate: str) -> Tensor:
-        """Q(s, a) for one candidate with the tape recorded."""
-        parts = [self.graph_tensor(obs)]
-        if self.state_parts == 2:
-            if cond_text is None:
-                raise ValueError("this net conditions on an instruction text")
-            parts.append(self.text_tensor(cond_text))
-        state = ad.concat_cols(parts) if len(parts) > 1 else parts[0]
-        return self.score_tensor(state, self.text_tensor(candidate))
 
 
 def sync_target(online: PolicyNet, target: PolicyNet) -> None:

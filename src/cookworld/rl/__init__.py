@@ -1,7 +1,6 @@
 from .counts import VisitCounter, accumulate_meta_reward, bebold_reward, compose_sub_reward
 from .dqn import double_dqn_target, td_update
-from .replay import PrioritizedBuffer, SumTree, UnderfullBufferError, gated_flush
-from .transitions import MetaTransition, SubTransition
+from .replay import PrioritizedBuffer, SumTree, Transition, UnderfullBufferError, gated_flush
 
 __all__ = [
     "VisitCounter",
@@ -12,8 +11,7 @@ __all__ = [
     "td_update",
     "PrioritizedBuffer",
     "SumTree",
+    "Transition",
     "UnderfullBufferError",
     "gated_flush",
-    "MetaTransition",
-    "SubTransition",
 ]

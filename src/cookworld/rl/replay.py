@@ -1,10 +1,36 @@
-"""Prioritized replay with FIFO eviction and level-aware cache gating."""
+"""The replay record, prioritized replay with FIFO eviction and
+level-aware cache gating."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from ..kg import KGObservation
+
+
+@dataclass(frozen=True)
+class Transition:
+    """One replay record for either policy level.
+
+    The sub level conditions on its span's goal text (None for the flat,
+    goal-free variant) and chooses an action; the meta level conditions on
+    nothing and chooses a goal. td_reward is the Double DQN regression
+    reward and gate_reward the value gated_flush averages: the sub level's
+    goal reward before the count bonus, the meta level's span reward.
+    next_candidates is empty when the game has ended."""
+
+    obs: KGObservation
+    cond_text: Optional[str]
+    chosen_text: str
+    td_reward: float
+    gate_reward: float
+    next_obs: KGObservation
+    next_candidates: tuple[str, ...]
+    done: bool
+    level: str
 
 
 class UnderfullBufferError(RuntimeError):
@@ -87,7 +113,7 @@ class PrioritizedBuffer:
             return None
         return sum(self._level_sum.values()) / total
 
-    def push(self, transition, priority: Optional[float] = None) -> None:
+    def push(self, transition: Transition, priority: Optional[float] = None) -> None:
         if priority is None:
             priority = self.max_priority
         evicted = self.entries[self.cursor]
@@ -131,7 +157,7 @@ class PrioritizedBuffer:
 
 def gated_flush(
     buffer: PrioritizedBuffer,
-    cache: list,
+    cache: list[Transition],
     level: str,
     tolerance: float,
     level_aware: bool = True,

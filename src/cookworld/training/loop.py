@@ -12,16 +12,15 @@ from typing import Optional
 
 import numpy as np
 
-from ..engine.spec import GameSpec
+from ..engine.spec import UNSEEN_LEVELS, GameSpec
 from ..engine.state import admissible_actions, reset, step
 from ..engine.vocab import Vocabulary, default_vocabulary
-from ..goals import Goal, GoalSet, generate_goal_set, goal_reward, goal_terminated
+from ..goals import Goal, generate_goal_set, goal_reward, goal_terminated
 from ..neural.nets import PolicyNet, clone_net, save_checkpoint, load_checkpoint, sync_target
 from ..neural.optim import AdamState
 from ..rl.counts import VisitCounter, accumulate_meta_reward, bebold_reward, compose_sub_reward
 from ..rl.dqn import td_update
-from ..rl.replay import PrioritizedBuffer, gated_flush
-from ..rl.transitions import MetaTransition, SubTransition
+from ..rl.replay import PrioritizedBuffer, Transition, gated_flush
 from .agents import FlatAgent, HierarchicalAgent, epsilon_greedy, normalized_rollout
 from .config import TrainConfig
 from .metrics import MetricsWriter
@@ -225,14 +224,9 @@ class Trainer:
 
     # -- variant phase wiring --------------------------------------------------
 
-    def _random_goal_phase(self, episode: int) -> bool:
-        if self.cfg.variant == "GC-GATA":
-            return True
-        if self.cfg.variant in ("H-KGA-HalfJoint", "H-KGA-Ind"):
-            return episode < self.phase2_start
-        return False
-
     def _trains_meta(self, episode: int) -> bool:
+        """Whether the meta policy trains in this episode. It picks the goals
+        exactly when it trains; otherwise goals are drawn uniformly."""
         if self.meta is None:
             return False
         if self.cfg.variant == "H-KGA":
@@ -280,8 +274,8 @@ class Trainer:
         admissible = tuple(admissible_actions(state))
         self.counter.reset_episode()
         self.counter.record_visit(obs)
-        cache_meta: list[MetaTransition] = []
-        cache_sub: list[SubTransition] = []
+        cache_meta: list[Transition] = []
+        cache_sub: list[Transition] = []
         record = EpisodeRecord(
             episode=episode,
             level=level,
@@ -293,15 +287,13 @@ class Trainer:
             lost=False,
         )
 
-        meta_net = None
-        if self.meta is not None and not self._random_goal_phase(episode):
-            meta_net = self.meta.online
+        meta_net = self.meta.online if self._trains_meta(episode) else None
+        goal_set = generate_goal_set(obs) if self.uses_goals else None
         t = 0
         done = False
         while not done and t < cfg.step_limit_train:
             goal: Optional[Goal] = None
             if self.uses_goals:
-                goal_set = generate_goal_set(obs)
                 goal_q = None
                 if meta_net is not None:
                     goal_q = partial(meta_net.q_values, obs, None, goal_set.texts)
@@ -333,14 +325,14 @@ class Trainer:
                     span_over = done or t >= cfg.step_limit_train
                 admissible = () if done else tuple(admissible_actions(state))
                 cache_sub.append(
-                    SubTransition(
+                    Transition(
                         obs=obs,
-                        goal=goal,
-                        action=action,
-                        r_sub=r_sub,
-                        r_goal=r_goal,
+                        cond_text=cond,
+                        chosen_text=action,
+                        td_reward=r_sub,
+                        gate_reward=r_goal,
                         next_obs=next_obs,
-                        next_admissible=admissible,
+                        next_candidates=admissible,
                         done=span_over,
                         level=level,
                     )
@@ -354,15 +346,18 @@ class Trainer:
                     break
             if goal is not None:
                 r_meta = accumulate_meta_reward(r_meta_parts)
+                # the next span chooses from the meta record's next candidates
+                goal_set = None if done else generate_goal_set(obs)
                 if self.meta is not None:
-                    next_goal_set = GoalSet([]) if done else generate_goal_set(obs)
                     cache_meta.append(
-                        MetaTransition(
+                        Transition(
                             obs=goal_obs,
-                            goal=goal,
-                            r_meta=r_meta,
+                            cond_text=None,
+                            chosen_text=goal.text,
+                            td_reward=r_meta,
+                            gate_reward=r_meta,
                             next_obs=obs,
-                            next_goal_set=next_goal_set,
+                            next_candidates=() if done else goal_set.texts,
                             done=done,
                             level=level,
                         )
@@ -404,7 +399,7 @@ class Trainer:
     def _eval_agent(self, episode: int, stream: int):
         if not self.uses_goals:
             return FlatAgent(self.sub.online)
-        if self._random_goal_phase(episode) or self.meta is None:
+        if not self._trains_meta(episode):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(self.cfg.seed, 6, stream, episode)))
             return HierarchicalAgent(self.sub.online, None, goal_rng=rng)
         return HierarchicalAgent(self.sub.online, self.meta.online)
@@ -542,8 +537,8 @@ def evaluate_agent(agent_factory, games: dict[str, list[GameSpec]], step_limit: 
             for i, spec in enumerate(games[level])
         ]
         per_level[level] = float(np.mean(scores))
-    seen = [v for lvl, v in per_level.items() if not lvl.startswith("US")]
-    unseen = [v for lvl, v in per_level.items() if lvl.startswith("US")]
+    seen = [v for lvl, v in per_level.items() if lvl not in UNSEEN_LEVELS]
+    unseen = [v for lvl, v in per_level.items() if lvl in UNSEEN_LEVELS]
     result = {"per_level": per_level}
     result["avg_seen"] = float(np.mean(seen)) if seen else None
     result["avg_unseen"] = float(np.mean(unseen)) if unseen else None

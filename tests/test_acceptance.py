@@ -391,7 +391,7 @@ def test_criterion_ablation_plumbing():
         if abs(n / draws - 0.25) > 0.02:
             report("ablation-plumbing", False, f"w/o Sch level {lvl} freq {n/draws:.3f}")
 
-    # "w/o BeBold": logged sub transitions have r_sub identical to r_goal
+    # "w/o BeBold": logged sub transitions have a TD reward identical to the gate reward
     s1 = {"S1": [generate_game("S1", s) for s in range(2)]}
     cfg = TrainConfig(levels=("S1",), bebold=False, episodes=6, warmup_episodes=6,
                       hidden_dim=8, ff_dim=8, scorer_hidden=8, seed=1)
@@ -401,8 +401,8 @@ def test_criterion_ablation_plumbing():
     tr.sub_buffer.push = lambda trn, priority=None: (logged.append(trn), original(trn, priority))
     for _ in range(6):
         tr.run_episode()
-    if not logged or any(trn.r_sub != trn.r_goal for trn in logged):
-        report("ablation-plumbing", False, "w/o BeBold r_sub != r_goal")
+    if not logged or any(trn.td_reward != trn.gate_reward for trn in logged):
+        report("ablation-plumbing", False, "w/o BeBold td_reward != gate_reward")
 
     # "Ind" second phase: sub parameters bit-identical across updates
     cfg = TrainConfig(levels=("S1",), variant="H-KGA-Ind", episodes=16,

@@ -1,16 +1,16 @@
 """Double DQN target arithmetic and prioritized TD updates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cookworld.engine.vocab import default_vocabulary
-from cookworld.goals import Goal
 from cookworld.kg import KGObservation, Triplet
 from cookworld.neural.nets import EmptyCandidatesError, PolicyNet, clone_net
 from cookworld.neural.optim import AdamState
 from cookworld.rl.dqn import double_dqn_target, td_update
-from cookworld.rl.replay import PrioritizedBuffer
-from cookworld.rl.transitions import SubTransition
+from cookworld.rl.replay import PrioritizedBuffer, Transition
 
 
 def test_terminal_target_is_reward():
@@ -51,15 +51,15 @@ def obs_of(room):
     )
 
 
-def make_transition(r_sub=1.0, done=True, level="S1", action="open fridge"):
-    return SubTransition(
+def make_transition(td_reward=1.0, done=True, level="S1", action="open fridge"):
+    return Transition(
         obs=obs_of("kitchen"),
-        goal=Goal.from_text("find cilantro"),
-        action=action,
-        r_sub=r_sub,
-        r_goal=min(r_sub, 1.0),
+        cond_text="find cilantro",
+        chosen_text=action,
+        td_reward=td_reward,
+        gate_reward=min(td_reward, 1.0),
         next_obs=obs_of("pantry"),
-        next_admissible=("go north", "go south"),
+        next_candidates=("go north", "go south"),
         done=done,
         level=level,
     )
@@ -80,13 +80,9 @@ def test_td_update_exact_fit_zero_loss(vocab):
     target = clone_net(online)
     buf = PrioritizedBuffer(16, alpha=0.6)
     tr = make_transition(done=True)
-    q0 = float(online.q_values(tr.obs, tr.cond_text, [tr.action])[0])
+    q0 = float(online.q_values(tr.obs, tr.cond_text, [tr.chosen_text])[0])
     for _ in range(4):
-        buf.push(SubTransition(
-            obs=tr.obs, goal=tr.goal, action=tr.action, r_sub=q0, r_goal=1.0,
-            next_obs=tr.next_obs, next_admissible=tr.next_admissible,
-            done=True, level="S1",
-        ))
+        buf.push(dataclasses.replace(tr, td_reward=q0, gate_reward=1.0))
     before = {k: p.data.copy() for k, p in online.params.items()}
     loss = td_update(buf, online, target, 4, 0.9, np.random.default_rng(0), AdamState(online))
     assert loss == pytest.approx(0.0, abs=1e-20)
@@ -98,9 +94,9 @@ def test_td_update_hand_computed_single_transition(vocab):
     online = small_net(vocab, seed=2)
     target = clone_net(online)
     buf = PrioritizedBuffer(4, alpha=0.6)
-    tr = make_transition(r_sub=1.0, done=True)
+    tr = make_transition(td_reward=1.0, done=True)
     buf.push(tr)
-    q0 = float(online.q_values(tr.obs, tr.cond_text, [tr.action])[0])
+    q0 = float(online.q_values(tr.obs, tr.cond_text, [tr.chosen_text])[0])
     loss = td_update(buf, online, target, 1, 0.9, np.random.default_rng(1), AdamState(online))
     # single transition: importance weight is 1, loss = (q - y)^2
     assert loss == pytest.approx((q0 - 1.0) ** 2, rel=1e-12)
@@ -110,12 +106,12 @@ def test_td_update_nonterminal_uses_double_dqn(vocab):
     online = small_net(vocab, seed=3)
     target = small_net(vocab, seed=4)
     buf = PrioritizedBuffer(4, alpha=0.6)
-    tr = make_transition(r_sub=0.5, done=False)
+    tr = make_transition(td_reward=0.5, done=False)
     buf.push(tr)
     q_on = online.q_values(tr.next_obs, tr.cond_text, list(tr.next_candidates))
     q_tg = target.q_values(tr.next_obs, tr.cond_text, list(tr.next_candidates))
     y = 0.5 + 0.9 * q_tg[int(np.argmax(q_on))]
-    q0 = float(online.q_values(tr.obs, tr.cond_text, [tr.action])[0])
+    q0 = float(online.q_values(tr.obs, tr.cond_text, [tr.chosen_text])[0])
     loss = td_update(buf, online, target, 1, 0.9, np.random.default_rng(2), AdamState(online))
     assert loss == pytest.approx((q0 - y) ** 2, rel=1e-10)
 
@@ -124,9 +120,9 @@ def test_td_update_priorities_refreshed(vocab):
     online = small_net(vocab, seed=5)
     target = clone_net(online)
     buf = PrioritizedBuffer(4, alpha=1.0)
-    tr = make_transition(r_sub=5.0, done=True)
+    tr = make_transition(td_reward=5.0, done=True)
     buf.push(tr, priority=0.01)
-    q0 = float(online.q_values(tr.obs, tr.cond_text, [tr.action])[0])
+    q0 = float(online.q_values(tr.obs, tr.cond_text, [tr.chosen_text])[0])
     td_update(buf, online, target, 1, 0.9, np.random.default_rng(3), AdamState(online))
     assert buf.tree.get(0) == pytest.approx(abs(q0 - 5.0) + buf.epsilon, rel=1e-9)
 
@@ -135,14 +131,14 @@ def test_td_error_contracts_on_one_transition(vocab):
     online = small_net(vocab, seed=6)
     target = clone_net(online)
     buf = PrioritizedBuffer(4, alpha=0.6)
-    tr = make_transition(r_sub=1.0, done=True)
+    tr = make_transition(td_reward=1.0, done=True)
     buf.push(tr)
     adam = AdamState(online)
     rng = np.random.default_rng(4)
     errors = []
     for _ in range(100):
         td_update(buf, online, target, 1, 0.9, rng, adam)
-        q = float(online.q_values(tr.obs, tr.cond_text, [tr.action])[0])
+        q = float(online.q_values(tr.obs, tr.cond_text, [tr.chosen_text])[0])
         errors.append(abs(q - 1.0))
     # trend over a 100-step window: late error well below early error
     assert np.mean(errors[-10:]) < 0.2 * max(errors[0], 1e-9) or np.mean(errors[-10:]) < 1e-3

@@ -1,6 +1,8 @@
 """Golden-run pins: every variant's tiny training run, digested.
 
-Each variant trains a tiny S1 config through `cookworld train`. The pin
+Each variant trains a tiny S1+S4 config through `cookworld train`; S4's
+goal sets offer several goals, so the meta variants choose among
+candidates. The pin
 digests the metrics.csv body (everything after the timestamp line), every
 array of every checkpoint in latest/ and best/ (name, dtype, shape and
 bytes; the .npz container itself carries zip timestamps), and the
@@ -50,7 +52,7 @@ def _npz_digest(path: Path) -> str:
 
 def _make_games(root: Path) -> Path:
     games = root / "games"
-    assert main(["gen", "--levels", "S1", "--train", "3", "--val", "1", "--test", "1",
+    assert main(["gen", "--levels", "S1,S4", "--train", "3", "--val", "1", "--test", "1",
                  "--seed", "6", "--out", str(games)]) == 0
     return games
 

@@ -6,6 +6,7 @@ import pytest
 from cookworld.engine.vocab import Vocabulary, default_vocabulary
 from cookworld.kg import KGObservation, Triplet
 from cookworld.neural import autodiff as ad
+from cookworld.neural import nets
 from cookworld.neural.nets import (
     EmptyCandidatesError,
     EmptyTextError,
@@ -67,6 +68,20 @@ def test_graph_deterministic_across_instances(vocab):
     b = tiny_net(vocab, seed=9)
     obs = small_obs()
     assert np.array_equal(a.graph_vector(obs)[0], b.graph_vector(obs)[0])
+
+
+def test_graph_layout_follows_the_vocabulary(vocab):
+    """Two vocabularies give the same observation different token ids; the
+    second net must not reuse the first one's compiled layout."""
+    obs = KGObservation([Triplet("parsley", "counter", "on"), Triplet("player", "pantry", "at")])
+    small = tiny_net(Vocabulary(("counter", "on", "parsley", "player")), seed=2)
+    full = tiny_net(vocab, seed=2)
+    with ad.no_grad():
+        small_first = small.graph_tensor(obs).data
+        full_second = full.graph_tensor(obs).data
+        nets._LAYOUT_CACHE.clear()
+        assert np.array_equal(full_second, full.graph_tensor(obs).data)
+        assert np.array_equal(small_first, small.graph_tensor(obs).data)
 
 
 def test_single_triplet_one_layer_hand_computed(vocab):
@@ -232,7 +247,11 @@ def test_gradient_check_all_blocks(vocab):
         scorer = lambda: net.score_tensor(
             ad.constant(np.ones((1, 16))), ad.constant(np.linspace(-1, 1, 16).reshape(2, 8))
         )
-        full = lambda: net.q_single(obs, "find cilantro", "open fridge")
+        # the composition td_update trains through
+        full = lambda: net.score_tensor(
+            ad.concat_cols([net.graph_tensor(obs), net.text_tensor("find cilantro")]),
+            net.text_tensor("open fridge"),
+        )
         for build in (graph, text, scorer, full):
             assert _max_rel_error(net, build, rng) < 1e-3
 

@@ -12,6 +12,7 @@ from cookworld.training.agents import (
     normalized_rollout,
     rollout,
 )
+from cookworld.training import loop
 from cookworld.training.config import ConfigError, TrainConfig, config_from_dict
 from cookworld.training.loop import Trainer, evaluate_agent
 
@@ -46,6 +47,27 @@ def s1_games():
 @pytest.fixture(scope="module")
 def s1_val():
     return {"S1": games_for("S1", 2, base=50)}
+
+
+def capture_episodes(monkeypatch, tr):
+    """Spy on run_episode: each flushed cache per level, and every action
+    sent to the engine."""
+    flushed = {"meta": [], "sub": []}
+    actions = []
+    flush, step = loop.gated_flush, loop.step
+
+    def flush_spy(buffer, cache, *args):
+        level = "meta" if tr.meta is not None and buffer is tr.meta.buffer else "sub"
+        flushed[level].append(list(cache))
+        return flush(buffer, cache, *args)
+
+    def step_spy(state, action):
+        actions.append(action)
+        return step(state, action)
+
+    monkeypatch.setattr(loop, "gated_flush", flush_spy)
+    monkeypatch.setattr(loop, "step", step_spy)
+    return flushed, actions
 
 
 def test_walkthrough_agent_scores_max(s1_spec):
@@ -94,6 +116,37 @@ def test_run_episode_records_smdp_structure(s1_games):
             cursor = span.end
             assert sum(rec.env_rewards[span.start : span.end]) == pytest.approx(span.r_meta)
         assert cursor == rec.steps
+
+
+def test_replay_records_carry_goal_sets_goals_and_actions(monkeypatch):
+    """On S4, where goal sets hold several goals: each meta record's next
+    candidates are the goal set the next span chooses from, computed on the
+    very observation that span starts in; the game's end leaves none. Each
+    sub record is conditioned on its span's goal and chose the action sent to
+    the engine."""
+    cfg = small_cfg(levels=("S4",), episodes=6)
+    tr = Trainer(cfg, {"S4": games_for("S4", 3)})
+    flushed, actions = capture_episodes(monkeypatch, tr)
+    choices = 0
+    for _ in range(6):
+        del actions[:]
+        rec = tr.run_episode()
+        meta, sub = flushed["meta"][-1], flushed["sub"][-1]
+        assert len(meta) == len(rec.goal_spans) and len(sub) == len(actions) == rec.steps
+        for prev, nxt in zip(meta, meta[1:]):
+            assert not prev.done
+            assert prev.next_obs is nxt.obs
+            assert prev.next_candidates == generate_goal_set(nxt.obs).texts
+            assert nxt.chosen_text in prev.next_candidates
+            choices += len(prev.next_candidates) > 1
+        # the engine's step limit is the trainer's, so every episode ends the game
+        assert meta[-1].done and meta[-1].next_candidates == ()
+        for span, trn in zip(rec.goal_spans, meta):
+            assert trn.cond_text is None and trn.chosen_text == span.goal
+            for i in range(span.start, span.end):
+                assert sub[i].cond_text == span.goal
+                assert sub[i].chosen_text == actions[i]
+    assert choices > 0
 
 
 def test_step_limit_episode_still_caches_meta(s1_games):
@@ -211,15 +264,18 @@ def test_unknown_variant_rejected():
     assert "GC-GATA" in str(err.value)
 
 
-def test_gata_has_no_goal_machinery(s1_games):
+def test_gata_has_no_goal_machinery(s1_games, monkeypatch):
     cfg = small_cfg(variant="GATA", episodes=6)
     tr = Trainer(cfg, s1_games)
     assert tr.meta is None
     assert tr.sub.online.state_parts == 1
+    flushed, actions = capture_episodes(monkeypatch, tr)
     rec = tr.run_episode()
     assert rec.goal_spans == []
     assert rec.meta_cached == 0
     assert rec.sub_cached == rec.steps
+    assert [trn.cond_text for trn in flushed["sub"][0]] == [None] * rec.steps
+    assert [trn.chosen_text for trn in flushed["sub"][0]] == actions
 
 
 def test_gc_gata_has_no_meta_learner(s1_games):
@@ -244,7 +300,7 @@ def test_gc_gata_uniform_goal_choice():
     cfg = small_cfg(variant="GC-GATA", levels=("S4",))
     tr = Trainer(cfg, {"S4": [spec]})
     # GC-GATA has no meta net, so its goals come from the rule's uniform branch
-    assert tr.meta is None and tr._random_goal_phase(1)
+    assert tr.meta is None and not tr._trains_meta(1)
     counts = {}
     draws = 100_000
     for _ in range(draws):
@@ -274,8 +330,6 @@ def test_halfjoint_phase_switch(s1_games):
     cfg = small_cfg(variant="H-KGA-HalfJoint", episodes=20, warmup_episodes=0,
                     update_freq_sub=5, update_freq_meta=5, batch_size=2)
     tr = Trainer(cfg, s1_games)
-    assert tr._random_goal_phase(1)
-    assert not tr._random_goal_phase(11)
     assert not tr._trains_meta(10)
     assert tr._trains_meta(11)
     assert tr._trains_sub(10) and tr._trains_sub(11)
@@ -313,7 +367,7 @@ def test_without_bebold_r_sub_equals_r_goal(s1_games):
         tr.run_episode()
     assert seen
     for trn in seen:
-        assert trn.r_sub == trn.r_goal
+        assert trn.td_reward == trn.gate_reward
 
 
 def test_scheduled_sampling_prefers_weak_levels():
