@@ -1,12 +1,11 @@
 from .spec import GameSpec, load_game, save_game
-from .state import admissible_actions, max_score, reset, step
+from .state import admissible_actions, reset, step
 
 __all__ = [
     "GameSpec",
     "load_game",
     "save_game",
     "admissible_actions",
-    "max_score",
     "reset",
     "step",
 ]

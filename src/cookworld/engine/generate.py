@@ -99,8 +99,6 @@ def _sample_rooms(rng: np.random.Generator, count: int) -> tuple[list[str], dict
     for name in names[1:]:
         while True:
             anchor = names[int(rng.integers(0, len(positions)))]
-            if anchor not in positions:
-                continue
             free = [
                 d
                 for d in DIRECTIONS

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -269,51 +269,6 @@ def validate_spec(spec: GameSpec) -> None:
 # ---------------------------------------------------------------------------
 # serialization
 
-def spec_to_dict(spec: GameSpec) -> dict:
-    return {
-        "format_version": spec.format_version,
-        "level": spec.level,
-        "seed": spec.seed,
-        "start_room": spec.start_room,
-        "rooms": [
-            {
-                "name": room.name,
-                "exits": [
-                    {"direction": ex.direction, "to": ex.to, "door": ex.door}
-                    for ex in room.exits
-                ],
-            }
-            for room in spec.rooms
-        ],
-        "doors": [
-            {
-                "name": d.name,
-                "room_a": d.room_a,
-                "direction_from_a": d.direction_from_a,
-                "room_b": d.room_b,
-                "open": d.open,
-            }
-            for d in spec.doors
-        ],
-        "objects": [
-            {
-                "name": o.name,
-                "kind": o.kind,
-                "holder": o.holder,
-                "holder_relation": o.holder_relation,
-                "cut_state": o.cut_state,
-                "cook_state": o.cook_state,
-                "edible": o.edible,
-            }
-            for o in spec.objects
-        ],
-        "recipe": [
-            {"ingredient": e.ingredient, "cut": e.cut, "cook": e.cook} for e in spec.recipe
-        ],
-        "max_score": spec.max_score,
-    }
-
-
 def spec_from_dict(doc: Mapping) -> GameSpec:
     def need(mapping: Mapping, key: str, where: str):
         if key not in mapping:
@@ -387,7 +342,7 @@ def spec_from_dict(doc: Mapping) -> GameSpec:
 
 
 def dumps_spec(spec: GameSpec) -> str:
-    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n"
 
 
 def save_game(spec: GameSpec, path: str | Path) -> None:

@@ -127,16 +127,6 @@ class GameState:
             if loc is not None and loc[1] == "player"
         )
 
-    def in_room(self, room: str) -> list[str]:
-        """Objects whose holder chain ends in the given room (player excluded)."""
-        names = []
-        for name, loc in self.locations.items():
-            if loc is None or loc[1] == "player":
-                continue
-            if self.room_of(name) == room:
-                names.append(name)
-        return sorted(names)
-
 
 def reset(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[GameState, KGObservation]:
     locations: dict[str, Optional[tuple[str, str]]] = {}
@@ -210,30 +200,6 @@ def observation(state: GameState) -> KGObservation:
     return KGObservation(triplets)
 
 
-def _supporters_in(state: GameState, room: str) -> list[str]:
-    return sorted(
-        o.name
-        for o in state.spec.objects
-        if not o.portable and o.holder == room and o.name in SUPPORTER_NAMES
-    )
-
-
-def _containers_in(state: GameState, room: str) -> list[str]:
-    return sorted(
-        o.name
-        for o in state.spec.objects
-        if not o.portable and o.holder == room and o.name in CONTAINER_NAMES
-    )
-
-
-def _doors_at(state: GameState, room: str) -> list[str]:
-    names = []
-    for door in state.spec.doors:
-        if room in (door.room_a, door.room_b):
-            names.append(door.name)
-    return sorted(names)
-
-
 def _visible_portables(state: GameState, room: str) -> list[tuple[str, Optional[str]]]:
     """(name, holder-phrase) pairs the player could take in this room."""
     result = []
@@ -273,54 +239,52 @@ def _recipe_ready(state: GameState) -> bool:
     return True
 
 
-def admissible_actions(state: GameState) -> list[str]:
+def _moves(state: GameState) -> dict[str, tuple]:
+    """Every admissible command of a live game, mapped to its resolved effect."""
     if state.done:
         raise ValueError("admissible_actions on a finished game")
     spec = state.spec
     room = state.player_room
-    actions: list[str] = []
+    moves: dict[str, tuple] = {}
 
-    room_spec = spec.room(room)
-    for ex in room_spec.exits:
+    for ex in spec.room(room).exits:
         if ex.door is None or state.open_flags[ex.door]:
-            actions.append(f"go {ex.direction}")
+            moves[f"go {ex.direction}"] = ("go", ex.to)
 
-    for container in _containers_in(state, room):
-        actions.append(f"close {container}" if state.open_flags[container] else f"open {container}")
-    for door_name in _doors_at(state, room):
-        actions.append(f"close {door_name}" if state.open_flags[door_name] else f"open {door_name}")
+    fixed = [o.name for o in spec.objects if not o.portable and o.holder == room]
+    doors = [d.name for d in spec.doors if room in (d.room_a, d.room_b)]
+    for name in [f for f in fixed if f in CONTAINER_NAMES] + doors:
+        verb = "close" if state.open_flags[name] else "open"
+        moves[f"{verb} {name}"] = (verb, name)
 
     for name, holder in _visible_portables(state, room):
-        actions.append(f"take {name}" if holder is None else f"take {name} from {holder}")
+        moves[f"take {name}" if holder is None else f"take {name} from {holder}"] = ("take", name)
 
     inventory = state.inventory()
-    supporters = _supporters_in(state, room)
-    open_containers = [c for c in _containers_in(state, room) if state.open_flags[c]]
     has_knife = "knife" in inventory
     for name in inventory:
-        actions.append(f"drop {name}")
-        for supporter in supporters:
-            actions.append(f"put {name} on {supporter}")
-        for container in open_containers:
-            actions.append(f"insert {name} into {container}")
-        if state.is_food(name):
-            if state.is_edible(name):
-                actions.append(f"eat {name}")
-            for appliance in APPLIANCE_RESULT:
-                if any(
-                    not o.portable and o.name == appliance and o.holder == room
-                    for o in spec.objects
-                ):
-                    actions.append(f"cook {name} with {appliance}")
-            if has_knife and state.cut.get(name, "none") == "uncut":
-                for verb in CUT_VERBS:
-                    actions.append(f"{verb} {name} with knife")
+        moves[f"drop {name}"] = ("put", name, "at", room)
+        for holder in fixed:
+            if holder in SUPPORTER_NAMES:
+                moves[f"put {name} on {holder}"] = ("put", name, "on", holder)
+            elif holder in CONTAINER_NAMES and state.open_flags[holder]:
+                moves[f"insert {name} into {holder}"] = ("put", name, "in", holder)
+        if not state.is_food(name):
+            continue
+        if state.is_edible(name):
+            moves[f"eat {name}"] = ("eat", name)
+        for appliance in fixed:
+            if appliance in APPLIANCE_RESULT:
+                moves[f"cook {name} with {appliance}"] = ("cook", name, APPLIANCE_RESULT[appliance])
+        if has_knife and state.cut.get(name, "none") == "uncut":
+            for verb, result in CUT_VERBS.items():
+                moves[f"{verb} {name} with knife"] = ("cut", name, result)
 
     cookbook_loc = state.locations.get("cookbook")
     if cookbook_loc is not None and (
         cookbook_loc[1] == "player" or state.room_of("cookbook") == room
     ):
-        actions.append("examine cookbook")
+        moves["examine cookbook"] = ("examine",)
 
     if (
         room == "kitchen"
@@ -330,104 +294,63 @@ def admissible_actions(state: GameState) -> list[str]:
             for i in spec.recipe_ingredients
         )
     ):
-        actions.append("prepare meal")
+        moves["prepare meal"] = ("prepare",)
 
-    if not actions:
+    if not moves:
         raise EngineInconsistencyError("no admissible actions in a live game")
-    return sorted(actions)
+    return moves
 
 
-def _parse(state: GameState, action: str) -> tuple[str, tuple[str, ...]]:
-    if action == "prepare meal":
-        return "prepare", ()
-    if action == "examine cookbook":
-        return "examine", ()
-    if action.startswith("go "):
-        return "go", (action[3:],)
-    if action.startswith("open "):
-        return "open", (action[5:],)
-    if action.startswith("close "):
-        return "close", (action[6:],)
-    if action.startswith("take "):
-        rest = action[5:]
-        if " from " in rest:
-            name, holder = rest.rsplit(" from ", 1)
-            return "take", (name, holder)
-        return "take", (rest, "")
-    if action.startswith("drop "):
-        return "drop", (action[5:],)
-    if action.startswith("put "):
-        name, supporter = action[4:].rsplit(" on ", 1)
-        return "put", (name, supporter)
-    if action.startswith("insert "):
-        name, container = action[7:].rsplit(" into ", 1)
-        return "insert", (name, container)
-    if action.startswith("eat "):
-        return "eat", (action[4:],)
-    if action.startswith("cook "):
-        name, appliance = action[5:].rsplit(" with ", 1)
-        return "cook", (name, appliance)
-    for verb in CUT_VERBS:
-        if action.startswith(verb + " "):
-            name, _ = action[len(verb) + 1 :].rsplit(" with ", 1)
-            return "cut", (verb, name)
-    raise InadmissibleActionError(f"unparseable action: {action!r}")
+def admissible_actions(state: GameState) -> list[str]:
+    return sorted(_moves(state))
+
+
+def _prepare(state: GameState, states: dict[str, str], name: str, result: str) -> int:
+    """Set a cut or cook state; 1 the first time it meets the recipe."""
+    states[name] = result
+    key = f"{name}|{result}"
+    spec = state.spec
+    if (
+        name in spec.recipe_ingredients
+        and result in spec.recipe_entry(name).requirements
+        and key not in state.prep_rewarded
+    ):
+        state.prep_rewarded.add(key)
+        return 1
+    return 0
 
 
 def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, bool]:
-    if action not in admissible_actions(state):
+    effect = _moves(state).get(action)
+    if effect is None:
         raise InadmissibleActionError(f"{action!r} not admissible here")
 
     new = state.copy()
     spec = new.spec
     reward = 0
-    verb, args = _parse(new, action)
+    verb, *args = effect
 
     if verb == "go":
-        ex = spec.room(new.player_room).exit_in(args[0])
-        new.player_room = ex.to
-    elif verb == "open":
-        new.open_flags[args[0]] = True
-    elif verb == "close":
-        new.open_flags[args[0]] = False
+        new.player_room = args[0]
+    elif verb in ("open", "close"):
+        new.open_flags[args[0]] = verb == "open"
     elif verb == "take":
         name = args[0]
         new.locations[name] = ("in", "player")
         if name in spec.recipe_ingredients and name not in new.collect_rewarded:
             new.collect_rewarded.add(name)
             reward = 1
-    elif verb == "drop":
-        new.locations[args[0]] = ("at", new.player_room)
     elif verb == "put":
-        new.locations[args[0]] = ("on", args[1])
-    elif verb == "insert":
-        new.locations[args[0]] = ("in", args[1])
-    elif verb == "cut":
-        cut_verb, name = args
-        result = CUT_VERBS[cut_verb]
-        new.cut[name] = result
-        if name in spec.recipe_ingredients:
-            entry = spec.recipe_entry(name)
-            key = f"{name}|{result}"
-            if entry.cut == result and key not in new.prep_rewarded:
-                new.prep_rewarded.add(key)
-                reward = 1
-    elif verb == "cook":
-        name, appliance = args
-        if new.cook.get(name) in ("fried", "roasted"):
-            # re-cooking burns the food and loses the game
-            new.cook[name] = "burned"
-            new.done = True
-            new.lost = True
-        else:
-            result = APPLIANCE_RESULT[appliance]
-            new.cook[name] = result
-            if name in spec.recipe_ingredients:
-                entry = spec.recipe_entry(name)
-                key = f"{name}|{result}"
-                if entry.cook == result and key not in new.prep_rewarded:
-                    new.prep_rewarded.add(key)
-                    reward = 1
+        name, relation, holder = args
+        new.locations[name] = (relation, holder)
+    elif verb == "cook" and new.cook.get(args[0]) in ("fried", "roasted"):
+        # re-cooking burns the food and loses the game
+        new.cook[args[0]] = "burned"
+        new.done = True
+        new.lost = True
+    elif verb in ("cut", "cook"):
+        name, result = args
+        reward = _prepare(new, new.cut if verb == "cut" else new.cook, name, result)
     elif verb == "eat":
         name = args[0]
         new.locations[name] = None
@@ -447,15 +370,10 @@ def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, 
             new.cook["meal"] = "raw"
             reward = 1
         # premature "prepare meal" is a documented admissible no-op
-    elif verb == "examine":
-        pass  # informationless under the full-graph observation
+    # "examine cookbook" is informationless under the full-graph observation
 
     new.steps += 1
     new.score += reward
     if new.steps >= new.step_limit and not new.done:
         new.done = True
     return new, observation(new), reward, new.done
-
-
-def max_score(spec: GameSpec) -> int:
-    return spec.max_score

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .spec import CONTAINER_NAMES, GameSpec
-from .state import DEFAULT_STEP_LIMIT, admissible_actions, reset, step
-
-CUT_VERB_FOR = {"chopped": "chop", "diced": "dice", "sliced": "slice"}
-APPLIANCE_FOR = {"fried": "stove", "roasted": "oven"}
+from .spec import GameSpec
+from .state import DEFAULT_STEP_LIMIT, _moves, reset, step
 
 
 class WalkthroughError(RuntimeError):
@@ -24,26 +21,26 @@ class WalkthroughStats:
 
 
 def _route(spec: GameSpec, src: str, dst: str) -> list[tuple[str, str | None]]:
-    """(direction, door) hops from src to dst, BFS over the room graph."""
+    """(room, door) hops from src to dst, BFS over the room graph."""
     if src == dst:
         return []
     frontier = [src]
-    back: dict[str, tuple[str, str, str | None]] = {}
+    back: dict[str, tuple[str, str | None]] = {}
     seen = {src}
     while frontier:
         here = frontier.pop(0)
         for ex in spec.room(here).exits:
             if ex.to not in seen:
                 seen.add(ex.to)
-                back[ex.to] = (here, ex.direction, ex.door)
+                back[ex.to] = (here, ex.door)
                 frontier.append(ex.to)
     if dst not in back:
         raise WalkthroughError(f"no route {src} -> {dst}")
     hops = []
     cursor = dst
     while cursor != src:
-        prev, direction, door = back[cursor]
-        hops.append((direction, door))
+        prev, door = back[cursor]
+        hops.append((cursor, door))
         cursor = prev
     hops.reverse()
     return hops
@@ -57,39 +54,37 @@ class _Driver:
         self.admissible_sizes: list[int] = []
         self.reset_triplets = len(self.obs)
 
-    def do(self, action: str) -> None:
-        self.admissible_sizes.append(len(admissible_actions(self.state)))
-        self.state, self.obs, _, _ = step(self.state, action)
-        self.actions.append(action)
+    def do(self, effect: tuple) -> None:
+        """Play the one admissible command with the given effect."""
+        moves = _moves(self.state)
+        matches = [action for action, move in moves.items() if move == effect]
+        if len(matches) != 1:
+            raise WalkthroughError(f"{len(matches)} commands have effect {effect}")
+        self.admissible_sizes.append(len(moves))
+        self.state, self.obs, _, _ = step(self.state, matches[0])
+        self.actions.append(matches[0])
 
     def goto(self, room: str) -> None:
-        for direction, door in _route(self.spec, self.state.player_room, room):
+        for hop, door in _route(self.spec, self.state.player_room, room):
             if door is not None and not self.state.open_flags[door]:
-                self.do(f"open {door}")
-            self.do(f"go {direction}")
+                self.do(("open", door))
+            self.do(("go", hop))
 
     def fetch(self, name: str) -> None:
-        loc = self.state.locations[name]
-        if loc is not None and loc[1] == "player":
+        rel, holder = self.state.locations[name]
+        if holder == "player":
             return
-        rel, holder = loc
-        room = self.state.room_of(name)
-        self.goto(room)
-        if rel == "in" and holder in CONTAINER_NAMES:
-            if not self.state.open_flags[holder]:
-                self.do(f"open {holder}")
-            self.do(f"take {name} from {holder}")
-        elif rel == "at":
-            self.do(f"take {name}")
-        else:
-            self.do(f"take {name} from {holder}")
+        self.goto(self.state.room_of(name))
+        if rel == "in" and not self.state.open_flags[holder]:
+            self.do(("open", holder))
+        self.do(("take", name))
 
 
 def solve(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> WalkthroughStats:
     driver = _Driver(spec, step_limit)
     # read the recipe first, the way a player would
     driver.goto(driver.state.room_of("cookbook"))
-    driver.do("examine cookbook")
+    driver.do(("examine",))
     for entry in spec.recipe:
         driver.fetch(entry.ingredient)
     needs_knife = any(entry.cut != "none" for entry in spec.recipe)
@@ -98,14 +93,14 @@ def solve(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> WalkthroughSt
     driver.goto("kitchen")
     for entry in spec.recipe:
         if entry.cut != "none":
-            driver.do(f"{CUT_VERB_FOR[entry.cut]} {entry.ingredient} with knife")
+            driver.do(("cut", entry.ingredient, entry.cut))
     if needs_knife:
-        driver.do("drop knife")
+        driver.do(("put", "knife", "at", "kitchen"))
     for entry in spec.recipe:
         if entry.cook != "none":
-            driver.do(f"cook {entry.ingredient} with {APPLIANCE_FOR[entry.cook]}")
-    driver.do("prepare meal")
-    driver.do("eat meal")
+            driver.do(("cook", entry.ingredient, entry.cook))
+    driver.do(("prepare",))
+    driver.do(("eat", "meal"))
 
     state = driver.state
     if not state.done or state.lost or state.score != spec.max_score:

@@ -142,12 +142,7 @@ def goal_reward(
     return r_max if accomplished else r_min
 
 
-def goal_terminated(
-    next_obs: KGObservation,
-    goal: Goal,
-    episode_done: bool,
-    budget_exhausted: bool,
-) -> bool:
-    if episode_done or budget_exhausted:
+def goal_terminated(next_obs: KGObservation, goal: Goal, episode_done: bool) -> bool:
+    if episode_done:
         return True
     return goal_reward(next_obs, goal, 0.0, 1.0) == 1.0

@@ -68,7 +68,7 @@ class HierarchicalAgent:
         self.goal = None
 
     def observe(self, next_obs: KGObservation, done: bool) -> None:
-        if self.goal is not None and goal_terminated(next_obs, self.goal, done, False):
+        if self.goal is not None and goal_terminated(next_obs, self.goal, done):
             self.goal = None
 
     def act(self, obs: KGObservation, admissible: list[str]) -> str:

@@ -78,6 +78,8 @@ class TrainConfig:
             raise ConfigError("bebold_count_order must be 'printed' or 'swapped'")
         if not self.levels:
             raise ConfigError("at least one training level required")
+        if min(self.step_limit_train, self.step_limit_eval) < 1:
+            raise ConfigError("step limits must be at least 1")
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:

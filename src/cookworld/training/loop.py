@@ -291,7 +291,7 @@ class Trainer:
         goal_set = generate_goal_set(obs) if self.uses_goals else None
         t = 0
         done = False
-        while not done and t < cfg.step_limit_train:
+        while not done:
             goal: Optional[Goal] = None
             if self.uses_goals:
                 goal_q = None
@@ -317,12 +317,9 @@ class Trainer:
                     r_count = bebold_reward(self.counter, obs, next_obs, cfg.bebold_count_order)
                 r_sub = compose_sub_reward(r_goal, r_count, cfg.lambda_count)
                 t += 1
-                if goal is not None:
-                    # the goal span is the sub-policy's episode: terminal when
-                    # the goal is accomplished, the game ends, or time is up
-                    span_over = goal_terminated(next_obs, goal, done, t >= cfg.step_limit_train)
-                else:
-                    span_over = done or t >= cfg.step_limit_train
+                # the goal span is the sub-policy's episode: terminal when the
+                # goal is accomplished or the game ends, time-up included
+                span_over = done if goal is None else goal_terminated(next_obs, goal, done)
                 admissible = () if done else tuple(admissible_actions(state))
                 cache_sub.append(
                     Transition(

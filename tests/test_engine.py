@@ -13,7 +13,6 @@ from cookworld.engine.spec import (
 from cookworld.engine.state import (
     InadmissibleActionError,
     admissible_actions,
-    max_score,
     reset,
     step,
 )
@@ -158,7 +157,7 @@ def test_score_bounded_and_monotone_random_play(s1_spec, s4_spec):
             while not done:
                 action = rng.choice(admissible_actions(state))
                 state, _, _, done = step(state, action)
-                assert prev <= state.score <= max_score(spec)
+                assert prev <= state.score <= spec.max_score
                 prev = state.score
 
 
@@ -187,12 +186,12 @@ def test_admissible_actions_change_state_except_documented_noops(s1_spec, s4_spe
 def test_walkthrough_reaches_max_score(s1_spec, s4_spec):
     for spec in (s1_spec, s4_spec):
         stats = solve(spec)
-        assert stats.final_score == max_score(spec)
+        assert stats.final_score == spec.max_score
 
 
 def test_max_score_values(s1_spec, s4_spec):
-    assert max_score(s1_spec) == 4
-    assert max_score(s4_spec) == 11
+    assert s1_spec.max_score == 4
+    assert s4_spec.max_score == 11
 
 
 def test_determinism_bit_identical_runs(s4_spec):
@@ -251,3 +250,48 @@ def test_final_obs_keeps_states_after_meal(s1_spec):
     assert obs.has("cilantro", "diced", "is")
     assert not obs.has("cilantro", "player", "in")
     assert Triplet("meal", "player", "in") not in obs
+
+
+# sha256 of the play log below, generated before the action table
+# replaced the format-then-parse pair in engine/state.py
+RANDOM_PLAY_DIGEST = "37faa048f4f2476fef6e7279ef36c7a3a81825095cd23820974b112ad894d195"
+
+
+def _random_play_log():
+    import random
+
+    from cookworld.engine.generate import LEVEL_PARAMS, generate_game
+    from cookworld.kg import canonical_hash
+
+    for level in LEVEL_PARAMS:
+        for seed in range(4):
+            spec = generate_game(level, seed)
+            rng = random.Random(1000 * seed + len(level))
+            # three random episodes, then the winning walkthrough
+            for episode in range(4):
+                plan = iter(solve(spec).actions if episode == 3 else ())
+                state, obs = reset(spec, step_limit=50)
+                yield f"{level} {seed} {episode} reset {canonical_hash(obs)}"
+                done = False
+                while not done:
+                    actions = admissible_actions(state)
+                    action = next(plan, None) or rng.choice(actions)
+                    for bad in (action + "x", "", "go nowhere"):
+                        with pytest.raises(InadmissibleActionError):
+                            step(state, bad)
+                    state, obs, reward, done = step(state, action)
+                    yield (
+                        f"{json.dumps(actions)} {action!r} {reward} {state.score} "
+                        f"{done} {state.lost} {canonical_hash(obs)}"
+                    )
+                with pytest.raises(ValueError):
+                    admissible_actions(state)
+
+
+def test_random_play_pinned_on_every_level():
+    import hashlib
+
+    h = hashlib.sha256()
+    for line in _random_play_log():
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == RANDOM_PLAY_DIGEST

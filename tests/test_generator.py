@@ -1,5 +1,7 @@
 """Structural targets and statistics of the procedural generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,22 @@ def test_level_structure_table_consistent():
         _, rooms, ings, per_ing, _, score = LEVEL_TABLE[level]
         assert (n_rooms, n_ings, reqs) == (rooms, ings, per_ing)
         assert score == ings + ings * per_ing + 2
+
+
+# sha256 of dumps_spec(generate_game(level, 0)): the bytes of a game file
+SPEC_FILE_SHA256 = {
+    "S1": "1896753020a7a71188bf4ed82074c1fa375f7b8ebe674d4db201a22f393d48ee",
+    "S2": "713841cf14ebe74cd4ff9b3f32fbd8d953d6c17293b7cc2772b0438b26d6a511",
+    "S3": "222475789745cfad9752a510a8829ec9dee6c32478f7af16ce53664de5fc1746",
+    "S4": "3150fc9faf00551c120f78cfb063bd409adad6ce71fc87586673b4407dbe0f6e",
+    "US1": "fe7a5d11475e9e0e06aed4d2da66831cebc84f3e34b8cd42019ebdaf83ad2a7e",
+    "US2": "2a2a41391f81660c100cc1fe047502fb9bd0938a7d7f82df14b0dd59bc4e8847",
+    "US3": "a76f5acb7f6b2a83ffca29eba7c6784d01a7f2761e6d6d0a14c1c33a4f9171dd",
+    "US4": "326bd75cdc3c0838caccf51f1804687a322b49f45b1830020ee2a70474a4c12b",
+}
+
+
+@pytest.mark.parametrize("level", list(LEVEL_PARAMS))
+def test_game_file_bytes_pinned(level):
+    text = dumps_spec(generate_game(level, 0))
+    assert hashlib.sha256(text.encode()).hexdigest() == SPEC_FILE_SHA256[level]

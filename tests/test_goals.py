@@ -88,10 +88,9 @@ def test_goal_terminated_contract(s1_trace):
     find = Goal.from_text("find cilantro")
     accomplished = obs_at(s1_trace, 3)
     pending = obs_at(s1_trace, 0)
-    assert goal_terminated(accomplished, find, False, False)
-    assert not goal_terminated(pending, find, False, False)
-    assert goal_terminated(pending, find, True, False)  # episode ended (loss)
-    assert goal_terminated(pending, find, False, True)  # budget exhausted
+    assert goal_terminated(accomplished, find, False)
+    assert not goal_terminated(pending, find, False)
+    assert goal_terminated(pending, find, True)  # episode ended (loss)
 
 
 def test_reward_implies_termination(s1_trace):
@@ -99,7 +98,7 @@ def test_reward_implies_termination(s1_trace):
         obs = obs_at(s1_trace, i)
         for goal in generate_goal_set(obs_at(s1_trace, 0)):
             if goal_reward(obs, goal) == R_MAX:
-                assert goal_terminated(obs, goal, False, False)
+                assert goal_terminated(obs, goal, False)
 
 
 def test_fallback_exactly_eat_meal(s1_trace):

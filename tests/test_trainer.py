@@ -264,6 +264,13 @@ def test_unknown_variant_rejected():
     assert "GC-GATA" in str(err.value)
 
 
+def test_step_limits_must_be_positive():
+    # the engine ends an episode at its step limit, which must be reachable
+    for field in ("step_limit_train", "step_limit_eval"):
+        with pytest.raises(ConfigError):
+            config_from_dict({field: 0})
+
+
 def test_gata_has_no_goal_machinery(s1_games, monkeypatch):
     cfg = small_cfg(variant="GATA", episodes=6)
     tr = Trainer(cfg, s1_games)
