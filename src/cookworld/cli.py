@@ -324,6 +324,13 @@ def _inspect_json(path: Path) -> int:
     return EXIT_USAGE
 
 
+def _step_limit(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cookworld",
@@ -354,13 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="checkpoint dir or pseudo-checkpoint json")
     p.add_argument("--games", required=True)
     p.add_argument("--split", choices=("seen", "unseen", "all"), default="all")
-    p.add_argument("--step-limit", type=int, default=100)
+    p.add_argument("--step-limit", type=_step_limit, default=100)
     p.add_argument("--out", help="write the report CSV here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("play", help="interactive terminal session")
     p.add_argument("spec")
-    p.add_argument("--step-limit", type=int, default=100)
+    p.add_argument("--step-limit", type=_step_limit, default=100)
     p.add_argument("--transcript", help="save the session as a replayable trace")
     p.set_defaults(func=cmd_play)
 
@@ -368,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--loose", action="store_true", help="compare rewards/scores/done only")
-    p.add_argument("--step-limit", type=int, default=50)
+    p.add_argument("--step-limit", type=_step_limit, default=50)
     p.set_defaults(func=cmd_replay_trace)
 
     p = sub.add_parser("inspect", help="summarize a spec/checkpoint/metrics/trace file")

@@ -129,6 +129,9 @@ class GameState:
 
 
 def reset(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[GameState, KGObservation]:
+    if step_limit < 1:
+        # the limit is tested after each step, so a game always plays one
+        raise ValueError(f"step_limit must be at least 1, got {step_limit}")
     locations: dict[str, Optional[tuple[str, str]]] = {}
     open_flags: dict[str, bool] = {}
     cut: dict[str, str] = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from importlib import resources
 
 from ..kg import RELATIONS
@@ -65,6 +66,9 @@ class Vocabulary:
     def __init__(self, tokens: tuple[str, ...]):
         self.tokens = ("<unk>",) + tokens
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
+        # the graph encoder's compiled observations (neural.nets), keyed by
+        # canonical hash; they hold token ids, so they live with this map
+        self.graph_layouts: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -7,6 +7,7 @@ platform-stable 64-bit digest so they can be used as visitation-count keys.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -59,6 +60,10 @@ class Triplet:
         return [self.subject, self.object, self.relation]
 
 
+def _sort_key(t: Triplet) -> tuple[str, str, str]:
+    return (t.subject, t.object, t.relation)
+
+
 class KGObservation:
     """An immutable, deduplicated, canonically sorted set of triplets."""
 
@@ -82,7 +87,8 @@ class KGObservation:
         return len(self.triplets)
 
     def __contains__(self, triplet: Triplet) -> bool:
-        return triplet in set(self.triplets)
+        i = bisect_left(self.triplets, triplet)
+        return i < len(self.triplets) and self.triplets[i] == triplet
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KGObservation) and self.triplets == other.triplets
@@ -94,7 +100,10 @@ class KGObservation:
         return f"KGObservation({len(self.triplets)} triplets)"
 
     def has(self, subject: str, obj: str, relation: str) -> bool:
-        return Triplet(subject, obj, relation) in set(self.triplets)
+        # binary search on the canonical order, without building a Triplet
+        key = (subject, obj, relation)
+        i = bisect_left(self.triplets, key, key=_sort_key)
+        return i < len(self.triplets) and _sort_key(self.triplets[i]) == key
 
     def entities(self) -> list[str]:
         """All entity strings appearing as subject or object, sorted."""

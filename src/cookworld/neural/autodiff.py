@@ -86,10 +86,9 @@ class Tensor:
             if node._backward is None:
                 continue
             for parent, pg in node._backward(g):
-                if id(parent) in grads:
-                    grads[id(parent)] += pg
-                else:
-                    grads[id(parent)] = pg.copy() if pg.base is not None else pg
+                # never add in place: an op may hand one array to two parents
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg
 
 
 def _wrap(data, parents, backward) -> Tensor:
@@ -112,11 +111,16 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _tracked(t: Tensor) -> bool:
+    """Whether a gradient into t is used: a leaf that wants one, or a recorded op."""
+    return t.requires_grad or t._backward is not None
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        return ((a, _sum_to_shape(g, a.data.shape)), (b, _sum_to_shape(g, b.data.shape)))
+        return tuple((t, _sum_to_shape(g, t.data.shape)) for t in (a, b) if _tracked(t))
 
     return _wrap(out, (a, b), backward)
 
@@ -125,7 +129,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
-        return ((a, _sum_to_shape(g, a.data.shape)), (b, _sum_to_shape(-g, b.data.shape)))
+        return tuple((t, _sum_to_shape(tg, t.data.shape)) for t, tg in ((a, g), (b, -g)) if _tracked(t))
 
     return _wrap(out, (a, b), backward)
 
@@ -134,9 +138,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        return (
-            (a, _sum_to_shape(g * b.data, a.data.shape)),
-            (b, _sum_to_shape(g * a.data, b.data.shape)),
+        return tuple(
+            (t, _sum_to_shape(g * other.data, t.data.shape)) for t, other in ((a, b), (b, a)) if _tracked(t)
         )
 
     return _wrap(out, (a, b), backward)
@@ -151,20 +154,51 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _wrap(out, (a,), backward)
 
 
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two 2-D tensors, or batched over the leading axis
+    of two 3-D tensors."""
+    if a.data.ndim != b.data.ndim:
+        raise ValueError("matmul operands need the same number of dimensions")
     out = a.data @ b.data
 
     def backward(g):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
+        return ((a, g @ _swap_last(b.data)), (b, _swap_last(a.data) @ g))
 
     return _wrap(out, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    out = a.data.T
+def grouped_matmul(x: Tensor, weights: Sequence[Tensor], bounds: Sequence[int]) -> Tensor:
+    """Rows bounds[i]:bounds[i+1] of x times weights[i], one matmul per
+    group of rows; the groups tile x."""
+    spans = list(zip(weights, bounds[:-1], bounds[1:]))
+    out = np.concatenate([x.data[lo:hi] @ w.data for w, lo, hi in spans])
 
     def backward(g):
-        return ((a, g.T),)
+        dx = np.concatenate([g[lo:hi] @ w.data.T for w, lo, hi in spans])
+        return ((x, dx),) + tuple((w, x.data[lo:hi].T @ g[lo:hi]) for w, lo, hi in spans)
+
+    return _wrap(out, (x, *weights), backward)
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    out = _swap_last(a.data)
+
+    def backward(g):
+        return ((a, _swap_last(g)),)
+
+    return _wrap(out, (a,), backward)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    out = a.data.reshape(shape)
+
+    def backward(g):
+        return ((a, g.reshape(a.data.shape)),)
 
     return _wrap(out, (a,), backward)
 
@@ -194,31 +228,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _wrap(out, tuple(parts), backward)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    out = np.concatenate([p.data for p in parts], axis=0)
-    heights = [p.data.shape[0] for p in parts]
-
-    def backward(g):
-        grads = []
-        offset = 0
-        for part, height in zip(parts, heights):
-            grads.append((part, g[offset : offset + height]))
-            offset += height
-        return tuple(grads)
-
-    return _wrap(out, tuple(parts), backward)
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    n = a.data.shape[0]
-    out = a.data.mean(axis=0, keepdims=True)
-
-    def backward(g):
-        return ((a, np.repeat(g / n, n, axis=0)),)
-
-    return _wrap(out, (a,), backward)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = a.data.sum()
 
@@ -233,29 +242,80 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     out = table.data[idx]
 
     def backward(g):
-        grad = np.zeros_like(table.data)
-        np.add.at(grad, idx, g)
-        return ((table, grad),)
+        return ((table, _segment_sum(g, Segments(idx, table.data.shape[0]))),)
 
     return _wrap(out, (table,), backward)
 
 
-def tile_rows(row: Tensor, count: int) -> Tensor:
-    out = np.repeat(row.data, count, axis=0)
+class Segments:
+    """Assignment of rows to `count` segments for segment_sum.
+
+    The stable sort order and the summation plan are computed once here, so
+    every segment_sum over the same ids (one per layer, say) reuses them.
+    Ids need not be sorted, and segments may be empty. Rows are summed in
+    their original order within each segment. Many small segments are
+    summed level by level (every segment's first row, then every second
+    row, ...), a few large ones by np.add.reduceat.
+    """
+
+    __slots__ = ("ids", "count", "order", "present", "starts", "levels")
+
+    def __init__(self, ids, count: int):
+        ids = np.asarray(ids, dtype=np.intp)
+        self.ids = ids
+        self.count = count
+        rows = len(ids)
+        self.order = None
+        if rows > 1 and np.any(ids[1:] < ids[:-1]):
+            self.order = np.argsort(ids, kind="stable")
+            ids = ids[self.order]
+        first = np.ones(rows, dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        self.starts = np.flatnonzero(first)
+        self.present = ids[self.starts]
+        sizes = np.diff(np.append(self.starts, rows))
+        self.levels = None
+        if rows and sizes.max() * 16 <= len(sizes):
+            # level k: the k-th row of every segment that has one
+            rank = np.arange(rows) - np.repeat(self.starts, sizes)
+            positions = np.arange(rows) if self.order is None else self.order
+            self.levels = [
+                (positions[rank == k], ids[rank == k]) for k in range(int(sizes.max()))
+            ]
+
+
+def _segment_sum(x: np.ndarray, segments: Segments) -> np.ndarray:
+    out = np.zeros((segments.count,) + x.shape[1:])
+    if segments.levels is not None:
+        (rows, ids), *rest = segments.levels
+        out[ids] = x[rows]
+        for rows, ids in rest:
+            out[ids] += x[rows]
+    elif len(segments.ids):
+        rows = x if segments.order is None else x[segments.order]
+        out[segments.present] = np.add.reduceat(rows, segments.starts, axis=0)
+    return out
+
+
+def segment_sum(x: Tensor, segments: Segments) -> Tensor:
+    """Row i of the result sums the rows of x whose id is i; an empty
+    segment gives a zero row."""
+    out = _segment_sum(x.data, segments)
 
     def backward(g):
-        return ((row, g.sum(axis=0, keepdims=True)),)
+        return ((x, g[segments.ids]),)
 
-    return _wrap(out, (row,), backward)
+    return _wrap(out, (x,), backward)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis; -inf entries get weight 0."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    out = exp / exp.sum(axis=1, keepdims=True)
+    out = exp / exp.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return ((a, out * (g - inner)),)
 
     return _wrap(out, (a,), backward)

@@ -61,57 +61,119 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return enc
 
 
+def distinct(items: Sequence, key=None) -> tuple[list, np.ndarray]:
+    """The distinct items in first-seen order, and each item's row among them."""
+    rows: dict = {}
+    unique: list = []
+    index = np.empty(len(items), dtype=np.intp)
+    for i, item in enumerate(items):
+        k = item if key is None else key(item)
+        row = rows.get(k)
+        if row is None:
+            row = rows[k] = len(unique)
+            unique.append(item)
+        index[i] = row
+    return unique, index
+
+
+REL_INDEX = {rel: i for i, rel in enumerate(RELATIONS)}
+
+
 class _GraphLayout:
-    """Parameter-free compilation of an observation: node token ids, an
-    averaging matrix mapping gathered token embeddings to node features,
-    and per-relation normalized adjacency."""
+    """Parameter-free compilation of one or more observations for the R-GCN:
+    their nodes laid end to end, as index arrays.
 
-    __slots__ = ("n_nodes", "token_ids", "feature_avg", "adjacency")
+    Raw arrays: nodes per graph, every node's token ids with the node each
+    token belongs to, and every edge as (relation, source node, target
+    node). From these it derives the segments the encoder sums over: tokens
+    into nodes, edges into (relation, target node) groups, which are
+    contiguous per relation, groups into nodes, and nodes into graphs.
+    """
 
-    def __init__(self, obs: KGObservation, vocab):
+    __slots__ = (
+        "node_counts", "token_ids", "token_nodes", "edge_rel", "edge_src", "edge_dst",
+        "n_nodes", "token_segments", "token_scale", "group_src", "group_segments",
+        "group_scale", "group_rel", "group_nodes", "relations", "relation_bounds",
+        "graph_segments", "graph_scale",
+    )
+
+    def __init__(self, node_counts, token_ids, token_nodes, edge_rel, edge_src, edge_dst):
+        self.node_counts = node_counts
+        self.token_ids = token_ids
+        self.token_nodes = token_nodes
+        self.edge_rel = edge_rel
+        self.edge_src = edge_src
+        self.edge_dst = edge_dst
+        n = self.n_nodes = int(node_counts.sum())
+        self.token_segments = ad.Segments(token_nodes, n)
+        self.token_scale = 1.0 / np.bincount(token_nodes, minlength=n)[:, None]
+        order = np.lexsort((edge_dst, edge_rel))
+        rel, dst = edge_rel[order], edge_dst[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (rel[1:] != rel[:-1]) | (dst[1:] != dst[:-1])
+        groups = np.cumsum(first) - 1
+        self.group_src = edge_src[order]
+        self.group_segments = ad.Segments(groups, int(first.sum()))
+        self.group_scale = 1.0 / np.bincount(groups, minlength=first.sum())[:, None]  # 1 / in-degree
+        self.group_rel = rel[first]
+        self.group_nodes = ad.Segments(dst[first], n)
+        # groups are sorted by relation: the relations present and their row bounds
+        starts = np.flatnonzero(np.r_[True, self.group_rel[1:] != self.group_rel[:-1]])
+        self.relations = [RELATIONS[r] for r in self.group_rel[starts]] if len(self.group_rel) else []
+        self.relation_bounds = list(np.append(starts, len(self.group_rel))) if self.relations else []
+        self.graph_segments = ad.Segments(np.repeat(np.arange(len(node_counts)), node_counts), len(node_counts))
+        self.graph_scale = 1.0 / np.maximum(node_counts, 1)[:, None]
+
+    @classmethod
+    def of(cls, obs: KGObservation, vocab) -> "_GraphLayout":
         nodes = obs.entities()
         index = {name: i for i, name in enumerate(nodes)}
-        n = len(nodes)
-        self.n_nodes = n
         token_lists = [vocab.encode(name) or [0] for name in nodes]
-        self.token_ids = [tid for ids in token_lists for tid in ids]
-        self.feature_avg = np.zeros((n, len(self.token_ids)))
-        cursor = 0
-        for i, ids in enumerate(token_lists):
-            self.feature_avg[i, cursor : cursor + len(ids)] = 1.0 / len(ids)
-            cursor += len(ids)
-        self.adjacency: dict[str, np.ndarray] = {}
-        counts: dict[str, np.ndarray] = {}
-        for t in obs:
-            m = self.adjacency.get(t.relation)
-            if m is None:
-                m = np.zeros((n, n))
-                self.adjacency[t.relation] = m
-                counts[t.relation] = np.zeros(n)
-            # message flows subject -> object
-            m[index[t.object], index[t.subject]] += 1.0
-            counts[t.relation][index[t.object]] += 1.0
-        for rel, m in self.adjacency.items():
-            c = counts[rel]
-            m[c > 0] /= c[c > 0][:, None]
+        edges = [(REL_INDEX[t.relation], index[t.subject], index[t.object]) for t in obs]
+        # message flows subject -> object
+        rel, src, dst = np.array(edges, dtype=np.intp).reshape(-1, 3).T
+        return cls(
+            np.array([len(nodes)], dtype=np.intp),
+            np.array([tid for ids in token_lists for tid in ids], dtype=np.intp),
+            np.repeat(np.arange(len(nodes)), [len(ids) for ids in token_lists]),
+            rel, src, dst,
+        )
+
+    @classmethod
+    def concat(cls, layouts: Sequence["_GraphLayout"]) -> "_GraphLayout":
+        if len(layouts) == 1:
+            return layouts[0]
+        counts = np.concatenate([x.node_counts for x in layouts])
+        offsets = np.r_[0, np.cumsum(counts)[:-1]]
+
+        def shifted(field: str) -> np.ndarray:
+            return np.concatenate([getattr(x, field) + off for x, off in zip(layouts, offsets)])
+
+        return cls(
+            counts,
+            np.concatenate([x.token_ids for x in layouts]),
+            shifted("token_nodes"),
+            np.concatenate([x.edge_rel for x in layouts]),
+            shifted("edge_src"),
+            shifted("edge_dst"),
+        )
 
 
-# keyed by the vocabulary too, because token ids depend on it; a Vocabulary
-# hashes by identity and the key holds it, so its id is never reused
-_LAYOUT_CACHE: OrderedDict[tuple, _GraphLayout] = OrderedDict()
 _LAYOUT_CACHE_SIZE = 4096
 
 
 def _layout_for(obs: KGObservation, vocab) -> _GraphLayout:
-    key = (vocab, canonical_hash(obs))
-    cached = _LAYOUT_CACHE.get(key)
+    """One observation's layout, cached on the vocabulary its token ids
+    come from."""
+    cache = vocab.graph_layouts
+    key = canonical_hash(obs)
+    cached = cache.get(key)
     if cached is not None:
-        _LAYOUT_CACHE.move_to_end(key)
+        cache.move_to_end(key)
         return cached
-    layout = _GraphLayout(obs, vocab)
-    _LAYOUT_CACHE[key] = layout
-    if len(_LAYOUT_CACHE) > _LAYOUT_CACHE_SIZE:
-        _LAYOUT_CACHE.popitem(last=False)
+    layout = cache[key] = _GraphLayout.of(obs, vocab)
+    if len(cache) > _LAYOUT_CACHE_SIZE:
+        cache.popitem(last=False)
     return layout
 
 
@@ -194,43 +256,68 @@ class PolicyNet:
 
     # -- forward passes ------------------------------------------------------
 
-    def graph_tensor(self, obs: KGObservation) -> Tensor:
-        layout = _layout_for(obs, self.vocab)
-        n = layout.n_nodes
-        if n == 0:
-            return ad.constant(np.zeros((1, self.d)))
-        h = ad.matmul(
-            ad.constant(layout.feature_avg),
-            ad.gather_rows(self.params["word_emb"], layout.token_ids),
-        )
-        rel_ids = {rel: i for i, rel in enumerate(RELATIONS)}
-        for layer in range(self.rgcn_layers):
-            total = ad.add(
-                ad.matmul(h, self.params[f"rgcn.{layer}.self"]),
-                ad.tile_rows(self.params[f"rgcn.{layer}.bias"], n),
-            )
-            for rel, matrix in layout.adjacency.items():
-                message = ad.add(
-                    ad.matmul(h, self.params[f"rgcn.{layer}.rel.{rel}"]),
-                    ad.gather_rows(self.params["rel_emb"], [rel_ids[rel]]),
-                )
-                total = ad.add(total, ad.matmul(ad.constant(matrix), message))
-            h = ad.relu(total)
-        return ad.mean_rows(h)
+    def graph_tensor(self, observations: Sequence[KGObservation]) -> Tensor:
+        """Mean-pooled R-GCN encodings of the observations, one row each.
 
-    def text_tensor(self, text: str) -> Tensor:
-        ids = self.vocab.encode(text)
-        if not ids:
-            raise EmptyTextError(f"cannot encode empty text {text!r}")
-        x = ad.add(
-            ad.gather_rows(self.params["word_emb"], ids),
-            ad.constant(sinusoidal_positions(len(ids), self.d)),
+        The distinct observations are packed into one node list. Per layer,
+        each relation averages its source nodes' states into the nodes it
+        targets and projects only those averages by its own weight; one
+        segment sum scatters every relation's messages into the nodes."""
+        unique, rows = distinct(observations, key=canonical_hash)
+        layout = _GraphLayout.concat([_layout_for(obs, self.vocab) for obs in unique])
+        if layout.n_nodes == 0:
+            return ad.constant(np.zeros((len(observations), self.d)))
+        h = ad.mul(
+            ad.segment_sum(
+                ad.gather_rows(self.params["word_emb"], layout.token_ids), layout.token_segments
+            ),
+            ad.constant(layout.token_scale),
         )
-        q = ad.matmul(x, self.params["attn.wq"])
-        k = ad.matmul(x, self.params["attn.wk"])
-        v = ad.matmul(x, self.params["attn.wv"])
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(self.d))
-        attended = ad.matmul(ad.softmax_rows(scores), v)
+        for layer in range(self.rgcn_layers):
+            total = ad.affine(h, self.params[f"rgcn.{layer}.self"], self.params[f"rgcn.{layer}.bias"])
+            if layout.relations:
+                mean = ad.mul(
+                    ad.segment_sum(ad.gather_rows(h, layout.group_src), layout.group_segments),
+                    ad.constant(layout.group_scale),
+                )
+                weights = [self.params[f"rgcn.{layer}.rel.{rel}"] for rel in layout.relations]
+                messages = ad.add(
+                    ad.grouped_matmul(mean, weights, layout.relation_bounds),
+                    ad.gather_rows(self.params["rel_emb"], layout.group_rel),
+                )
+                total = ad.add(total, ad.segment_sum(messages, layout.group_nodes))
+            h = ad.relu(total)
+        pooled = ad.mul(ad.segment_sum(h, layout.graph_segments), ad.constant(layout.graph_scale))
+        return pooled if len(unique) == len(observations) else ad.gather_rows(pooled, rows)
+
+    def text_tensor(self, texts: Sequence[str]) -> Tensor:
+        """Single-block transformer encodings of the texts, mean-pooled over
+        each text's tokens, one row each.
+
+        The distinct texts are padded to the longest; attention runs within
+        each text, with padded keys masked out, and the pool drops padding."""
+        unique, rows = distinct(texts)
+        encoded = [self.vocab.encode(text) for text in unique]
+        for text, ids in zip(unique, encoded):
+            if not ids:
+                raise EmptyTextError(f"cannot encode empty text {text!r}")
+        b, d = len(unique), self.d
+        lengths = np.array([len(ids) for ids in encoded])
+        width = int(lengths.max())
+        valid = np.arange(width) < lengths[:, None]  # (b, width)
+        token_ids = np.zeros((b, width), dtype=np.intp)
+        token_ids[valid] = [tid for ids in encoded for tid in ids]
+        x = ad.add(
+            ad.gather_rows(self.params["word_emb"], token_ids.reshape(-1)),
+            ad.constant(np.tile(sinusoidal_positions(width, d), (b, 1))),
+        )
+        q = ad.reshape(ad.matmul(x, self.params["attn.wq"]), (b, width, d))
+        k = ad.reshape(ad.matmul(x, self.params["attn.wk"]), (b, width, d))
+        v = ad.reshape(ad.matmul(x, self.params["attn.wv"]), (b, width, d))
+        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d))
+        if not valid.all():
+            scores = ad.add(scores, ad.constant(np.where(valid, 0.0, -np.inf)[:, None, :]))
+        attended = ad.reshape(ad.matmul(ad.softmax_rows(scores), v), (b * width, d))
         h1 = ad.layer_norm(
             ad.add(x, ad.matmul(attended, self.params["attn.wo"])),
             self.params["ln1.gain"],
@@ -242,14 +329,21 @@ class PolicyNet:
             self.params["ff.b2"],
         )
         h2 = ad.layer_norm(ad.add(h1, ff), self.params["ln2.gain"], self.params["ln2.bias"])
-        return ad.mean_rows(h2)
+        weights = (valid / lengths[:, None]).reshape(-1, 1)
+        pooled = ad.segment_sum(
+            ad.mul(h2, ad.constant(weights)), ad.Segments(np.repeat(np.arange(b), width), b)
+        )
+        return pooled if b == len(texts) else ad.gather_rows(pooled, rows)
 
     def score_tensor(self, state: Tensor, candidates: Tensor) -> Tensor:
-        """state (1, parts*d) paired with each candidate row (n, d) -> (n, 1)."""
+        """Each state row (parts*d) paired with the candidate row (d) beside
+        it -> (n, 1); a single state row is paired with every candidate."""
         n = candidates.data.shape[0]
         if n == 0:
             raise EmptyCandidatesError("no candidates to score")
-        paired = ad.concat_cols([ad.tile_rows(state, n), candidates])
+        if state.data.shape[0] == 1 < n:
+            state = ad.gather_rows(state, np.zeros(n, dtype=np.intp))
+        paired = ad.concat_cols([state, candidates])
         hidden = ad.relu(ad.affine(paired, self.params["scorer.w1"], self.params["scorer.b1"]))
         return ad.affine(hidden, self.params["scorer.w2"], self.params["scorer.b2"])
 
@@ -260,7 +354,7 @@ class PolicyNet:
         vec = self._vec_cache.get(key)
         if vec is None:
             with ad.no_grad():
-                vec = self.graph_tensor(obs).data
+                vec = self.graph_tensor([obs]).data
             self._vec_cache[key] = vec
         return vec
 
@@ -269,7 +363,7 @@ class PolicyNet:
         vec = self._vec_cache.get(key)
         if vec is None:
             with ad.no_grad():
-                vec = self.text_tensor(text).data
+                vec = self.text_tensor([text]).data
             self._vec_cache[key] = vec
         return vec
 

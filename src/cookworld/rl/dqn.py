@@ -8,7 +8,7 @@ import numpy as np
 
 from ..kg import canonical_hash
 from ..neural import autodiff as ad
-from ..neural.nets import EmptyCandidatesError, PolicyNet
+from ..neural.nets import EmptyCandidatesError, PolicyNet, distinct
 from ..neural.optim import AdamState, apply_update
 from .replay import PrioritizedBuffer
 
@@ -30,6 +30,40 @@ def double_dqn_target(
     return float(reward) + gamma * float(q_next_target[best])
 
 
+def _next_state_targets(batch, online: PolicyNet, target: PolicyNet, gamma: float) -> np.ndarray:
+    """Double DQN targets for a batch. Every next-state candidate of every
+    non-terminal transition is one row, scored by each net in one no-grad
+    pass over the distinct next observations and texts."""
+    targets = np.array([tr.td_reward for tr in batch], dtype=np.float64)
+    live = [tr for tr in batch if not tr.done]
+    if not live:
+        return targets
+    observations, obs_rows = distinct([tr.next_obs for tr in live], key=canonical_hash)
+    counts = [len(tr.next_candidates) for tr in live]
+    candidates = [c for tr in live for c in tr.next_candidates]
+    conds = [tr.cond_text for tr in live] if online.state_parts == 2 else []
+    texts, text_rows = distinct(candidates + conds)
+    row_obs = np.repeat(obs_rows, counts)
+    row_cand = text_rows[: len(candidates)]
+    row_cond = np.repeat(text_rows[len(candidates):], counts) if conds else None
+
+    def q_rows(net: PolicyNet) -> np.ndarray:
+        with ad.no_grad():
+            encoded = net.text_tensor(texts).data
+            state = net.graph_tensor(observations).data[row_obs]
+            if conds:
+                state = np.concatenate([state, encoded[row_cond]], axis=1)
+            return net.score_tensor(ad.constant(state), ad.constant(encoded[row_cand])).data[:, 0]
+
+    q_on, q_tg = q_rows(online), q_rows(target)
+    live_rows = [i for i, tr in enumerate(batch) if not tr.done]
+    starts = np.cumsum(counts) - counts
+    for i, tr, start, count in zip(live_rows, live, starts, counts):
+        rows = slice(start, start + count)
+        targets[i] = double_dqn_target(tr.td_reward, False, q_on[rows], q_tg[rows], gamma)
+    return targets
+
+
 def td_update(
     buffer: PrioritizedBuffer,
     online: PolicyNet,
@@ -43,45 +77,24 @@ def td_update(
     weight_decay: float = 0.0,
 ) -> float:
     """Sample, regress Q(s, a) onto the Double DQN target with importance
-    weights, refresh sampled priorities, and apply one Adam step."""
-    batch, indices, weights = buffer.sample(batch_size, rng)
+    weights, refresh sampled priorities, and apply one Adam step.
 
-    targets = np.empty(len(batch))
-    for i, tr in enumerate(batch):
-        if tr.done:
-            targets[i] = tr.td_reward
-        else:
-            candidates = list(tr.next_candidates)
-            q_on = online.q_values(tr.next_obs, tr.cond_text, candidates)
-            q_tg = target.q_values(tr.next_obs, tr.cond_text, candidates)
-            targets[i] = double_dqn_target(tr.td_reward, False, q_on, q_tg, gamma)
+    The online net encodes the batch's distinct observations in one packed
+    graph pass and its distinct texts in one text pass; the state,
+    condition and chosen-action rows are gathered from those and scored in
+    one scorer pass."""
+    batch, indices, weights = buffer.sample(batch_size, rng)
+    targets = _next_state_targets(batch, online, target, gamma)
 
     online.zero_grad()
-    # identical observations and texts within the batch share one tape node;
-    # gradients accumulate through the shared subgraphs
-    graph_memo: dict = {}
-    text_memo: dict = {}
-
-    def graph_node(obs):
-        key = canonical_hash(obs)
-        node = graph_memo.get(key)
-        if node is None:
-            node = graph_memo[key] = online.graph_tensor(obs)
-        return node
-
-    def text_node(text):
-        node = text_memo.get(text)
-        if node is None:
-            node = text_memo[text] = online.text_tensor(text)
-        return node
-
-    def q_node(tr):
-        state = graph_node(tr.obs)
-        if online.state_parts == 2:
-            state = ad.concat_cols([state, text_node(tr.cond_text)])
-        return online.score_tensor(state, text_node(tr.chosen_text))
-
-    q_rows = ad.concat_rows([q_node(tr) for tr in batch])
+    observations, obs_rows = distinct([tr.obs for tr in batch], key=canonical_hash)
+    conds = [tr.cond_text for tr in batch] if online.state_parts == 2 else []
+    texts, text_rows = distinct([tr.chosen_text for tr in batch] + conds)
+    encoded = online.text_tensor(texts)
+    state = ad.gather_rows(online.graph_tensor(observations), obs_rows)
+    if conds:
+        state = ad.concat_cols([state, ad.gather_rows(encoded, text_rows[len(batch):])])
+    q_rows = online.score_tensor(state, ad.gather_rows(encoded, text_rows[: len(batch)]))
     errors = ad.sub(q_rows, ad.constant(targets[:, None]))
     weighted = ad.mul(ad.mul(errors, errors), ad.constant(weights[:, None]))
     loss = ad.scale(ad.sum_all(weighted), 1.0 / len(batch))

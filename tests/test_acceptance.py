@@ -240,8 +240,8 @@ def test_criterion_gradient_checks():
         state_vec = np.linspace(-1, 1, 16).reshape(1, 16)
         cand_vecs = rng.standard_normal((3, 8))
         builds = {
-            "rgcn": lambda: net.graph_tensor(obs),
-            "attention-ff": lambda: net.text_tensor("take knife from table"),
+            "rgcn": lambda: net.graph_tensor([obs]),
+            "attention-ff": lambda: net.text_tensor(["take knife from table"]),
             "scorer": lambda: net.score_tensor(ad.constant(state_vec), ad.constant(cand_vecs)),
         }
         for block, build in builds.items():

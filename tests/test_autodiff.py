@@ -65,8 +65,32 @@ def test_matmul():
     check_op(lambda a, b: ad.matmul(a, b), [(3, 4), (4, 2)])
 
 
+def test_matmul_batched():
+    check_op(lambda a, b: ad.matmul(a, b), [(2, 3, 4), (2, 4, 5)])
+
+
+def test_matmul_rejects_mixed_ranks():
+    with pytest.raises(ValueError):
+        ad.matmul(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((4, 2))))
+
+
+def test_grouped_matmul():
+    # rows 0-1 by the first weight, rows 2-4 by the second, row 5 by the first again
+    check_op(
+        lambda x, w, v: ad.grouped_matmul(x, [w, v, w], [0, 2, 5, 6]), [(6, 3), (3, 4), (3, 4)]
+    )
+
+
 def test_transpose():
     check_op(lambda a: ad.transpose(a), [(3, 4)])
+
+
+def test_transpose_batched():
+    check_op(lambda a: ad.transpose(a), [(2, 3, 4)])
+
+
+def test_reshape():
+    check_op(lambda a: ad.reshape(a, (2, 3, 2)), [(6, 2)])
 
 
 def test_relu():
@@ -77,24 +101,62 @@ def test_concat_cols():
     check_op(lambda a, b: ad.concat_cols([a, b]), [(3, 2), (3, 4)])
 
 
-def test_concat_rows():
-    check_op(lambda a, b: ad.concat_rows([a, b]), [(2, 4), (3, 4)])
-
-
-def test_mean_rows():
-    check_op(lambda a: ad.mean_rows(a), [(5, 3)])
-
-
-def test_tile_rows():
-    check_op(lambda a: ad.tile_rows(a, 4), [(1, 3)])
-
-
 def test_gather_rows():
     check_op(lambda a: ad.gather_rows(a, [0, 2, 2, 1]), [(4, 3)])
 
 
 def test_softmax_rows():
     check_op(lambda a: ad.softmax_rows(a), [(3, 5)])
+
+
+def test_softmax_rows_batched():
+    check_op(lambda a: ad.softmax_rows(a), [(2, 3, 4)])
+
+
+def test_softmax_rows_masked_keys():
+    mask = np.zeros((2, 1, 4))
+    mask[0, 0, 3] = mask[1, 0, 1:] = -np.inf  # last key of text 0, all but one of text 1
+    check_op(lambda a: ad.softmax_rows(ad.add(a, ad.constant(mask))), [(2, 3, 4)])
+    out = ad.softmax_rows(ad.constant(mask + np.ones((2, 3, 4))))
+    assert np.array_equal(out.data[1], np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+
+
+def test_segment_sum_sorted():
+    segments = ad.Segments([0, 0, 1, 2, 2, 2], 3)
+    assert segments.order is None and segments.levels is None  # summed by reduceat
+    check_op(lambda a: ad.segment_sum(a, segments), [(6, 3)])
+
+
+def test_segment_sum_unsorted_with_empty_segments():
+    segments = ad.Segments([3, 0, 3, 1, 0], 5)  # segments 2 and 4 receive no row
+    assert segments.order is not None and segments.levels is None
+    check_op(lambda a: ad.segment_sum(a, segments), [(5, 2)])
+    x = np.arange(10.0).reshape(5, 2)
+    out = ad.segment_sum(ad.constant(x), segments).data
+    assert np.array_equal(out, [x[1] + x[4], x[3], [0, 0], x[0] + x[2], [0, 0]])
+
+
+def test_segment_sum_many_small_segments_by_level():
+    rng = np.random.default_rng(7)
+    ids = rng.permutation(np.r_[np.arange(40), [5, 17, 30]])  # three segments get two rows
+    segments = ad.Segments(ids, 45)  # segments 40..44 receive no row
+    assert segments.order is not None and segments.levels is not None
+    check_op(lambda a: ad.segment_sum(a, segments), [(43, 2)])
+    x = rng.standard_normal((43, 3))
+    expected = np.zeros((45, 3))
+    for row, seg in enumerate(ids):
+        expected[seg] += x[row]
+    assert np.allclose(ad.segment_sum(ad.constant(x), segments).data, expected, rtol=0, atol=1e-15)
+
+
+def test_gather_rows_repeated_indices():
+    indices = np.random.default_rng(8).permutation(np.r_[np.arange(20), [3, 3, 9]])
+    check_op(lambda a: ad.gather_rows(a, indices), [(21, 2)])
+
+
+def test_segment_sum_no_rows():
+    out = ad.segment_sum(ad.constant(np.zeros((0, 3))), ad.Segments([], 2))
+    assert np.array_equal(out.data, np.zeros((2, 3)))
 
 
 def test_layer_norm():
@@ -110,6 +172,12 @@ def test_shared_parent_accumulates():
     out = ad.sum_all(ad.mul(x, x))  # d/dx x^2 = 2x through two paths
     out.backward()
     assert np.allclose(x.grad, [[2.0, 4.0]])
+
+
+def test_residual_over_one_row_keeps_each_gradient():
+    # add() hands one gradient array to both parents, and affine() hands it on
+    # to a one-row bias; accumulating into h must not change the bias gradient
+    check_op(lambda h, w, b: ad.add(h, ad.affine(h, w, b)), [(1, 3), (3, 3), (1, 3)])
 
 
 def test_zero_loss_zero_gradients():

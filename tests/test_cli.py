@@ -215,6 +215,20 @@ def test_play_out_of_range_reprompts(monkeypatch, capsys):
     assert "pick a number" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ("play", FIXTURES / "s1_game1.spec.json"),
+    ("eval", "--checkpoint", "ckpt", "--games", "games"),
+    ("replay-trace", "--spec", FIXTURES / "s1_game1.spec.json",
+     "--trace", FIXTURES / "s1_game1.trace.json"),
+])
+def test_step_limit_below_one_is_usage_error(command, monkeypatch, capsys):
+    monkeypatch.setattr("builtins.input", lambda prompt="": pytest.fail("play took a command"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, "--step-limit", "0")
+    assert exc.value.code == 2
+    assert "--step-limit: must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_inspect_spec(capsys):
     assert run_cli("inspect", FIXTURES / "s4_game1.spec.json") == 0
     out = capsys.readouterr().out

@@ -145,6 +145,18 @@ def test_step_limit_terminates(s1_spec):
     assert done and not state.lost and state.score == 0
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_step_limit_below_one_rejected(s1_spec, limit):
+    with pytest.raises(ValueError, match="step_limit"):
+        reset(s1_spec, step_limit=limit)
+
+
+def test_step_limit_one_plays_one_command(s1_spec):
+    state, _ = reset(s1_spec, step_limit=1)
+    state, _, _, done = step(state, "examine cookbook")
+    assert done and state.steps == 1
+
+
 def test_score_bounded_and_monotone_random_play(s1_spec, s4_spec):
     import random
 

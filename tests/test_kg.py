@@ -96,3 +96,13 @@ def test_digest_stable_value():
     assert canonical_hash(obs) == canonical_hash(KGObservation(obs.triplets))
     assert isinstance(canonical_hash(obs), int)
     assert 0 <= canonical_hash(obs) < 2**64
+
+
+@given(triplets, st.builds(Triplet, subject=entity, object=entity, relation=relation))
+def test_membership_matches_the_triplet_set(ts, probe):
+    obs = KGObservation(ts)
+    expected = probe in set(ts)
+    assert (probe in obs) == expected
+    assert obs.has(probe.subject, probe.object, probe.relation) == expected
+    for t in ts:
+        assert t in obs and obs.has(t.subject, t.object, t.relation)

@@ -6,7 +6,6 @@ import pytest
 from cookworld.engine.vocab import Vocabulary, default_vocabulary
 from cookworld.kg import KGObservation, Triplet
 from cookworld.neural import autodiff as ad
-from cookworld.neural import nets
 from cookworld.neural.nets import (
     EmptyCandidatesError,
     EmptyTextError,
@@ -74,14 +73,16 @@ def test_graph_layout_follows_the_vocabulary(vocab):
     """Two vocabularies give the same observation different token ids; the
     second net must not reuse the first one's compiled layout."""
     obs = KGObservation([Triplet("parsley", "counter", "on"), Triplet("player", "pantry", "at")])
-    small = tiny_net(Vocabulary(("counter", "on", "parsley", "player")), seed=2)
+    small_vocab = Vocabulary(("counter", "on", "parsley", "player"))
+    small = tiny_net(small_vocab, seed=2)
     full = tiny_net(vocab, seed=2)
     with ad.no_grad():
-        small_first = small.graph_tensor(obs).data
-        full_second = full.graph_tensor(obs).data
-        nets._LAYOUT_CACHE.clear()
-        assert np.array_equal(full_second, full.graph_tensor(obs).data)
-        assert np.array_equal(small_first, small.graph_tensor(obs).data)
+        small_first = small.graph_tensor([obs]).data
+        full_second = full.graph_tensor([obs]).data
+        small_vocab.graph_layouts.clear()
+        vocab.graph_layouts.clear()
+        assert np.array_equal(full_second, full.graph_tensor([obs]).data)
+        assert np.array_equal(small_first, small.graph_tensor([obs]).data)
 
 
 def test_single_triplet_one_layer_hand_computed(vocab):
@@ -112,6 +113,81 @@ def net_relations():
     from cookworld.kg import RELATIONS
 
     return list(RELATIONS)
+
+
+def game_observations(s1_spec, s4_spec):
+    """Observations along a few steps of real games, plus small and empty ones."""
+    from cookworld.engine.state import admissible_actions, reset, step
+
+    found = [small_obs(), KGObservation([])]
+    for spec in (s1_spec, s4_spec):
+        state, obs = reset(spec, step_limit=20)
+        found.append(obs)
+        for i in range(3):
+            state, obs, _, _ = step(state, admissible_actions(state)[i])
+            found.append(obs)
+    return found
+
+
+def test_graph_batch_equals_each_alone(vocab, s1_spec, s4_spec):
+    net = tiny_net(vocab, seed=21, parts=1)
+    found = game_observations(s1_spec, s4_spec)
+    batch = found + [found[3], found[0], found[1]]  # duplicates, and the empty one twice
+    with ad.no_grad():
+        packed = net.graph_tensor(batch).data
+        alone = np.concatenate([net.graph_tensor([obs]).data for obs in batch])
+    assert packed.shape == (len(batch), 8)
+    assert np.allclose(packed, alone, rtol=0, atol=1e-12)
+    assert np.array_equal(packed[1], np.zeros(8))
+
+
+def test_graph_batch_gradients_equal_each_alone(vocab, s1_spec, s4_spec):
+    net = tiny_net(vocab, seed=22, parts=1)
+    batch = game_observations(s1_spec, s4_spec)
+    weights = np.cos(np.arange(len(batch) * 8)).reshape(len(batch), 8)
+    net.zero_grad()
+    ad.sum_all(ad.mul(net.graph_tensor(batch), ad.constant(weights))).backward()
+    packed = {name: p.grad for name, p in net.params.items()}
+    net.zero_grad()
+    for obs, w in zip(batch, weights):
+        ad.sum_all(ad.mul(net.graph_tensor([obs]), ad.constant(w[None]))).backward()
+    for name, p in net.params.items():
+        assert (p.grad is None) == (packed[name] is None), name
+        if p.grad is not None:
+            assert np.allclose(packed[name], p.grad, rtol=0, atol=1e-12), name
+
+
+def test_text_batch_equals_each_alone(vocab):
+    net = tiny_net(vocab, seed=23, parts=1)
+    texts = ["knife", "take knife from table", "find cilantro", "knife", "open fridge",
+             "dice red apple with knife", "find cilantro"]
+    weights = np.sin(np.arange(len(texts) * 8)).reshape(len(texts), 8)
+    net.zero_grad()
+    packed = net.text_tensor(texts)
+    ad.sum_all(ad.mul(packed, ad.constant(weights))).backward()
+    packed_grads = {name: p.grad for name, p in net.params.items()}
+    net.zero_grad()
+    alone = []
+    for text, w in zip(texts, weights):
+        row = net.text_tensor([text])
+        ad.sum_all(ad.mul(row, ad.constant(w[None]))).backward()
+        alone.append(row.data)
+    assert np.allclose(packed.data, np.concatenate(alone), rtol=0, atol=1e-12)
+    for name, p in net.params.items():
+        assert (p.grad is None) == (packed_grads[name] is None), name
+        if p.grad is not None:
+            assert np.allclose(packed_grads[name], p.grad, rtol=0, atol=1e-12), name
+
+
+def test_scorer_rows_pair_state_rows(vocab):
+    net = tiny_net(vocab, parts=1, seed=24)
+    rng = np.random.default_rng(3)
+    states, cands = rng.standard_normal((4, 8)), rng.standard_normal((4, 8))
+    rows = score(net, states, cands)
+    alone = [score(net, states[i], cands[i : i + 1])[0] for i in range(4)]
+    assert np.allclose(rows, alone, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        score(net, states[:3], cands)  # neither one state row nor one per candidate
 
 
 # -- text encoder -------------------------------------------------------------
@@ -242,15 +318,15 @@ def test_gradient_check_all_blocks(vocab):
     obs = small_obs()
     for trial in range(20):
         net = tiny_net(vocab, seed=100 + trial, parts=2, d=8)
-        graph = lambda: net.graph_tensor(obs)
-        text = lambda: net.text_tensor("take knife from table")
+        graph = lambda: net.graph_tensor([obs])
+        text = lambda: net.text_tensor(["take knife from table"])
         scorer = lambda: net.score_tensor(
             ad.constant(np.ones((1, 16))), ad.constant(np.linspace(-1, 1, 16).reshape(2, 8))
         )
         # the composition td_update trains through
         full = lambda: net.score_tensor(
-            ad.concat_cols([net.graph_tensor(obs), net.text_tensor("find cilantro")]),
-            net.text_tensor("open fridge"),
+            ad.concat_cols([net.graph_tensor([obs]), net.text_tensor(["find cilantro"])]),
+            net.text_tensor(["open fridge"]),
         )
         for build in (graph, text, scorer, full):
             assert _max_rel_error(net, build, rng) < 1e-3
