@@ -242,68 +242,29 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     out = table.data[idx]
 
     def backward(g):
-        return ((table, _segment_sum(g, Segments(idx, table.data.shape[0]))),)
+        return ((table, _segment_sum(g, idx, table.data.shape[0])),)
 
     return _wrap(out, (table,), backward)
 
 
-class Segments:
-    """Assignment of rows to `count` segments for segment_sum.
-
-    The stable sort order and the summation plan are computed once here, so
-    every segment_sum over the same ids (one per layer, say) reuses them.
-    Ids need not be sorted, and segments may be empty. Rows are summed in
-    their original order within each segment. Many small segments are
-    summed level by level (every segment's first row, then every second
-    row, ...), a few large ones by np.add.reduceat.
-    """
-
-    __slots__ = ("ids", "count", "order", "present", "starts", "levels")
-
-    def __init__(self, ids, count: int):
-        ids = np.asarray(ids, dtype=np.intp)
-        self.ids = ids
-        self.count = count
-        rows = len(ids)
-        self.order = None
-        if rows > 1 and np.any(ids[1:] < ids[:-1]):
-            self.order = np.argsort(ids, kind="stable")
-            ids = ids[self.order]
-        first = np.ones(rows, dtype=bool)
-        first[1:] = ids[1:] != ids[:-1]
-        self.starts = np.flatnonzero(first)
-        self.present = ids[self.starts]
-        sizes = np.diff(np.append(self.starts, rows))
-        self.levels = None
-        if rows and sizes.max() * 16 <= len(sizes):
-            # level k: the k-th row of every segment that has one
-            rank = np.arange(rows) - np.repeat(self.starts, sizes)
-            positions = np.arange(rows) if self.order is None else self.order
-            self.levels = [
-                (positions[rank == k], ids[rank == k]) for k in range(int(sizes.max()))
-            ]
+def _segment_sum(x: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
+    # One bincount over every element: each output element sums its rows in
+    # their original order. np.add.reduceat pays a per-segment cost that
+    # dominates on the many one- and two-row segments of a packed graph.
+    width = int(np.prod(x.shape[1:], dtype=np.intp))
+    flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
+    sums = np.bincount(flat, weights=x.reshape(-1), minlength=count * width)
+    return sums.reshape((count,) + x.shape[1:])
 
 
-def _segment_sum(x: np.ndarray, segments: Segments) -> np.ndarray:
-    out = np.zeros((segments.count,) + x.shape[1:])
-    if segments.levels is not None:
-        (rows, ids), *rest = segments.levels
-        out[ids] = x[rows]
-        for rows, ids in rest:
-            out[ids] += x[rows]
-    elif len(segments.ids):
-        rows = x if segments.order is None else x[segments.order]
-        out[segments.present] = np.add.reduceat(rows, segments.starts, axis=0)
-    return out
-
-
-def segment_sum(x: Tensor, segments: Segments) -> Tensor:
-    """Row i of the result sums the rows of x whose id is i; an empty
-    segment gives a zero row."""
-    out = _segment_sum(x.data, segments)
+def segment_sum(x: Tensor, ids, count: int) -> Tensor:
+    """Row i of the (count, ...) result sums the rows of x whose id is i.
+    Ids need not be sorted; an empty segment gives a zero row."""
+    ids = np.asarray(ids, dtype=np.intp)
+    out = _segment_sum(x.data, ids, count)
 
     def backward(g):
-        return ((x, g[segments.ids]),)
+        return ((x, g[ids]),)
 
     return _wrap(out, (x,), backward)
 

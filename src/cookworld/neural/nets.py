@@ -85,16 +85,16 @@ class _GraphLayout:
 
     Raw arrays: nodes per graph, every node's token ids with the node each
     token belongs to, and every edge as (relation, source node, target
-    node). From these it derives the segments the encoder sums over: tokens
-    into nodes, edges into (relation, target node) groups, which are
-    contiguous per relation, groups into nodes, and nodes into graphs.
+    node). From these it derives the segment ids the encoder sums by: tokens
+    into nodes (token_nodes), edges into (relation, target node) groups
+    (group_ids), which are contiguous per relation, groups into nodes
+    (group_dst), and nodes into graphs (graph_ids).
     """
 
     __slots__ = (
         "node_counts", "token_ids", "token_nodes", "edge_rel", "edge_src", "edge_dst",
-        "n_nodes", "token_segments", "token_scale", "group_src", "group_segments",
-        "group_scale", "group_rel", "group_nodes", "relations", "relation_bounds",
-        "graph_segments", "graph_scale",
+        "n_nodes", "token_scale", "group_src", "group_ids", "group_scale", "group_rel",
+        "group_dst", "relations", "relation_bounds", "graph_ids", "graph_scale",
     )
 
     def __init__(self, node_counts, token_ids, token_nodes, edge_rel, edge_src, edge_dst):
@@ -105,23 +105,21 @@ class _GraphLayout:
         self.edge_src = edge_src
         self.edge_dst = edge_dst
         n = self.n_nodes = int(node_counts.sum())
-        self.token_segments = ad.Segments(token_nodes, n)
         self.token_scale = 1.0 / np.bincount(token_nodes, minlength=n)[:, None]
         order = np.lexsort((edge_dst, edge_rel))
         rel, dst = edge_rel[order], edge_dst[order]
         first = np.ones(len(order), dtype=bool)
         first[1:] = (rel[1:] != rel[:-1]) | (dst[1:] != dst[:-1])
-        groups = np.cumsum(first) - 1
+        groups = self.group_ids = np.cumsum(first) - 1
         self.group_src = edge_src[order]
-        self.group_segments = ad.Segments(groups, int(first.sum()))
         self.group_scale = 1.0 / np.bincount(groups, minlength=first.sum())[:, None]  # 1 / in-degree
         self.group_rel = rel[first]
-        self.group_nodes = ad.Segments(dst[first], n)
+        self.group_dst = dst[first]
         # groups are sorted by relation: the relations present and their row bounds
         starts = np.flatnonzero(np.r_[True, self.group_rel[1:] != self.group_rel[:-1]])
         self.relations = [RELATIONS[r] for r in self.group_rel[starts]] if len(self.group_rel) else []
         self.relation_bounds = list(np.append(starts, len(self.group_rel))) if self.relations else []
-        self.graph_segments = ad.Segments(np.repeat(np.arange(len(node_counts)), node_counts), len(node_counts))
+        self.graph_ids = np.repeat(np.arange(len(node_counts)), node_counts)
         self.graph_scale = 1.0 / np.maximum(node_counts, 1)[:, None]
 
     @classmethod
@@ -265,11 +263,12 @@ class PolicyNet:
         segment sum scatters every relation's messages into the nodes."""
         unique, rows = distinct(observations, key=canonical_hash)
         layout = _GraphLayout.concat([_layout_for(obs, self.vocab) for obs in unique])
-        if layout.n_nodes == 0:
+        n, groups = layout.n_nodes, len(layout.group_rel)
+        if n == 0:
             return ad.constant(np.zeros((len(observations), self.d)))
         h = ad.mul(
             ad.segment_sum(
-                ad.gather_rows(self.params["word_emb"], layout.token_ids), layout.token_segments
+                ad.gather_rows(self.params["word_emb"], layout.token_ids), layout.token_nodes, n
             ),
             ad.constant(layout.token_scale),
         )
@@ -277,7 +276,7 @@ class PolicyNet:
             total = ad.affine(h, self.params[f"rgcn.{layer}.self"], self.params[f"rgcn.{layer}.bias"])
             if layout.relations:
                 mean = ad.mul(
-                    ad.segment_sum(ad.gather_rows(h, layout.group_src), layout.group_segments),
+                    ad.segment_sum(ad.gather_rows(h, layout.group_src), layout.group_ids, groups),
                     ad.constant(layout.group_scale),
                 )
                 weights = [self.params[f"rgcn.{layer}.rel.{rel}"] for rel in layout.relations]
@@ -285,9 +284,11 @@ class PolicyNet:
                     ad.grouped_matmul(mean, weights, layout.relation_bounds),
                     ad.gather_rows(self.params["rel_emb"], layout.group_rel),
                 )
-                total = ad.add(total, ad.segment_sum(messages, layout.group_nodes))
+                total = ad.add(total, ad.segment_sum(messages, layout.group_dst, n))
             h = ad.relu(total)
-        pooled = ad.mul(ad.segment_sum(h, layout.graph_segments), ad.constant(layout.graph_scale))
+        pooled = ad.mul(
+            ad.segment_sum(h, layout.graph_ids, len(unique)), ad.constant(layout.graph_scale)
+        )
         return pooled if len(unique) == len(observations) else ad.gather_rows(pooled, rows)
 
     def text_tensor(self, texts: Sequence[str]) -> Tensor:
@@ -330,9 +331,7 @@ class PolicyNet:
         )
         h2 = ad.layer_norm(ad.add(h1, ff), self.params["ln2.gain"], self.params["ln2.bias"])
         weights = (valid / lengths[:, None]).reshape(-1, 1)
-        pooled = ad.segment_sum(
-            ad.mul(h2, ad.constant(weights)), ad.Segments(np.repeat(np.arange(b), width), b)
-        )
+        pooled = ad.segment_sum(ad.mul(h2, ad.constant(weights)), np.repeat(np.arange(b), width), b)
         return pooled if b == len(texts) else ad.gather_rows(pooled, rows)
 
     def score_tensor(self, state: Tensor, candidates: Tensor) -> Tensor:

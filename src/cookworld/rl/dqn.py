@@ -6,9 +6,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..kg import canonical_hash
+from ..kg import canonical_hash  # noqa: F401 -- a binding perfbench/tracing.py wraps
 from ..neural import autodiff as ad
-from ..neural.nets import EmptyCandidatesError, PolicyNet, distinct
+from ..neural.nets import EmptyCandidatesError, PolicyNet
 from ..neural.optim import AdamState, apply_update
 from .replay import PrioritizedBuffer
 
@@ -30,37 +30,38 @@ def double_dqn_target(
     return float(reward) + gamma * float(q_next_target[best])
 
 
+def _q_rows(net: PolicyNet, observations, conds, candidates) -> ad.Tensor:
+    """Q of row i: observations[i], conditioned on conds[i] when the net
+    takes an instruction (conds is empty otherwise), paired with
+    candidates[i]. One graph pass and one text pass, each over the distinct
+    items, then one scorer pass over all rows."""
+    n = len(candidates)
+    encoded = net.text_tensor(list(candidates) + list(conds))
+    state = net.graph_tensor(observations)
+    if conds:
+        state = ad.concat_cols([state, ad.gather_rows(encoded, np.arange(n, 2 * n))])
+    return net.score_tensor(state, ad.gather_rows(encoded, np.arange(n)))
+
+
 def _next_state_targets(batch, online: PolicyNet, target: PolicyNet, gamma: float) -> np.ndarray:
     """Double DQN targets for a batch. Every next-state candidate of every
     non-terminal transition is one row, scored by each net in one no-grad
-    pass over the distinct next observations and texts."""
+    pass."""
     targets = np.array([tr.td_reward for tr in batch], dtype=np.float64)
-    live = [tr for tr in batch if not tr.done]
+    live = [(i, tr) for i, tr in enumerate(batch) if not tr.done]
     if not live:
         return targets
-    observations, obs_rows = distinct([tr.next_obs for tr in live], key=canonical_hash)
-    counts = [len(tr.next_candidates) for tr in live]
-    candidates = [c for tr in live for c in tr.next_candidates]
-    conds = [tr.cond_text for tr in live] if online.state_parts == 2 else []
-    texts, text_rows = distinct(candidates + conds)
-    row_obs = np.repeat(obs_rows, counts)
-    row_cand = text_rows[: len(candidates)]
-    row_cond = np.repeat(text_rows[len(candidates):], counts) if conds else None
-
-    def q_rows(net: PolicyNet) -> np.ndarray:
-        with ad.no_grad():
-            encoded = net.text_tensor(texts).data
-            state = net.graph_tensor(observations).data[row_obs]
-            if conds:
-                state = np.concatenate([state, encoded[row_cond]], axis=1)
-            return net.score_tensor(ad.constant(state), ad.constant(encoded[row_cand])).data[:, 0]
-
-    q_on, q_tg = q_rows(online), q_rows(target)
-    live_rows = [i for i, tr in enumerate(batch) if not tr.done]
-    starts = np.cumsum(counts) - counts
-    for i, tr, start, count in zip(live_rows, live, starts, counts):
-        rows = slice(start, start + count)
+    observations = [tr.next_obs for _, tr in live for _ in tr.next_candidates]
+    candidates = [c for _, tr in live for c in tr.next_candidates]
+    conds = [tr.cond_text for _, tr in live for _ in tr.next_candidates] if online.state_parts == 2 else []
+    with ad.no_grad():
+        q_on = _q_rows(online, observations, conds, candidates).data[:, 0]
+        q_tg = _q_rows(target, observations, conds, candidates).data[:, 0]
+    start = 0
+    for i, tr in live:
+        rows = slice(start, start + len(tr.next_candidates))
         targets[i] = double_dqn_target(tr.td_reward, False, q_on[rows], q_tg[rows], gamma)
+        start = rows.stop
     return targets
 
 
@@ -79,22 +80,14 @@ def td_update(
     """Sample, regress Q(s, a) onto the Double DQN target with importance
     weights, refresh sampled priorities, and apply one Adam step.
 
-    The online net encodes the batch's distinct observations in one packed
-    graph pass and its distinct texts in one text pass; the state,
-    condition and chosen-action rows are gathered from those and scored in
-    one scorer pass."""
+    The online net scores the batch's chosen actions on the tape in one
+    packed graph, text and scorer pass (see _q_rows)."""
     batch, indices, weights = buffer.sample(batch_size, rng)
     targets = _next_state_targets(batch, online, target, gamma)
 
     online.zero_grad()
-    observations, obs_rows = distinct([tr.obs for tr in batch], key=canonical_hash)
     conds = [tr.cond_text for tr in batch] if online.state_parts == 2 else []
-    texts, text_rows = distinct([tr.chosen_text for tr in batch] + conds)
-    encoded = online.text_tensor(texts)
-    state = ad.gather_rows(online.graph_tensor(observations), obs_rows)
-    if conds:
-        state = ad.concat_cols([state, ad.gather_rows(encoded, text_rows[len(batch):])])
-    q_rows = online.score_tensor(state, ad.gather_rows(encoded, text_rows[: len(batch)]))
+    q_rows = _q_rows(online, [tr.obs for tr in batch], conds, [tr.chosen_text for tr in batch])
     errors = ad.sub(q_rows, ad.constant(targets[:, None]))
     weighted = ad.mul(ad.mul(errors, errors), ad.constant(weights[:, None]))
     loss = ad.scale(ad.sum_all(weighted), 1.0 / len(batch))

@@ -122,31 +122,26 @@ def test_softmax_rows_masked_keys():
 
 
 def test_segment_sum_sorted():
-    segments = ad.Segments([0, 0, 1, 2, 2, 2], 3)
-    assert segments.order is None and segments.levels is None  # summed by reduceat
-    check_op(lambda a: ad.segment_sum(a, segments), [(6, 3)])
+    check_op(lambda a: ad.segment_sum(a, [0, 0, 1, 2, 2, 2], 3), [(6, 3)])
 
 
 def test_segment_sum_unsorted_with_empty_segments():
-    segments = ad.Segments([3, 0, 3, 1, 0], 5)  # segments 2 and 4 receive no row
-    assert segments.order is not None and segments.levels is None
-    check_op(lambda a: ad.segment_sum(a, segments), [(5, 2)])
+    ids = [3, 0, 3, 1, 0]  # segments 2 and 4 receive no row
+    check_op(lambda a: ad.segment_sum(a, ids, 5), [(5, 2)])
     x = np.arange(10.0).reshape(5, 2)
-    out = ad.segment_sum(ad.constant(x), segments).data
+    out = ad.segment_sum(ad.constant(x), ids, 5).data
     assert np.array_equal(out, [x[1] + x[4], x[3], [0, 0], x[0] + x[2], [0, 0]])
 
 
-def test_segment_sum_many_small_segments_by_level():
+def test_segment_sum_many_small_segments():
     rng = np.random.default_rng(7)
     ids = rng.permutation(np.r_[np.arange(40), [5, 17, 30]])  # three segments get two rows
-    segments = ad.Segments(ids, 45)  # segments 40..44 receive no row
-    assert segments.order is not None and segments.levels is not None
-    check_op(lambda a: ad.segment_sum(a, segments), [(43, 2)])
+    check_op(lambda a: ad.segment_sum(a, ids, 45), [(43, 2)])  # segments 40..44 receive no row
     x = rng.standard_normal((43, 3))
     expected = np.zeros((45, 3))
-    for row, seg in enumerate(ids):
+    for row, seg in enumerate(ids):  # each segment sums its rows in their original order
         expected[seg] += x[row]
-    assert np.allclose(ad.segment_sum(ad.constant(x), segments).data, expected, rtol=0, atol=1e-15)
+    assert np.array_equal(ad.segment_sum(ad.constant(x), ids, 45).data, expected)
 
 
 def test_gather_rows_repeated_indices():
@@ -155,7 +150,7 @@ def test_gather_rows_repeated_indices():
 
 
 def test_segment_sum_no_rows():
-    out = ad.segment_sum(ad.constant(np.zeros((0, 3))), ad.Segments([], 2))
+    out = ad.segment_sum(ad.constant(np.zeros((0, 3))), [], 2)
     assert np.array_equal(out.data, np.zeros((2, 3)))
 
 

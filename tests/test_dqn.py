@@ -230,6 +230,14 @@ def test_batched_update_matches_per_transition_reference(warm_trainers, variant,
         seen["grads"] = {name: p.grad for name, p in net.params.items()}
         return real_apply(net, *args, **kwargs)
 
+    # acting (batch-1 q_values) and the learner's batched Q agree on a non-trivial net
+    conds = [tr.cond_text for tr in batch] if online.state_parts == 2 else []
+    with ad.no_grad():
+        q_batched = dqn._q_rows(online, [tr.obs for tr in batch], conds,
+                                [tr.chosen_text for tr in batch]).data[:, 0]
+    q_acting = [online.q_values(tr.obs, tr.cond_text, [tr.chosen_text])[0] for tr in batch]
+    assert np.allclose(q_batched, q_acting, rtol=0, atol=1e-12)
+
     monkeypatch.setattr(dqn, "apply_update", record_grads)
     monkeypatch.setattr(learner.buffer, "update_priorities",
                         lambda indices, errors: seen.setdefault("errors", np.asarray(errors)))
