@@ -377,12 +377,26 @@ class PolicyNet:
         self, obs: KGObservation, cond_text: Optional[str], candidates: Sequence[str]
     ) -> np.ndarray:
         """Q for every candidate text, no gradients recorded."""
-        if not candidates:
+        return self.batch_q_values([(obs, cond_text, candidates)])
+
+    def batch_q_values(
+        self, states: Sequence[tuple[KGObservation, Optional[str], Sequence[str]]]
+    ) -> np.ndarray:
+        """Q for every candidate of every (obs, cond_text, candidates) state,
+        laid end to end, in one scorer pass; no gradients recorded.
+
+        The encodings come from the vector cache, which lives as long as the
+        weights (bump_version empties it). A miss is encoded alone, so a
+        row's value does not depend on which call first needed it."""
+        if any(not candidates for _, _, candidates in states):
             raise EmptyCandidatesError("no candidates to score")
-        state = self._state_vector(obs, cond_text)
-        cand = np.concatenate([self.text_vector(c) for c in candidates], axis=0)
+        state = np.concatenate([self._state_vector(obs, cond) for obs, cond, _ in states], axis=0)
+        cand = np.concatenate(
+            [self.text_vector(c) for _, _, candidates in states for c in candidates], axis=0
+        )
+        rows = np.repeat(state, [len(candidates) for _, _, candidates in states], axis=0)
         with ad.no_grad():
-            scores = self.score_tensor(ad.constant(state), ad.constant(cand))
+            scores = self.score_tensor(ad.constant(rows), ad.constant(cand))
         return scores.data[:, 0]
 
 

@@ -45,8 +45,10 @@ def _q_rows(net: PolicyNet, observations, conds, candidates) -> ad.Tensor:
 
 def _next_state_targets(batch, online: PolicyNet, target: PolicyNet, gamma: float) -> np.ndarray:
     """Double DQN targets for a batch. Every next-state candidate of every
-    non-terminal transition is one row, scored by each net in one no-grad
-    pass."""
+    non-terminal transition is one row. The online net, whose weights change
+    at every update, scores the rows in one fresh no-grad pass; the target
+    net scores them from its vector cache, which lasts until the next
+    sync_target."""
     targets = np.array([tr.td_reward for tr in batch], dtype=np.float64)
     live = [(i, tr) for i, tr in enumerate(batch) if not tr.done]
     if not live:
@@ -56,7 +58,7 @@ def _next_state_targets(batch, online: PolicyNet, target: PolicyNet, gamma: floa
     conds = [tr.cond_text for _, tr in live for _ in tr.next_candidates] if online.state_parts == 2 else []
     with ad.no_grad():
         q_on = _q_rows(online, observations, conds, candidates).data[:, 0]
-        q_tg = _q_rows(target, observations, conds, candidates).data[:, 0]
+    q_tg = target.batch_q_values([(tr.next_obs, tr.cond_text, tr.next_candidates) for _, tr in live])
     start = 0
     for i, tr in live:
         rows = slice(start, start + len(tr.next_candidates))

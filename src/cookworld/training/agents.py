@@ -59,6 +59,8 @@ class HierarchicalAgent:
 
     def __init__(self, sub_net: PolicyNet, meta_net: Optional[PolicyNet] = None,
                  goal_rng: Optional[np.random.Generator] = None):
+        if meta_net is None and goal_rng is None:
+            raise ValueError("a HierarchicalAgent needs a meta_net or a goal_rng to choose goals")
         self.sub_net = sub_net
         self.meta_net = meta_net
         self.goal_rng = goal_rng

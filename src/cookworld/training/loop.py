@@ -195,7 +195,7 @@ class Trainer:
             if resume:
                 self._load_run_state()
             self.metrics = MetricsWriter(
-                self.out_dir / "metrics.csv", cfg.levels, append=resume
+                self.out_dir / "metrics.csv", cfg.levels, resume_from=self.episode if resume else None
             )
 
     @property

@@ -12,10 +12,16 @@ from typing import Optional
 
 
 class MetricsWriter:
-    def __init__(self, path: str | Path, levels: tuple[str, ...], append: bool = False):
+    def __init__(self, path: str | Path, levels: tuple[str, ...], resume_from: Optional[int] = None):
+        """resume_from: the episode of the checkpoint a run resumes from. The
+        rows of later episodes, written before an interruption, are dropped,
+        because the resumed run writes them again; new rows are appended."""
         self.path = Path(path)
         self.levels = levels
-        mode = "a" if append and self.path.exists() else "w"
+        mode = "w"
+        if resume_from is not None and self.path.exists():
+            _truncate_after(self.path, resume_from)
+            mode = "a"
         self._fh = open(self.path, mode)
         if mode == "w":
             stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -53,3 +59,16 @@ class MetricsWriter:
 
     def close(self) -> None:
         self._fh.close()
+
+
+def _truncate_after(path: Path, episode: int) -> None:
+    """Cut the file at its first row of an episode after `episode`, or at a
+    row left unfinished by a crash. Rows are in episode order."""
+    with open(path, "r+b") as fh:
+        keep = 0
+        for line in fh:
+            cell = line.split(b",", 1)[0]
+            if not line.endswith(b"\n") or (cell.isdigit() and int(cell) > episode):
+                break
+            keep += len(line)
+        fh.truncate(keep)

@@ -1,5 +1,6 @@
 """Double DQN target arithmetic and prioritized TD updates."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from cookworld.engine.vocab import default_vocabulary
 from cookworld.kg import KGObservation, Triplet
 from cookworld.neural import autodiff as ad
-from cookworld.neural.nets import EmptyCandidatesError, PolicyNet, clone_net
-from cookworld.neural.optim import AdamState
+from cookworld.neural.nets import EmptyCandidatesError, PolicyNet, clone_net, sync_target
+from cookworld.neural.optim import AdamState, apply_update
 from cookworld.rl.dqn import double_dqn_target, td_update
 from cookworld.rl.replay import PrioritizedBuffer, Transition
 
@@ -252,3 +253,110 @@ def test_batched_update_matches_per_transition_reference(warm_trainers, variant,
             assert got is None or not got.any(), name
         else:
             assert np.allclose(got, ref, rtol=0, atol=1e-9), name
+
+
+# -- the target net's cached pass ---------------------------------------------------
+
+LEARNERS = [("H-KGA", "sub"), ("H-KGA", "meta"), ("GATA", "sub")]
+
+
+def disagreeing_nets(learner, seed):
+    online = clone_net(learner.online)
+    target = clone_net(learner.target)
+    noise = np.random.default_rng(seed)
+    for p in target.params.values():
+        p.data += 0.3 * noise.standard_normal(p.data.shape)
+    target.bump_version()
+    return online, target
+
+
+def next_states(batch):
+    return [(tr.next_obs, tr.cond_text, tr.next_candidates) for tr in batch if not tr.done]
+
+
+@pytest.mark.parametrize("variant, level", LEARNERS)
+def test_cached_targets_match_the_batched_pass(warm_trainers, variant, level):
+    from cookworld.rl import dqn
+
+    learner = getattr(warm_trainers[variant], level)
+    online, target = disagreeing_nets(learner, 11)
+    batch, _, _ = learner.buffer.sample(min(32, len(learner.buffer)), np.random.default_rng(12))
+    live = [tr for tr in batch if not tr.done]
+    assert live
+
+    # reference: both nets scored by the batched no-grad pass
+    rows = [(tr, c) for tr in live for c in tr.next_candidates]
+    conds = [tr.cond_text for tr, _ in rows] if online.state_parts == 2 else []
+    observations = [tr.next_obs for tr, _ in rows]
+    with ad.no_grad():
+        ref_on = dqn._q_rows(online, observations, conds, [c for _, c in rows]).data[:, 0]
+        ref_tg = dqn._q_rows(target, observations, conds, [c for _, c in rows]).data[:, 0]
+    assert np.allclose(target.batch_q_values(next_states(batch)), ref_tg, rtol=0, atol=1e-12)
+    expected, start = [], 0
+    for tr in batch:
+        if tr.done:
+            expected.append(tr.td_reward)
+            continue
+        span = slice(start, start + len(tr.next_candidates))
+        expected.append(double_dqn_target(tr.td_reward, False, ref_on[span], ref_tg[span], 0.9))
+        start = span.stop
+    assert np.allclose(dqn._next_state_targets(batch, online, target, 0.9), expected, rtol=0, atol=1e-12)
+
+    # cold cache, and a cache warmed by another batch first: the same bits
+    target.bump_version()
+    cold = dqn._next_state_targets(batch, online, target, 0.9)
+    target.bump_version()
+    other, _, _ = learner.buffer.sample(len(batch), np.random.default_rng(13))
+    dqn._next_state_targets(other, online, target, 0.9)
+    warmed = len(target._vec_cache)
+    warm = dqn._next_state_targets(batch, online, target, 0.9)
+    assert warmed > 0
+    assert np.array_equal(cold, warm)
+
+
+@pytest.mark.parametrize("variant, level", LEARNERS)
+def test_target_cache_lives_as_long_as_the_target_weights(warm_trainers, variant, level, tmp_path):
+    learner = copy.copy(getattr(warm_trainers[variant], level))  # shares the buffer, only samples it
+    online = learner.online = clone_net(learner.online)
+    target = learner.target = clone_net(learner.target)
+    learner.adam = AdamState(online)
+    batch, _, _ = learner.buffer.sample(min(16, len(learner.buffer)), np.random.default_rng(14))
+    states = next_states(batch)
+    assert states
+
+    def filled_cache() -> np.ndarray:
+        q = target.batch_q_values(states)
+        assert target._vec_cache
+        return q
+
+    # the warm learners made no update yet, so their target equals the
+    # online net, and restoring the pre-step snapshot restores `before`
+    before = filled_cache()
+    # an Adam step moves the online weights only: the target keeps its cache
+    cached = dict(target._vec_cache)
+    learner.snapshot()
+    noise = np.random.default_rng(15)
+    for p in online.params.values():
+        p.grad = noise.standard_normal(p.data.shape)
+    apply_update(online, learner.adam, lr=0.05)
+    assert cached.keys() == target._vec_cache.keys()
+    assert all(target._vec_cache[key] is vec for key, vec in cached.items())
+    assert np.array_equal(target.batch_q_values(states), before)
+
+    # a sync empties it, and the targets then come from the new weights
+    sync_target(online, target)
+    assert not target._vec_cache
+    after = filled_cache()
+    assert not np.allclose(after, before)
+    fresh = clone_net(online)
+    assert np.array_equal(after, fresh.batch_q_values(states))
+
+    learner.restore()
+    assert not target._vec_cache
+    assert np.array_equal(filled_cache(), before)
+
+    learner.save(tmp_path)
+    filled_cache()
+    learner.load(tmp_path)
+    assert not target._vec_cache
+    assert np.array_equal(filled_cache(), before)

@@ -7,8 +7,11 @@ digests the metrics.csv body (everything after the timestamp line), every
 array of every checkpoint in latest/ and best/ (name, dtype, shape and
 bytes; the .npz container itself carries zip timestamps), and the
 run_state.json files. A refactor that must keep behaviour leaves every pin
-unchanged; a change that alters numerics on purpose regenerates the fixture:
+unchanged; a change that alters numerics on purpose first lists, per
+variant, the pins it moves (read-only; exit 1 when any differs), then
+regenerates the fixture:
 
+    PYTHONPATH=src python tests/test_golden_runs.py --diff
     PYTHONPATH=src python tests/test_golden_runs.py --write
 """
 
@@ -91,14 +94,30 @@ def test_golden_run_pinned(variant, golden_games, tmp_path):
     assert run_digests(golden_games, tmp_path, variant) == expected
 
 
+def changed_pins(expected: dict, pins: dict) -> dict[str, list[str]]:
+    """Per variant, the pinned files whose digests differ (or exist on one
+    side only)."""
+    changed = {}
+    for variant in sorted(set(expected) | set(pins)):
+        old, new = expected.get(variant, {}), pins.get(variant, {})
+        changed[variant] = sorted(k for k in set(old) | set(new) if old.get(k) != new.get(k))
+    return changed
+
+
 if __name__ == "__main__":
     import tempfile
 
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden_runs.py --write")
+    mode = sys.argv[1:]
+    if mode not in (["--write"], ["--diff"]):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_runs.py --write | --diff")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         games = _make_games(root)
         pins = {variant: run_digests(games, root, variant) for variant in VARIANTS}
+    if mode == ["--diff"]:
+        changed = changed_pins(json.loads(FIXTURE.read_text()), pins)
+        for variant, keys in changed.items():
+            print(f"{variant}: {', '.join(keys) if keys else 'unchanged'}")
+        sys.exit(1 if any(changed.values()) else 0)
     FIXTURE.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")

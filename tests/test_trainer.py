@@ -189,6 +189,34 @@ def test_reproducibility_bit_identical(s1_games, s1_val):
         assert np.array_equal(results[0][1][k], results[1][1][k])
 
 
+def test_resume_after_crash_does_not_repeat_metrics_rows(s1_games, s1_val, tmp_path):
+    class Crash(Exception):
+        pass
+
+    cfg = small_cfg(episodes=8, val_freq=4, warmup_episodes=1)
+    tr = Trainer(cfg, s1_games, s1_val, out_dir=tmp_path)
+    run_episode = tr.run_episode
+
+    def crash_after_episode_6():
+        if tr.episode == 6:
+            raise Crash
+        return run_episode()
+
+    tr.run_episode = crash_after_episode_6
+    with pytest.raises(Crash):
+        tr.run()
+    tr.metrics.close()
+    resumed = Trainer(cfg, s1_games, s1_val, out_dir=tmp_path, resume=True)
+    assert resumed.episode == 4  # the last checkpoint
+    resumed.run()
+    resumed.metrics.close()
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert lines[0].startswith("# generated") and lines[1].startswith("episode,")
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(r[0]) for r in rows if r[1] == "train"] == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert [(int(r[0]), r[2]) for r in rows if r[1] == "val"] == [(4, "S1"), (4, "all"), (8, "S1"), (8, "all")]
+
+
 def test_epsilon_schedule():
     cfg = small_cfg(episodes=100, eps_anneal_fraction=0.2)
     tr = Trainer(cfg, {"S1": games_for("S1", 1)})
@@ -229,6 +257,12 @@ def test_random_init_policy_weak_on_s3():
     agent = HierarchicalAgent(tr.sub.online, tr.meta.online)
     scores = [normalized_rollout(agent, g, 100) for g in games["S3"]]
     assert np.mean(scores) < 0.2
+
+
+def test_hierarchical_agent_needs_a_goal_chooser(s1_games):
+    tr = Trainer(small_cfg(), s1_games)
+    with pytest.raises(ValueError, match="meta_net or a goal_rng"):
+        HierarchicalAgent(tr.sub.online)
 
 
 def test_evaluate_agent_aggregates():
