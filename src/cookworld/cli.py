@@ -178,7 +178,7 @@ def cmd_eval(args) -> int:
 def cmd_play(args) -> int:
     from .engine.spec import SpecParseError, load_game
     from .engine.state import admissible_actions, reset, step
-    from .engine.trace import TraceStep, save_trace
+    from .engine.trace import record_trace, save_trace
     from .goals import generate_goal_set
 
     try:
@@ -188,7 +188,7 @@ def cmd_play(args) -> int:
         return EXIT_IO
 
     state, obs = reset(spec, step_limit=args.step_limit)
-    steps: list[TraceStep] = []
+    actions: list[str] = []
     print(f"level {spec.level}, max score {spec.max_score}")
     done = False
     while not done:
@@ -210,22 +210,11 @@ def cmd_play(args) -> int:
             print(f"pick a number between 0 and {len(admissible) - 1}")
             continue
         action = admissible[int(raw)]
-        new_state, new_obs, reward, done = step(state, action)
-        steps.append(
-            TraceStep(
-                obs=obs,
-                admissible=admissible,
-                action=action,
-                reward=reward,
-                score=new_state.score,
-                done=done,
-            )
-        )
-        state, obs = new_state, new_obs
+        state, obs, reward, done = step(state, action)
+        actions.append(action)
         print(f"reward {reward} | score {state.score} | done {done}")
-    steps.append(TraceStep(obs=obs))
-    if args.transcript and len(steps) > 1:
-        save_trace(steps, args.transcript)
+    if args.transcript and actions:
+        save_trace(record_trace(spec, actions, args.step_limit), args.transcript)
         print(f"transcript saved to {args.transcript}")
     print(f"final score {state.score}/{spec.max_score}")
     return EXIT_OK

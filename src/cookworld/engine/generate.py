@@ -1,8 +1,9 @@
 """Procedural game generation per difficulty level.
 
 Every level has fixed structural targets (rooms, recipe size, requirements
-per ingredient) and tuned distractor counts so that generated games land on
-the per-level observation and admissible-action statistics.
+per ingredient; spec.LEVEL_STRUCTURE) and tuned distractor counts so that
+generated games land on the per-level observation and admissible-action
+statistics.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from ..kg import DIRECTIONS, OPPOSITE_DIRECTION
 from .spec import (
     CUT_REQUIREMENTS,
     COOK_REQUIREMENTS,
+    LEVEL_STRUCTURE,
+    LEVELS,
     DoorSpec,
     Exit,
     GameSpec,
@@ -53,9 +56,6 @@ ROOM_SCENERY = {
 
 @dataclass(frozen=True)
 class LevelParams:
-    rooms: int
-    ingredients: int
-    requirements: str  # "none" | "one" | "both"
     food_distractors: tuple[int, int]
     junk_distractors: tuple[int, int]
     door_prob: float
@@ -67,20 +67,19 @@ class LevelParams:
 # Distractor counts are tuned against the per-level statistics; the seen and
 # unseen one-room levels intentionally carry different distractor profiles.
 LEVEL_PARAMS = {
-    "S1": LevelParams(1, 1, "one", (2, 3), (1, 3), 0.0),
-    "S2": LevelParams(1, 1, "both", (1, 2), (1, 3), 0.0),
-    "S3": LevelParams(9, 1, "none", (1, 2), (4, 6), 0.5),
-    "S4": LevelParams(6, 3, "both", (2, 3), (2, 4), 0.5),
-    "US1": LevelParams(1, 1, "none", (1, 2), (1, 2), 0.0, sealed_distractors=True),
-    "US2": LevelParams(1, 1, "one", (1, 2), (0, 1), 0.0, sealed_distractors=True),
-    "US3": LevelParams(6, 1, "none", (1, 2), (2, 4), 0.5),
-    "US4": LevelParams(6, 3, "none", (2, 3), (2, 3), 0.5),
+    "S1": LevelParams((2, 3), (1, 3), 0.0),
+    "S2": LevelParams((1, 2), (1, 3), 0.0),
+    "S3": LevelParams((1, 2), (4, 6), 0.5),
+    "S4": LevelParams((2, 3), (2, 4), 0.5),
+    "US1": LevelParams((1, 2), (1, 2), 0.0, sealed_distractors=True),
+    "US2": LevelParams((1, 2), (0, 1), 0.0, sealed_distractors=True),
+    "US3": LevelParams((1, 2), (2, 4), 0.5),
+    "US4": LevelParams((2, 3), (2, 3), 0.5),
 }
 
 
 def _rng_for(level: str, seed: int) -> np.random.Generator:
-    level_index = list(LEVEL_PARAMS).index(level)
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, level_index)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, LEVELS.index(level))))
 
 
 def _sample_rooms(rng: np.random.Generator, count: int) -> tuple[list[str], dict]:
@@ -138,12 +137,13 @@ def _maybe_add_door(
 
 
 def generate_game(level: str, seed: int) -> GameSpec:
-    if level not in LEVEL_PARAMS:
-        raise ValueError(f"unknown level {level!r}, expected one of {sorted(LEVEL_PARAMS)}")
+    if level not in LEVELS:
+        raise ValueError(f"unknown level {level!r}, expected one of {sorted(LEVELS)}")
+    n_rooms, n_ingredients, n_requirements = LEVEL_STRUCTURE[level]
     params = LEVEL_PARAMS[level]
     rng = _rng_for(level, seed)
 
-    room_names, edges = _sample_rooms(rng, params.rooms)
+    room_names, edges = _sample_rooms(rng, n_rooms)
     doors = _maybe_add_door(rng, edges, params.door_prob)
     rooms = tuple(
         RoomSpec(
@@ -176,9 +176,8 @@ def generate_game(level: str, seed: int) -> GameSpec:
 
     n_foods = int(rng.integers(params.food_distractors[0], params.food_distractors[1] + 1))
     n_junk = int(rng.integers(params.junk_distractors[0], params.junk_distractors[1] + 1))
-    foods = [str(f) for f in rng.choice(INGREDIENTS, size=params.ingredients + n_foods, replace=False)]
-    recipe_foods = foods[: params.ingredients]
-    distractor_foods = foods[params.ingredients :]
+    foods = [str(f) for f in rng.choice(INGREDIENTS, size=n_ingredients + n_foods, replace=False)]
+    recipe_foods = foods[:n_ingredients]
 
     food_spots = [("fridge", "in"), ("counter", "on"), ("table", "on")]
     if any(o.name == "shelf" for o in objects):
@@ -212,10 +211,10 @@ def generate_game(level: str, seed: int) -> GameSpec:
     for food in recipe_foods:
         cut = "none"
         cook = "none"
-        if params.requirements == "both":
+        if n_requirements == 2:
             cut = str(rng.choice(CUT_REQUIREMENTS))
             cook = str(rng.choice(COOK_REQUIREMENTS))
-        elif params.requirements == "one":
+        elif n_requirements == 1:
             if rng.random() < 0.5:
                 cut = str(rng.choice(CUT_REQUIREMENTS))
             else:

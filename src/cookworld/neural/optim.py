@@ -42,12 +42,10 @@ def apply_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
     clip_norm: float = 5.0,
-    weight_decay: float = 0.0,
 ) -> None:
     """One Adam step over every parameter; gradients are cleared afterwards.
 
-    Weight decay is decoupled (applied directly to the parameters, not the
-    moments). Moments still advance on a zero gradient, so a fresh optimizer
+    Moments still advance on a zero gradient, so a fresh optimizer
     leaves parameters unchanged but a warmed one may not.
     """
     state.t += 1
@@ -68,7 +66,5 @@ def apply_update(
         v *= beta2
         v += (1.0 - beta2) * np.square(grad)
         p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
-        if weight_decay > 0.0:
-            p.data -= lr * weight_decay * p.data
     net.zero_grad()
     net.bump_version()

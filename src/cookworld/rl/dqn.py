@@ -76,8 +76,6 @@ def td_update(
     rng: np.random.Generator,
     adam: AdamState,
     lr: float = 1e-3,
-    clip_norm: float = 5.0,
-    weight_decay: float = 0.0,
 ) -> float:
     """Sample, regress Q(s, a) onto the Double DQN target with importance
     weights, refresh sampled priorities, and apply one Adam step.
@@ -95,7 +93,7 @@ def td_update(
     loss = ad.scale(ad.sum_all(weighted), 1.0 / len(batch))
     loss_value = loss.item()
     loss.backward()
-    apply_update(online, adam, lr=lr, clip_norm=clip_norm, weight_decay=weight_decay)
+    apply_update(online, adam, lr=lr)
 
     td_errors = np.abs(q_rows.data[:, 0] - targets)
     buffer.update_priorities(indices, td_errors)

@@ -72,6 +72,9 @@ class SumTree:
                 idx = left + 1
 
 
+PER_BETA_START = 0.4  # importance exponent before the trainer anneals it to 1.0
+
+
 class PrioritizedBuffer:
     """FIFO ring of transitions with proportional prioritized sampling.
 
@@ -83,7 +86,7 @@ class PrioritizedBuffer:
         self,
         capacity: int,
         alpha: float = 0.6,
-        beta: float = 0.4,
+        beta: float = PER_BETA_START,
         epsilon: float = 1e-3,
     ):
         self.capacity = capacity

@@ -25,7 +25,6 @@ class TrainConfig:
 
     # reward and gate coefficients
     lambda_count: float = 0.1
-    beta_schedule: float = 1.0
     tau: float = 1.0
     gamma: float = 0.9
     r_min: float = 0.0
@@ -45,10 +44,6 @@ class TrainConfig:
     # replay
     buffer_capacity_meta: int = 50_000
     buffer_capacity_sub: int = 500_000
-    per_alpha: float = 0.6
-    per_beta_start: float = 0.4
-    per_beta_end: float = 1.0
-    per_epsilon: float = 1e-3
 
     # exploration
     eps_start: float = 1.0
@@ -61,10 +56,7 @@ class TrainConfig:
     ff_dim: int = 128
     scorer_hidden: int = 128
     lr: float = 1e-3
-    weight_decay: float = 0.0
-    grad_clip: float = 5.0
     target_sync_every: int = 500  # online updates between hard target copies
-    perf_window: int = 20  # episodes in the per-level moving average
 
     seed: int = 0
     levels: tuple[str, ...] = ("S1", "S2", "S3", "S4")
@@ -78,14 +70,15 @@ class TrainConfig:
             raise ConfigError("bebold_count_order must be 'printed' or 'swapped'")
         if not self.levels:
             raise ConfigError("at least one training level required")
-        if min(self.step_limit_train, self.step_limit_eval) < 1:
-            raise ConfigError("step limits must be at least 1")
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    doc["levels"] = list(cfg.levels)
-    return doc
+        # a zero count or cadence crashes a run after it starts
+        for name in (
+            "step_limit_train", "step_limit_eval", "val_freq", "update_freq_meta", "update_freq_sub",
+            "target_sync_every", "batch_size", "buffer_capacity_meta", "buffer_capacity_sub",
+        ):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.lambda_count < 0:
+            raise ConfigError(f"lambda_count must be at least 0, got {self.lambda_count}")
 
 
 def config_from_dict(doc: dict) -> TrainConfig:
@@ -110,4 +103,4 @@ def load_config(path: str | Path) -> TrainConfig:
 
 
 def save_config(cfg: TrainConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")

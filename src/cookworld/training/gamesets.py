@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 from ..engine.generate import generate_game
-from ..engine.spec import GameSpec, UNSEEN_LEVELS, load_game, save_game
+from ..engine.spec import LEVELS, GameSpec, UNSEEN_LEVELS, load_game, save_game
 
 MANIFEST_NAME = "manifest.json"
 SPLITS = ("train", "val", "test-seen", "test-unseen")
@@ -14,13 +14,7 @@ SPLITS = ("train", "val", "test-seen", "test-unseen")
 
 def split_seed(master_seed: int, split: str, level: str, index: int) -> int:
     # distinct deterministic seed per (split, level, index)
-    return hash_seed(master_seed, SPLITS.index(split), sorted_level_index(level), index)
-
-
-def sorted_level_index(level: str) -> int:
-    from ..engine.generate import LEVEL_PARAMS
-
-    return list(LEVEL_PARAMS).index(level)
+    return hash_seed(master_seed, SPLITS.index(split), LEVELS.index(level), index)
 
 
 def hash_seed(*parts: int) -> int:

@@ -20,7 +20,7 @@ from ..neural.nets import PolicyNet, clone_net, save_checkpoint, load_checkpoint
 from ..neural.optim import AdamState
 from ..rl.counts import VisitCounter, accumulate_meta_reward, bebold_reward, compose_sub_reward
 from ..rl.dqn import td_update
-from ..rl.replay import PrioritizedBuffer, Transition, gated_flush
+from ..rl.replay import PER_BETA_START, PrioritizedBuffer, Transition, gated_flush
 from .agents import FlatAgent, HierarchicalAgent, epsilon_greedy, normalized_rollout
 from .config import TrainConfig
 from .metrics import MetricsWriter
@@ -86,7 +86,7 @@ class Learner:
         )
         self.target = clone_net(self.online)
         self.adam = AdamState(self.online)
-        self.buffer = PrioritizedBuffer(capacity, cfg.per_alpha, cfg.per_beta_start, cfg.per_epsilon)
+        self.buffer = PrioritizedBuffer(capacity)
         self.rng = rng
         self.updates = 0
         self.last_loss: Optional[float] = None
@@ -108,8 +108,6 @@ class Learner:
             self.rng,
             self.adam,
             lr=cfg.lr,
-            clip_norm=cfg.grad_clip,
-            weight_decay=cfg.weight_decay,
         )
         self.updates += 1
         if self.updates % cfg.target_sync_every == 0:
@@ -182,7 +180,7 @@ class Trainer:
         self.learners = [learner for learner in (self.meta, self.sub) if learner is not None]
 
         self.counter = VisitCounter()
-        self.scheduler = LevelScheduler(cfg.levels, beta=cfg.beta_schedule, window=cfg.perf_window)
+        self.scheduler = LevelScheduler(cfg.levels)
 
         self.episode = 0
         self.k = 0  # global interaction step counter
@@ -241,9 +239,9 @@ class Trainer:
     # -- updates -----------------------------------------------------------------
 
     def _per_beta(self, episode: int) -> float:
-        cfg = self.cfg
-        frac = min(1.0, episode / max(1, cfg.episodes))
-        return cfg.per_beta_start + (cfg.per_beta_end - cfg.per_beta_start) * frac
+        """The PER importance exponent, annealed to 1.0 over the run."""
+        frac = min(1.0, episode / max(1, self.cfg.episodes))
+        return PER_BETA_START + (1.0 - PER_BETA_START) * frac
 
     def _maybe_update(self, episode: int) -> None:
         cfg = self.cfg
@@ -449,7 +447,7 @@ class Trainer:
                         f"patience {self.patience_count})",
                         flush=True,
                     )
-            if self.out_dir is not None and self.episode % max(1, cfg.val_freq) == 0:
+            if self.out_dir is not None and self.episode % cfg.val_freq == 0:
                 self.save_latest()
         if self.out_dir is not None:
             self.save_latest()

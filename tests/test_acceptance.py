@@ -373,23 +373,44 @@ def test_criterion_determinism_byte_identical_metrics(tmp_path):
 
 # -- 8. ablation plumbing --------------------------------------------------------------
 
-def test_criterion_ablation_plumbing():
+def test_criterion_ablation_plumbing(monkeypatch):
+    from cookworld.training import loop
     from cookworld.training.config import TrainConfig
     from cookworld.training.loop import Trainer
 
-    # "w/o Sch": uniform level frequencies
+    # "w/o Sch": each episode's level is a uniform draw from the level stream
     levels = ("S1", "S2", "S3", "S4")
     games = {lvl: [generate_game(lvl, 1)] for lvl in levels}
-    cfg = TrainConfig(levels=levels, scheduled_sampling=False, episodes=4,
-                      hidden_dim=8, ff_dim=8, scorer_hidden=8, seed=0)
+    cfg = TrainConfig(levels=levels, scheduled_sampling=False, episodes=12, warmup_episodes=12,
+                      step_limit_train=5, hidden_dim=8, ff_dim=8, scorer_hidden=8, seed=0)
     tr = Trainer(cfg, games)
-    draws = 100_000
-    counts = {lvl: 0 for lvl in levels}
-    for _ in range(draws):
-        counts[levels[int(tr.rng_level.integers(0, len(levels)))]] += 1
-    for lvl, n in counts.items():
-        if abs(n / draws - 0.25) > 0.02:
-            report("ablation-plumbing", False, f"w/o Sch level {lvl} freq {n/draws:.3f}")
+    uniform = np.random.default_rng()
+    uniform.bit_generator.state = tr.rng_level.bit_generator.state
+    drawn = [tr.run_episode().level for _ in range(12)]
+    expected = [levels[int(uniform.integers(0, len(levels)))] for _ in range(12)]
+    if drawn != expected:
+        report("ablation-plumbing", False, f"w/o Sch drew {drawn}, uniform draws {expected}")
+
+    # "w/o level-aware buffer": every flush is gated on the whole buffer's mean
+    cfg = TrainConfig(levels=("S1", "S4"), level_aware_buffer=False, episodes=8, warmup_episodes=8,
+                      step_limit_train=10, hidden_dim=8, ff_dim=8, scorer_hidden=8, seed=3)
+    tr = Trainer(cfg, {"S1": games["S1"], "S4": games["S4"]})
+    flushes = []
+    flush = loop.gated_flush
+
+    def flush_spy(buffer, cache, level, tolerance, level_aware=True):
+        baseline = buffer.overall_mean()
+        whole = baseline is None or sum(t.gate_reward for t in cache) / len(cache) > tolerance * baseline
+        accepted = flush(buffer, cache, level, tolerance, level_aware)
+        flushes.append((level_aware, accepted, whole))
+        return accepted
+
+    monkeypatch.setattr(loop, "gated_flush", flush_spy)
+    for _ in range(8):
+        tr.run_episode()
+    monkeypatch.undo()
+    if not flushes or any(level_aware or accepted != whole for level_aware, accepted, whole in flushes):
+        report("ablation-plumbing", False, f"w/o level-aware buffer flushes {flushes}")
 
     # "w/o BeBold": logged sub transitions have a TD reward identical to the gate reward
     s1 = {"S1": [generate_game("S1", s) for s in range(2)]}

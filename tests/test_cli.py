@@ -165,6 +165,22 @@ def test_train_invalid_variant_exit_code(tmp_path, capsys):
     assert "GC-GATA" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"val_freq": 0}, {"update_freq_meta": 0}, {"update_freq_sub": 0}, {"target_sync_every": 0},
+    {"batch_size": 0}, {"buffer_capacity_meta": 0}, {"buffer_capacity_sub": 0},
+    {"lambda_count": -1},
+    {"grad_clip": 5.0},  # a field that no longer exists, as in an older config.json
+])
+def test_train_bad_config_is_usage_error(doc, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = run_cli("train", "--games", tmp_path / "games", "--out", tmp_path / "r",
+                   "--config", cfg_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(doc)) in err
+
+
 def test_eval_walkthrough_oracle_all_ones(tmp_path, capsys):
     games = tmp_path / "games"
     run_cli("gen", "--levels", "S1,US1", "--train", "1", "--val", "1", "--test", "2",

@@ -298,11 +298,17 @@ def test_unknown_variant_rejected():
     assert "GC-GATA" in str(err.value)
 
 
-def test_step_limits_must_be_positive():
-    # the engine ends an episode at its step limit, which must be reachable
-    for field in ("step_limit_train", "step_limit_eval"):
-        with pytest.raises(ConfigError):
+def test_counts_and_cadences_must_be_positive():
+    # the engine ends an episode at its step limit, which must be reachable;
+    # the other values below their floor crash a run after it starts
+    for field in ("step_limit_train", "step_limit_eval", "val_freq", "update_freq_meta",
+                  "update_freq_sub", "target_sync_every", "batch_size",
+                  "buffer_capacity_meta", "buffer_capacity_sub"):
+        with pytest.raises(ConfigError, match=field):
             config_from_dict({field: 0})
+    with pytest.raises(ConfigError, match="lambda_count"):
+        config_from_dict({"lambda_count": -1})
+    config_from_dict({"lambda_count": 0})
 
 
 def test_gata_has_no_goal_machinery(s1_games, monkeypatch):
