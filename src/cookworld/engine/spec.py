@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from ..kg import DIRECTIONS, OPPOSITE_DIRECTION
+from ..kg import DIRECTIONS, OPPOSITE_DIRECTION, Triplet
 
 FORMAT_VERSION = 1
 
@@ -126,23 +127,29 @@ class GameSpec:
     max_score: int
     format_version: int = FORMAT_VERSION
 
+    # Derived views, computed once per game on first use. cached_property
+    # stores them in the instance __dict__, outside the dataclass fields, so
+    # they take no part in ==, hash or the file format. As the scans they
+    # replace did, a by-name lookup returns the first of duplicate names.
+
+    @cached_property
+    def _rooms_by_name(self) -> dict[str, RoomSpec]:
+        return {room.name: room for room in reversed(self.rooms)}
+
+    @cached_property
+    def _objects_by_name(self) -> dict[str, ObjectSpec]:
+        return {obj.name: obj for obj in reversed(self.objects)}
+
     def room(self, name: str) -> RoomSpec:
-        for room in self.rooms:
-            if room.name == name:
-                return room
-        raise KeyError(name)
+        return self._rooms_by_name[name]
 
     def object(self, name: str) -> ObjectSpec:
-        for obj in self.objects:
-            if obj.name == name:
-                return obj
-        raise KeyError(name)
+        return self._objects_by_name[name]
 
-    @property
-    def room_names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.rooms)
+    def is_room(self, name: str) -> bool:
+        return name in self._rooms_by_name
 
-    @property
+    @cached_property
     def recipe_ingredients(self) -> tuple[str, ...]:
         return tuple(entry.ingredient for entry in self.recipe)
 
@@ -151,6 +158,46 @@ class GameSpec:
             if entry.ingredient == ingredient:
                 return entry
         raise KeyError(ingredient)
+
+    @cached_property
+    def portable_names(self) -> tuple[str, ...]:
+        return tuple(o.name for o in self.objects if o.portable)
+
+    @cached_property
+    def fixtures(self) -> tuple[ObjectSpec, ...]:
+        """The objects that never move: furniture and appliances."""
+        return tuple(o for o in self.objects if not o.portable)
+
+    # -- observation triplets ---------------------------------------------
+
+    @cached_property
+    def _triplets(self) -> dict[tuple[str, str, str], Triplet]:
+        return {}
+
+    def triplet(self, subject: str, obj: str, relation: str) -> Triplet:
+        """This game's one Triplet for an edge, built and validated on first use."""
+        key = (subject, obj, relation)
+        found = self._triplets.get(key)
+        if found is None:
+            found = self._triplets[key] = Triplet(subject, obj, relation)
+        return found
+
+    @cached_property
+    def static_triplets(self) -> tuple[Triplet, ...]:
+        """The observation edges no action changes: exits, fixtures, the recipe."""
+        edges = []
+        for room in self.rooms:
+            for ex in room.exits:
+                # "X is <dir> of room" means going <dir> from the room reaches X.
+                target = ex.to if ex.door is None else ex.door
+                edges.append(self.triplet(target, room.name, f"{ex.direction}_of"))
+        for obj in self.fixtures:
+            edges.append(self.triplet(obj.name, obj.holder, "at"))
+        for entry in self.recipe:
+            edges.append(self.triplet(entry.ingredient, "cookbook", "part_of"))
+            for requirement in entry.requirements:
+                edges.append(self.triplet(entry.ingredient, requirement, "needs"))
+        return tuple(edges)
 
 
 def expected_max_score(recipe: Sequence[RecipeEntry]) -> int:

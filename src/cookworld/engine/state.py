@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..kg import KGObservation, Triplet
+from ..kg import KGObservation
 from .spec import (
     APPLIANCE_RESULT,
     CONTAINER_NAMES,
@@ -46,6 +46,11 @@ class GameState:
     score: int = 0
     done: bool = False
     lost: bool = False
+    # this state's action table, built by the first _moves call; not part of
+    # the state's identity, and copy() starts without it
+    _move_table: Optional[dict[str, tuple]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def copy(self) -> "GameState":
         return GameState(
@@ -116,7 +121,7 @@ class GameState:
             _, holder = loc
             if holder == "player":
                 return self.player_room
-            if holder in self.spec.room_names:
+            if self.spec.is_room(holder):
                 return holder
             current = holder
 
@@ -159,46 +164,35 @@ def reset(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[GameSta
     return state, observation(state)
 
 
+def _portables(state: GameState) -> tuple[str, ...]:
+    """Names of the portable objects, the meal included once it exists."""
+    names = state.spec.portable_names
+    return names + ("meal",) if state.meal_exists else names
+
+
 def observation(state: GameState) -> KGObservation:
     spec = state.spec
-    triplets = [Triplet("player", state.player_room, "at")]
-
-    for room in spec.rooms:
-        for ex in room.exits:
-            # "X is <dir> of room" means going <dir> from the room reaches X.
-            if ex.door is None:
-                triplets.append(Triplet(ex.to, room.name, f"{ex.direction}_of"))
-            else:
-                triplets.append(Triplet(ex.door, room.name, f"{ex.direction}_of"))
+    edge = spec.triplet
+    triplets = list(spec.static_triplets)
+    triplets.append(edge("player", state.player_room, "at"))
     for door in spec.doors:
-        triplets.append(Triplet(door.name, "open" if state.open_flags[door.name] else "closed", "is"))
+        triplets.append(edge(door.name, "open" if state.open_flags[door.name] else "closed", "is"))
+    for obj in spec.fixtures:
+        if obj.name in CONTAINER_NAMES:
+            flag = "open" if state.open_flags[obj.name] else "closed"
+            triplets.append(edge(obj.name, flag, "is"))
 
-    for obj in spec.objects:
-        if not obj.portable:
-            triplets.append(Triplet(obj.name, obj.holder, "at"))
-            if obj.name in CONTAINER_NAMES:
-                flag = "open" if state.open_flags[obj.name] else "closed"
-                triplets.append(Triplet(obj.name, flag, "is"))
-
-    names = [o.name for o in spec.objects if o.portable]
-    if state.meal_exists:
-        names.append("meal")
-    for name in names:
+    for name in _portables(state):
         loc = state.locations.get(name)
         if loc is not None:
             rel, holder = loc
-            triplets.append(Triplet(name, holder, rel))
+            triplets.append(edge(name, holder, rel))
         if name in state.consumed:
-            triplets.append(Triplet(name, "consumed", "is"))
+            triplets.append(edge(name, "consumed", "is"))
         if state.cut.get(name, "none") != "none":
-            triplets.append(Triplet(name, state.cut[name], "is"))
+            triplets.append(edge(name, state.cut[name], "is"))
         if state.cook.get(name, "none") != "none":
-            triplets.append(Triplet(name, state.cook[name], "is"))
-
-    for entry in spec.recipe:
-        triplets.append(Triplet(entry.ingredient, "cookbook", "part_of"))
-        for requirement in entry.requirements:
-            triplets.append(Triplet(entry.ingredient, requirement, "needs"))
+            triplets.append(edge(name, state.cook[name], "is"))
 
     return KGObservation(triplets)
 
@@ -206,10 +200,7 @@ def observation(state: GameState) -> KGObservation:
 def _visible_portables(state: GameState, room: str) -> list[tuple[str, Optional[str]]]:
     """(name, holder-phrase) pairs the player could take in this room."""
     result = []
-    names = [o.name for o in state.spec.objects if o.portable]
-    if state.meal_exists:
-        names.append("meal")
-    for name in names:
+    for name in _portables(state):
         loc = state.locations.get(name)
         if loc is None:
             continue
@@ -243,7 +234,17 @@ def _recipe_ready(state: GameState) -> bool:
 
 
 def _moves(state: GameState) -> dict[str, tuple]:
-    """Every admissible command of a live game, mapped to its resolved effect."""
+    """Every admissible command of a live game, mapped to its resolved effect.
+
+    Built once per state: admissible_actions and then step on the same state
+    share one table.
+    """
+    if state._move_table is None:
+        state._move_table = _build_moves(state)
+    return state._move_table
+
+
+def _build_moves(state: GameState) -> dict[str, tuple]:
     if state.done:
         raise ValueError("admissible_actions on a finished game")
     spec = state.spec
@@ -254,7 +255,7 @@ def _moves(state: GameState) -> dict[str, tuple]:
         if ex.door is None or state.open_flags[ex.door]:
             moves[f"go {ex.direction}"] = ("go", ex.to)
 
-    fixed = [o.name for o in spec.objects if not o.portable and o.holder == room]
+    fixed = [o.name for o in spec.fixtures if o.holder == room]
     doors = [d.name for d in spec.doors if room in (d.room_a, d.room_b)]
     for name in [f for f in fixed if f in CONTAINER_NAMES] + doors:
         verb = "close" if state.open_flags[name] else "open"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 RELATIONS = (
@@ -42,7 +43,7 @@ class Triplet:
     """One edge of the observation graph.
 
     Field order (subject, object, relation) matches the canonical sort key,
-    so dataclass ordering doubles as the listing order.
+    so dataclass ordering agrees with the listing order.
     """
 
     subject: str
@@ -60,8 +61,8 @@ class Triplet:
         return [self.subject, self.object, self.relation]
 
 
-def _sort_key(t: Triplet) -> tuple[str, str, str]:
-    return (t.subject, t.object, t.relation)
+# (subject, object, relation): the canonical order, compared as plain tuples
+_sort_key = attrgetter("subject", "object", "relation")
 
 
 class KGObservation:
@@ -70,7 +71,8 @@ class KGObservation:
     __slots__ = ("triplets", "_digest")
 
     def __init__(self, triplets: Iterable[Triplet]):
-        ordered = tuple(sorted(set(triplets)))
+        unique = {_sort_key(t): t for t in triplets}
+        ordered = tuple(map(unique.__getitem__, sorted(unique)))
         player_at = [t for t in ordered if t.subject == "player" and t.relation == "at"]
         if len(player_at) > 1:
             raise InvalidObservationError(f"multiple player locations: {player_at}")
@@ -87,8 +89,7 @@ class KGObservation:
         return len(self.triplets)
 
     def __contains__(self, triplet: Triplet) -> bool:
-        i = bisect_left(self.triplets, triplet)
-        return i < len(self.triplets) and self.triplets[i] == triplet
+        return self.has(*_sort_key(triplet))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KGObservation) and self.triplets == other.triplets
@@ -133,7 +134,7 @@ def canonical_hash(obs: KGObservation) -> int:
     cached = obs._digest
     if cached is not None:
         return cached
-    payload = "\n".join("|".join(t.as_list()) for t in obs.triplets)
+    payload = "\n".join(map("|".join, map(_sort_key, obs.triplets)))
     digest = int.from_bytes(hashlib.blake2b(payload.encode(), digest_size=8).digest(), "big")
     object.__setattr__(obs, "_digest", digest)
     return digest

@@ -70,10 +70,11 @@ class TrainConfig:
             raise ConfigError("bebold_count_order must be 'printed' or 'swapped'")
         if not self.levels:
             raise ConfigError("at least one training level required")
-        # a zero count or cadence crashes a run after it starts
+        # a zero count, cadence or width crashes a run after it starts
         for name in (
             "step_limit_train", "step_limit_eval", "val_freq", "update_freq_meta", "update_freq_sub",
             "target_sync_every", "batch_size", "buffer_capacity_meta", "buffer_capacity_sub",
+            "hidden_dim",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")

@@ -62,3 +62,7 @@ def test_tracer_hooks_fire_on_training(tmp_path):
     assert spans["training.validate"] == 1
     for name in ("rl.replay.gated_flush", "engine.step"):
         assert spans.get(name, 0) > 0, name
+    # every reset and step renders its observation through the hooked
+    # state.observation, and each render builds one KGObservation
+    assert spans["engine.observation"] == spans["engine.step"] + spans["engine.reset"]
+    assert spans["kg.KGObservation"] >= spans["engine.observation"]

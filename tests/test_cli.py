@@ -168,7 +168,7 @@ def test_train_invalid_variant_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("doc", [
     {"val_freq": 0}, {"update_freq_meta": 0}, {"update_freq_sub": 0}, {"target_sync_every": 0},
     {"batch_size": 0}, {"buffer_capacity_meta": 0}, {"buffer_capacity_sub": 0},
-    {"lambda_count": -1},
+    {"lambda_count": -1}, {"hidden_dim": 0},
     {"grad_clip": 5.0},  # a field that no longer exists, as in an older config.json
 ])
 def test_train_bad_config_is_usage_error(doc, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Engine semantics against the hand-authored golden fixtures."""
 
+import dataclasses
 import json
 
 import pytest
@@ -18,7 +19,7 @@ from cookworld.engine.state import (
 )
 from cookworld.engine.trace import record_trace, replay_trace
 from cookworld.engine.walkthrough import solve
-from cookworld.kg import Triplet
+from cookworld.kg import InvalidTripletError, Triplet
 
 
 def test_golden_replay_s1(s1_spec, s1_trace):
@@ -262,6 +263,50 @@ def test_final_obs_keeps_states_after_meal(s1_spec):
     assert obs.has("cilantro", "diced", "is")
     assert not obs.has("cilantro", "player", "in")
     assert Triplet("meal", "player", "in") not in obs
+
+
+@pytest.mark.parametrize("old, bad", [("stove", "Stove"), ("knife", "knife ")])
+def test_bad_entity_token_raises_on_reset(s1_spec, old, bad):
+    # built directly, past validate_spec: the engine's own triplets still
+    # validate every edge, a fixed one (stove) and a moving one (knife) alike
+    objects = tuple(
+        dataclasses.replace(o, name=bad) if o.name == old else o for o in s1_spec.objects
+    )
+    spec = dataclasses.replace(s1_spec, objects=objects)
+    for _ in range(2):  # a failed first render leaves nothing behind
+        with pytest.raises(InvalidTripletError, match="bad entity token"):
+            reset(spec)
+
+
+def _replay(spec, actions):
+    state, _ = reset(spec)
+    for action in actions:
+        state, _, _, _ = step(state, action)
+    return state
+
+
+def test_action_table_stays_with_its_state(s1_spec):
+    prefix = ["open fridge"]
+    state = _replay(s1_spec, prefix)
+    before = admissible_actions(state)
+    assert {"take cilantro from fridge", "close fridge"} <= set(before)
+    for action in ("take cilantro from fridge", "close fridge"):
+        new, obs, reward, done = step(state, action)
+        fresh, fresh_obs, fresh_reward, fresh_done = step(_replay(s1_spec, prefix), action)
+        assert (new, obs, reward, done) == (fresh, fresh_obs, fresh_reward, fresh_done)
+        assert admissible_actions(new) == admissible_actions(_replay(s1_spec, prefix + [action]))
+        assert admissible_actions(new) != before
+    assert admissible_actions(state) == before
+
+    # a copy starts without the table: changing it changes its actions
+    closed = state.copy()
+    closed.open_flags["fridge"] = False
+    assert admissible_actions(closed) == admissible_actions(_replay(s1_spec, []))
+
+    # the table is no part of the state's identity
+    untouched = _replay(s1_spec, prefix)
+    assert state == untouched and repr(state) == repr(untouched)
+    assert state.signature() == untouched.signature()
 
 
 # sha256 of the play log below, generated before the action table

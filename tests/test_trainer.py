@@ -303,7 +303,7 @@ def test_counts_and_cadences_must_be_positive():
     # the other values below their floor crash a run after it starts
     for field in ("step_limit_train", "step_limit_eval", "val_freq", "update_freq_meta",
                   "update_freq_sub", "target_sync_every", "batch_size",
-                  "buffer_capacity_meta", "buffer_capacity_sub"):
+                  "buffer_capacity_meta", "buffer_capacity_sub", "hidden_dim"):
         with pytest.raises(ConfigError, match=field):
             config_from_dict({field: 0})
     with pytest.raises(ConfigError, match="lambda_count"):
