@@ -55,7 +55,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .training.config import ConfigError, TrainConfig, load_config, save_config
+    from .training.config import (
+        ConfigError, TrainConfig, check_resumable, load_config, save_config,
+    )
     from .training.gamesets import load_game_dir
     from .training.loop import Trainer
 
@@ -80,14 +82,17 @@ def cmd_train(args) -> int:
     train_games = splits.get("train", {})
     val_games = splits.get("val", {})
     cfg.levels = tuple(sorted(train_games))
+    config_path = Path(args.out) / "config.json"
     try:
+        if args.resume and config_path.exists():
+            check_resumable(load_config(config_path), cfg)
         trainer = Trainer(
             cfg, train_games, val_games, out_dir=args.out, resume=args.resume
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    save_config(cfg, Path(args.out) / "config.json")
+    save_config(cfg, config_path)
     summary = trainer.run(progress=True)
     print(
         f"finished: {summary['episodes']} episodes, {summary['steps']} steps, "

@@ -228,6 +228,18 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _wrap(out, tuple(parts), backward)
 
 
+def row_block(a: Tensor, rows: slice) -> Tensor:
+    """A contiguous block of rows of a, a[rows]."""
+    out = a.data[rows]
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[rows] = g
+        return ((a, full),)
+
+    return _wrap(out, (a,), backward)
+
+
 def sum_all(a: Tensor) -> Tensor:
     out = a.data.sum()
 

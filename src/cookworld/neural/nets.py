@@ -334,44 +334,62 @@ class PolicyNet:
         pooled = ad.segment_sum(ad.mul(h2, ad.constant(weights)), np.repeat(np.arange(b), width), b)
         return pooled if b == len(texts) else ad.gather_rows(pooled, rows)
 
-    def score_tensor(self, state: Tensor, candidates: Tensor) -> Tensor:
-        """Each state row (parts*d) paired with the candidate row (d) beside
-        it -> (n, 1); a single state row is paired with every candidate."""
-        n = candidates.data.shape[0]
-        if n == 0:
+    def _w1_rows(self, part: int) -> slice:
+        """The rows of scorer.w1 that multiply input part `part` of
+        [graph; instruction; candidate]: 0 the graph, 1 the instruction on a
+        net that takes one, state_parts the candidate."""
+        return slice(part * self.d, (part + 1) * self.d)
+
+    def score_tensor(self, graphs: Tensor, texts: Tensor, graph_rows, cand_rows, cond_rows=None) -> Tensor:
+        """Q of row i -> (n, 1): graph graphs[graph_rows[i]] paired with
+        candidate texts[cand_rows[i]], conditioned on instruction
+        texts[cond_rows[i]] when the net takes one.
+
+        The first layer is factorized per input block,
+        W1·[g; c; a] + b1 = (g·W1_g + b1) + c·W1_c + a·W1_a, so each block
+        multiplies every graph or text row once and a row sums the block
+        rows it gathers."""
+        if len(cand_rows) == 0:
             raise EmptyCandidatesError("no candidates to score")
-        if state.data.shape[0] == 1 < n:
-            state = ad.gather_rows(state, np.zeros(n, dtype=np.intp))
-        paired = ad.concat_cols([state, candidates])
-        hidden = ad.relu(ad.affine(paired, self.params["scorer.w1"], self.params["scorer.b1"]))
-        return ad.affine(hidden, self.params["scorer.w2"], self.params["scorer.b2"])
+
+        def w1(part: int) -> Tensor:
+            return ad.row_block(self.params["scorer.w1"], self._w1_rows(part))
+
+        hidden = ad.gather_rows(ad.affine(graphs, w1(0), self.params["scorer.b1"]), graph_rows)
+        if self.state_parts == 2:
+            hidden = ad.add(hidden, ad.gather_rows(ad.matmul(texts, w1(1)), cond_rows))
+        hidden = ad.add(hidden, ad.gather_rows(ad.matmul(texts, w1(self.state_parts)), cand_rows))
+        return ad.affine(ad.relu(hidden), self.params["scorer.w2"], self.params["scorer.b2"])
 
     # -- cached inference ----------------------------------------------------
 
     def graph_vector(self, obs: KGObservation) -> np.ndarray:
-        key = ("g", canonical_hash(obs))
-        vec = self._vec_cache.get(key)
-        if vec is None:
-            with ad.no_grad():
-                vec = self.graph_tensor([obs]).data
-            self._vec_cache[key] = vec
-        return vec
+        """One observation's graph encoding, (1, d), no gradients recorded."""
+        with ad.no_grad():
+            return self.graph_tensor([obs]).data
 
     def text_vector(self, text: str) -> np.ndarray:
-        key = ("t", text)
-        vec = self._vec_cache.get(key)
-        if vec is None:
-            with ad.no_grad():
-                vec = self.text_tensor([text]).data
-            self._vec_cache[key] = vec
-        return vec
+        """One text's encoding, (1, d), no gradients recorded."""
+        with ad.no_grad():
+            return self.text_tensor([text]).data
 
-    def _state_vector(self, obs: KGObservation, cond_text: Optional[str]) -> np.ndarray:
-        if self.state_parts == 1:
-            return self.graph_vector(obs)
-        if cond_text is None:
-            raise ValueError("this net conditions on an instruction text")
-        return np.concatenate([self.graph_vector(obs), self.text_vector(cond_text)], axis=1)
+    def _projection(self, part: int, item) -> np.ndarray:
+        """An item's first-layer scorer row for input part `part` (see
+        _w1_rows), (1, scorer_hidden): an observation's graph block plus
+        b1, or a text's instruction or candidate block. Served from the
+        vector cache, which lives as long as the weights (bump_version
+        empties it); a miss is encoded alone, so a row's value does not
+        depend on which call first needed it."""
+        key = (part, canonical_hash(item) if part == 0 else item)
+        row = self._vec_cache.get(key)
+        if row is None:
+            w1 = self.params["scorer.w1"].data[self._w1_rows(part)]
+            if part == 0:
+                row = self.graph_vector(item) @ w1 + self.params["scorer.b1"].data
+            else:
+                row = self.text_vector(item) @ w1
+            self._vec_cache[key] = row
+        return row
 
     def q_values(
         self, obs: KGObservation, cond_text: Optional[str], candidates: Sequence[str]
@@ -383,21 +401,25 @@ class PolicyNet:
         self, states: Sequence[tuple[KGObservation, Optional[str], Sequence[str]]]
     ) -> np.ndarray:
         """Q for every candidate of every (obs, cond_text, candidates) state,
-        laid end to end, in one scorer pass; no gradients recorded.
+        laid end to end; no gradients recorded.
 
-        The encodings come from the vector cache, which lives as long as the
-        weights (bump_version empties it). A miss is encoded alone, so a
-        row's value does not depend on which call first needed it."""
-        if any(not candidates for _, _, candidates in states):
-            raise EmptyCandidatesError("no candidates to score")
-        state = np.concatenate([self._state_vector(obs, cond) for obs, cond, _ in states], axis=0)
-        cand = np.concatenate(
-            [self.text_vector(c) for _, _, candidates in states for c in candidates], axis=0
-        )
-        rows = np.repeat(state, [len(candidates) for _, _, candidates in states], axis=0)
-        with ad.no_grad():
-            scores = self.score_tensor(ad.constant(rows), ad.constant(cand))
-        return scores.data[:, 0]
+        score_tensor's formula on cached rows, in plain numpy: a state's
+        row broadcast over its candidates' rows, one relu and one product
+        with the output layer."""
+        cand_part = self.state_parts
+        blocks = []
+        for obs, cond, candidates in states:
+            if not candidates:
+                raise EmptyCandidatesError("no candidates to score")
+            state = self._projection(0, obs)
+            if cand_part == 2:
+                if cond is None:
+                    raise ValueError("this net conditions on an instruction text")
+                state = state + self._projection(1, cond)
+            blocks.append(state + np.concatenate([self._projection(cand_part, c) for c in candidates]))
+        hidden = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+        np.maximum(hidden, 0.0, out=hidden)
+        return (hidden @ self.params["scorer.w2"].data + self.params["scorer.b2"].data)[:, 0]
 
 
 def sync_target(online: PolicyNet, target: PolicyNet) -> None:

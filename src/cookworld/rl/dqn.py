@@ -6,9 +6,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..kg import canonical_hash  # noqa: F401 -- a binding perfbench/tracing.py wraps
+from ..kg import canonical_hash
 from ..neural import autodiff as ad
-from ..neural.nets import EmptyCandidatesError, PolicyNet
+from ..neural.nets import EmptyCandidatesError, PolicyNet, distinct
 from ..neural.optim import AdamState, apply_update
 from .replay import PrioritizedBuffer
 
@@ -33,21 +33,23 @@ def double_dqn_target(
 def _q_rows(net: PolicyNet, observations, conds, candidates) -> ad.Tensor:
     """Q of row i: observations[i], conditioned on conds[i] when the net
     takes an instruction (conds is empty otherwise), paired with
-    candidates[i]. One graph pass and one text pass, each over the distinct
-    items, then one scorer pass over all rows."""
+    candidates[i]. One graph pass over the distinct observations and one
+    text pass over the distinct texts; the scorer projects each of them
+    once and gathers the rows (see PolicyNet.score_tensor)."""
+    graphs, graph_rows = distinct(observations, key=canonical_hash)
+    texts, text_rows = distinct(list(candidates) + list(conds))
     n = len(candidates)
-    encoded = net.text_tensor(list(candidates) + list(conds))
-    state = net.graph_tensor(observations)
-    if conds:
-        state = ad.concat_cols([state, ad.gather_rows(encoded, np.arange(n, 2 * n))])
-    return net.score_tensor(state, ad.gather_rows(encoded, np.arange(n)))
+    return net.score_tensor(
+        net.graph_tensor(graphs), net.text_tensor(texts),
+        graph_rows, text_rows[:n], text_rows[n:] if conds else None,
+    )
 
 
 def _next_state_targets(batch, online: PolicyNet, target: PolicyNet, gamma: float) -> np.ndarray:
     """Double DQN targets for a batch. Every next-state candidate of every
     non-terminal transition is one row. The online net, whose weights change
     at every update, scores the rows in one fresh no-grad pass; the target
-    net scores them from its vector cache, which lasts until the next
+    net scores them from its cached scorer rows, which last until the next
     sync_target."""
     targets = np.array([tr.td_reward for tr in batch], dtype=np.float64)
     live = [(i, tr) for i, tr in enumerate(batch) if not tr.done]

@@ -103,5 +103,19 @@ def load_config(path: str | Path) -> TrainConfig:
     return config_from_dict(doc)
 
 
+def check_resumable(saved: TrainConfig, cfg: TrainConfig) -> None:
+    """Refuse to continue a run saved under another config: a resume may
+    change only `episodes`, the length of the run."""
+    changed = [
+        f"{f.name} ({getattr(saved, f.name)!r} -> {getattr(cfg, f.name)!r})"
+        for f in dataclasses.fields(TrainConfig)
+        if f.name != "episodes" and getattr(saved, f.name) != getattr(cfg, f.name)
+    ]
+    if changed:
+        raise ConfigError(
+            f"the run's config.json differs in {', '.join(changed)}; a resume may change only episodes"
+        )
+
+
 def save_config(cfg: TrainConfig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")

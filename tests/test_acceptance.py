@@ -239,10 +239,14 @@ def test_criterion_gradient_checks():
                         ff_dim=16, scorer_hidden=16, seed=500 + trial)
         state_vec = np.linspace(-1, 1, 16).reshape(1, 16)
         cand_vecs = rng.standard_normal((3, 8))
+        # texts hold the three candidates, then the state's instruction half
+        texts = np.concatenate([cand_vecs, state_vec[:, 8:]])
         builds = {
             "rgcn": lambda: net.graph_tensor([obs]),
             "attention-ff": lambda: net.text_tensor(["take knife from table"]),
-            "scorer": lambda: net.score_tensor(ad.constant(state_vec), ad.constant(cand_vecs)),
+            "scorer": lambda: net.score_tensor(
+                ad.constant(state_vec[:, :8]), ad.constant(texts), [0, 0, 0], [0, 1, 2], [3, 3, 3]
+            ),
         }
         for block, build in builds.items():
             net.zero_grad()

@@ -101,6 +101,12 @@ def test_concat_cols():
     check_op(lambda a, b: ad.concat_cols([a, b]), [(3, 2), (3, 4)])
 
 
+def test_row_block():
+    check_op(lambda a: ad.row_block(a, slice(1, 3)), [(4, 3)])
+    # two blocks of one tensor, as the scorer takes scorer.w1's input blocks
+    check_op(lambda a: ad.add(ad.row_block(a, slice(0, 2)), ad.row_block(a, slice(2, 4))), [(4, 3)])
+
+
 def test_gather_rows():
     check_op(lambda a: ad.gather_rows(a, [0, 2, 2, 1]), [(4, 3)])
 

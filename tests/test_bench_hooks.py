@@ -39,8 +39,20 @@ for _ in range(6):
     tr.run_episode()
 tr.validate()
 tr.save_latest()
-counts = collections.Counter(tracer.names[i] for i in tracer.name_id)
-print(json.dumps({"spans": counts, "updates_meta": tr.updates_meta, "updates_sub": tr.updates_sub}))
+# a second validation on cold caches, so that every item it scores is encoded
+for learner in tr.learners:
+    learner.online.bump_version()
+tr.validate()
+names = [tracer.names[i] for i in tracer.name_id]
+counts = collections.Counter(names)
+# the span around each encoder pass, by the encoder's name
+parents = collections.Counter(
+    name + " < " + (names[p] if p >= 0 else "-")
+    for name, p in zip(names, tracer.parent)
+    if name in ("neural.nets.graph_tensor", "neural.nets.text_tensor")
+)
+print(json.dumps({"spans": counts, "encoder_parents": parents,
+                  "updates_meta": tr.updates_meta, "updates_sub": tr.updates_sub}))
 """
 
 
@@ -57,9 +69,23 @@ def test_tracer_hooks_fire_on_training(tmp_path):
     assert result["updates_meta"] > 0 and result["updates_sub"] > 0
     # every update of either level goes through the hooked td_update
     assert spans["rl.dqn.td_update"] == result["updates_meta"] + result["updates_sub"]
-    # one validation writes best/, save_latest writes latest/: sub and meta each
-    assert spans["neural.nets.save_checkpoint"] == 4
-    assert spans["training.validate"] == 1
+    # the first validation writes best/, save_latest writes latest/, and the
+    # second, no worse than the first, writes best/ again: sub and meta each
+    assert spans["neural.nets.save_checkpoint"] == 6
+    assert spans["training.validate"] == 2
+    # acting and validation score through the hooked q_values; each encoder
+    # pass outside an update is a cache miss under graph_vector or
+    # text_vector, so the benchmark's hit ratios stay computable
+    assert spans["neural.nets.q_values"] > 0
+    parents = result["encoder_parents"]
+    assert parents["neural.nets.graph_tensor < neural.nets.graph_vector"] > 0
+    assert parents["neural.nets.text_tensor < neural.nets.text_vector"] > 0
+    assert set(parents) <= {
+        "neural.nets.graph_tensor < neural.nets.graph_vector",
+        "neural.nets.text_tensor < neural.nets.text_vector",
+        "neural.nets.graph_tensor < rl.dqn.td_update",
+        "neural.nets.text_tensor < rl.dqn.td_update",
+    }, parents
     for name in ("rl.replay.gated_flush", "engine.step"):
         assert spans.get(name, 0) > 0, name
     # every reset and step renders its observation through the hooked

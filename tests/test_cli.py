@@ -149,10 +149,52 @@ def test_train_resume_without_meta_checkpoint_refused(tmp_path, capsys):
     }))
     assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path) == 0
     capsys.readouterr()
-    # GC-GATA's sub net fits H-KGA's, but its run has no meta.npz to resume
+    # the run's config.json names another variant
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
+                   "--variant", "H-KGA", "--resume") == 2
+    assert "variant ('GC-GATA' -> 'H-KGA')" in capsys.readouterr().err
+    # without a config.json to compare: GC-GATA's sub net fits H-KGA's, but
+    # its run has no meta.npz to resume
+    (out / "config.json").unlink()
     assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
                    "--variant", "H-KGA", "--resume") == 2
     assert "meta.npz" in capsys.readouterr().err
+
+
+def test_train_resume_refuses_a_changed_config(tmp_path, capsys):
+    games = tmp_path / "games"
+    out = tmp_path / "run"
+    run_cli("gen", "--levels", "S1", "--train", "2", "--val", "1", "--test", "1",
+            "--seed", "3", "--out", games)
+    cfg = {
+        "episodes": 2, "warmup_episodes": 1, "val_freq": 1, "batch_size": 4,
+        "hidden_dim": 8, "ff_dim": 8, "scorer_hidden": 8, "seed": 1,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path) == 0
+    capsys.readouterr()
+    saved = {name: (out / name).read_bytes() for name in ("config.json", "metrics.csv")}
+
+    cfg_path.write_text(json.dumps(dict(cfg, lr=0.002, episodes=3)))
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
+                   "--resume") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lr (0.001 -> 0.002)" in err and "episodes (" not in err
+    # a command-line override is a change too
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
+                   "--seed", "2", "--resume") == 2
+    assert "seed (1 -> 2)" in capsys.readouterr().err
+    assert saved == {name: (out / name).read_bytes() for name in saved}
+
+    # a longer run of the same config resumes
+    cfg_path.write_text(json.dumps(dict(cfg, episodes=3)))
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
+                   "--resume") == 0
+    assert json.loads((out / "config.json").read_text())["episodes"] == 3
+    train_rows = [line for line in (out / "metrics.csv").read_text().splitlines() if ",train," in line]
+    assert [int(line.split(",")[0]) for line in train_rows] == [1, 2, 3]
 
 
 def test_train_invalid_variant_exit_code(tmp_path, capsys):

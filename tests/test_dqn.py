@@ -177,6 +177,14 @@ def warm_trainers(tmp_path_factory):
     return trainers
 
 
+def concatenated_scores(net, state, cand):
+    """The scorer as one first layer over [state; candidate] rows: the form
+    PolicyNet.score_tensor factorizes per input block."""
+    p = net.params
+    hidden = ad.relu(ad.affine(ad.concat_cols([state, cand]), p["scorer.w1"], p["scorer.b1"]))
+    return ad.affine(hidden, p["scorer.w2"], p["scorer.b2"])
+
+
 def per_transition_reference(batch, weights, online, target, gamma):
     """Loss, parameter gradients and TD errors of one update, built from
     batch-1 encoder calls, one transition at a time."""
@@ -196,7 +204,7 @@ def per_transition_reference(batch, weights, online, target, gamma):
         state = online.graph_tensor([tr.obs])
         if online.state_parts == 2:
             state = ad.concat_cols([state, online.text_tensor([tr.cond_text])])
-        q = online.score_tensor(state, online.text_tensor([tr.chosen_text]))
+        q = concatenated_scores(online, state, online.text_tensor([tr.chosen_text]))
         err = ad.sub(q, ad.constant([[y]]))
         term = ad.scale(ad.mul(err, err), w / len(batch))
         loss = term if loss is None else ad.add(loss, term)
@@ -255,10 +263,51 @@ def test_batched_update_matches_per_transition_reference(warm_trainers, variant,
             assert np.allclose(got, ref, rtol=0, atol=1e-9), name
 
 
-# -- the target net's cached pass ---------------------------------------------------
-
 LEARNERS = [("H-KGA", "sub"), ("H-KGA", "meta"), ("GATA", "sub")]
 
+
+@pytest.mark.parametrize("variant, level", LEARNERS)
+def test_factorized_scorer_equals_concatenated_form_on_replay(warm_trainers, variant, level):
+    """The learner's Q rows, scored per input block, equal one first layer
+    over [state; candidate] rows on a real replay batch, in values and in
+    every parameter gradient."""
+    from cookworld.rl import dqn
+
+    learner = getattr(warm_trainers[variant], level)
+    net = clone_net(learner.online)
+    batch, _, _ = learner.buffer.sample(min(32, len(learner.buffer)), np.random.default_rng(16))
+    # the chosen actions, then every next-state candidate: rows that repeat
+    # observations and texts
+    rows = [(tr.obs, tr.cond_text, tr.chosen_text) for tr in batch]
+    rows += [(tr.next_obs, tr.cond_text, c) for tr in batch if not tr.done for c in tr.next_candidates]
+    assert len(rows) > len(batch)
+    observations = [obs for obs, _, _ in rows]
+    conds = [cond for _, cond, _ in rows] if net.state_parts == 2 else []
+    candidates = [cand for _, _, cand in rows]
+    weights = ad.constant(np.sin(np.arange(len(rows)))[:, None])
+
+    def concatenated():
+        state = net.graph_tensor(observations)
+        if conds:
+            state = ad.concat_cols([state, net.text_tensor(conds)])
+        return concatenated_scores(net, state, net.text_tensor(candidates))
+
+    def run(build):
+        net.zero_grad()
+        q = build()
+        ad.sum_all(ad.mul(q, weights)).backward()
+        return q.data, {name: p.grad for name, p in net.params.items()}
+
+    got, got_grads = run(lambda: dqn._q_rows(net, observations, conds, candidates))
+    ref, ref_grads = run(concatenated)
+    assert np.allclose(got, ref, rtol=0, atol=1e-12)
+    for name, ref_grad in ref_grads.items():
+        assert (got_grads[name] is None) == (ref_grad is None), name
+        if ref_grad is not None:
+            assert np.allclose(got_grads[name], ref_grad, rtol=0, atol=1e-12), name
+
+
+# -- the target net's cached pass ---------------------------------------------------
 
 def disagreeing_nets(learner, seed):
     online = clone_net(learner.online)
@@ -324,21 +373,31 @@ def test_target_cache_lives_as_long_as_the_target_weights(warm_trainers, variant
     states = next_states(batch)
     assert states
 
-    def filled_cache() -> np.ndarray:
-        q = target.batch_q_values(states)
-        assert target._vec_cache
+    def filled_cache(net=target) -> np.ndarray:
+        q = net.batch_q_values(states)
+        assert net._vec_cache
         return q
+
+    def fresh_q() -> np.ndarray:
+        """Q of a net built anew on the online weights, its cache cold."""
+        return clone_net(online).batch_q_values(states)
 
     # the warm learners made no update yet, so their target equals the
     # online net, and restoring the pre-step snapshot restores `before`
     before = filled_cache()
-    # an Adam step moves the online weights only: the target keeps its cache
+    assert np.array_equal(filled_cache(online), before)
+    # an Adam step moves the online weights: it empties the online net's
+    # cached rows, and the target keeps its own
     cached = dict(target._vec_cache)
     learner.snapshot()
     noise = np.random.default_rng(15)
     for p in online.params.values():
         p.grad = noise.standard_normal(p.data.shape)
     apply_update(online, learner.adam, lr=0.05)
+    assert not online._vec_cache
+    stepped = filled_cache(online)
+    assert not np.allclose(stepped, before)
+    assert np.array_equal(stepped, fresh_q())
     assert cached.keys() == target._vec_cache.keys()
     assert all(target._vec_cache[key] is vec for key, vec in cached.items())
     assert np.array_equal(target.batch_q_values(states), before)
@@ -348,15 +407,19 @@ def test_target_cache_lives_as_long_as_the_target_weights(warm_trainers, variant
     assert not target._vec_cache
     after = filled_cache()
     assert not np.allclose(after, before)
-    fresh = clone_net(online)
-    assert np.array_equal(after, fresh.batch_q_values(states))
+    assert np.array_equal(after, fresh_q())
 
     learner.restore()
     assert not target._vec_cache
     assert np.array_equal(filled_cache(), before)
+    assert np.array_equal(before, fresh_q())
 
     learner.save(tmp_path)
+    for p in online.params.values():  # weights the load must replace
+        p.data += 0.1
+    sync_target(online, target)
     filled_cache()
     learner.load(tmp_path)
     assert not target._vec_cache
     assert np.array_equal(filled_cache(), before)
+    assert np.array_equal(before, fresh_q())

@@ -32,10 +32,28 @@ def tiny_net(vocab, seed=0, parts=1, layers=2, d=8):
 
 
 def score(net, state, candidates):
-    """Scores candidate vectors against a state vector, no gradients recorded."""
+    """Scores candidate vectors against state vectors, no gradients recorded:
+    one state row paired with every candidate, or each state row with the
+    candidate beside it. A state row is the graph vector, followed by the
+    instruction vector on a net that takes one."""
+    state = np.atleast_2d(np.asarray(state, dtype=np.float64))
     cand = np.asarray(candidates, dtype=np.float64).reshape(len(candidates), net.d)
+    n = len(cand)
+    rows = np.zeros(n, dtype=np.intp) if len(state) == 1 else np.arange(len(state))
+    texts = np.concatenate([cand, state[:, net.d:].reshape(-1, net.d)])
+    conds = n + rows if net.state_parts == 2 else None
     with ad.no_grad():
-        return net.score_tensor(ad.constant(np.atleast_2d(state)), ad.constant(cand)).data[:, 0]
+        return net.score_tensor(
+            ad.constant(state[:, : net.d]), ad.constant(texts), rows, np.arange(n), conds
+        ).data[:, 0]
+
+
+def concatenated_scores(net, state, cand):
+    """The scorer as one first layer over [state; candidate] rows: the form
+    score_tensor factorizes per input block."""
+    p = net.params
+    hidden = ad.relu(ad.affine(ad.concat_cols([state, cand]), p["scorer.w1"], p["scorer.b1"]))
+    return ad.affine(hidden, p["scorer.w2"], p["scorer.b2"])
 
 
 def small_obs():
@@ -276,6 +294,55 @@ def test_empty_candidates_raise(vocab):
         net.q_values(small_obs(), None, [])
 
 
+@pytest.mark.parametrize("parts", [1, 2])
+def test_factorized_scorer_equals_concatenated_form(vocab, s1_spec, s4_spec, parts):
+    """Scoring per input block equals one first layer over [state; candidate]
+    rows, in values and in every parameter gradient, through real encoders
+    and with repeated observations and texts."""
+    net = tiny_net(vocab, seed=25, parts=parts)
+    observations = game_observations(s1_spec, s4_spec)
+    texts = ["open fridge", "find cilantro", "take knife from table", "dice red apple with knife",
+             "go north"]
+    rng = np.random.default_rng(7)
+    n = 12
+    graph_rows = rng.integers(0, len(observations), n)
+    cand_rows = rng.integers(0, len(texts), n)
+    cond_rows = rng.integers(0, len(texts), n) if parts == 2 else None
+    weights = ad.constant(np.cos(np.arange(n))[:, None])
+
+    def factorized():
+        return net.score_tensor(net.graph_tensor(observations), net.text_tensor(texts),
+                                graph_rows, cand_rows, cond_rows)
+
+    def concatenated():
+        encoded = net.text_tensor(texts)
+        state = ad.gather_rows(net.graph_tensor(observations), graph_rows)
+        if parts == 2:
+            state = ad.concat_cols([state, ad.gather_rows(encoded, cond_rows)])
+        return concatenated_scores(net, state, ad.gather_rows(encoded, cand_rows))
+
+    def run(build):
+        net.zero_grad()
+        q = build()
+        ad.sum_all(ad.mul(q, weights)).backward()
+        return q.data, {name: p.grad for name, p in net.params.items()}
+
+    got, got_grads = run(factorized)
+    ref, ref_grads = run(concatenated)
+    assert got.shape == (n, 1)
+    assert np.allclose(got, ref, rtol=0, atol=1e-12)
+    for name, ref_grad in ref_grads.items():
+        assert (got_grads[name] is None) == (ref_grad is None), name
+        if ref_grad is not None:
+            assert np.allclose(got_grads[name], ref_grad, rtol=0, atol=1e-12), name
+    # acting scores the same rows from its cached projections
+    acting = np.concatenate([
+        net.q_values(observations[g], texts[c] if parts == 2 else None, [texts[a]])
+        for g, c, a in zip(graph_rows, cond_rows if parts == 2 else graph_rows, cand_rows)
+    ])
+    assert np.allclose(acting, ref[:, 0], rtol=0, atol=1e-12)
+
+
 # -- gradient checks per block -----------------------------------------------------
 
 def _loss_through(net, build):
@@ -320,13 +387,16 @@ def test_gradient_check_all_blocks(vocab):
         net = tiny_net(vocab, seed=100 + trial, parts=2, d=8)
         graph = lambda: net.graph_tensor([obs])
         text = lambda: net.text_tensor(["take knife from table"])
+        # a state row of ones paired with two candidates: texts hold the
+        # candidates, then the instruction
+        texts = np.concatenate([np.linspace(-1, 1, 16).reshape(2, 8), np.ones((1, 8))])
         scorer = lambda: net.score_tensor(
-            ad.constant(np.ones((1, 16))), ad.constant(np.linspace(-1, 1, 16).reshape(2, 8))
+            ad.constant(np.ones((1, 8))), ad.constant(texts), [0, 0], [0, 1], [2, 2]
         )
         # the composition td_update trains through
         full = lambda: net.score_tensor(
-            ad.concat_cols([net.graph_tensor([obs]), net.text_tensor(["find cilantro"])]),
-            net.text_tensor(["open fridge"]),
+            net.graph_tensor([obs]), net.text_tensor(["open fridge", "find cilantro"]),
+            [0], [0], [1],
         )
         for build in (graph, text, scorer, full):
             assert _max_rel_error(net, build, rng) < 1e-3
