@@ -76,7 +76,7 @@ def cmd_train(args) -> int:
 
     try:
         splits = load_game_dir(args.games)
-    except (OSError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load games: {exc}", file=sys.stderr)
         return EXIT_IO
     train_games = splits.get("train", {})
@@ -103,7 +103,7 @@ def cmd_train(args) -> int:
 
 def _agent_factory_from_checkpoint(checkpoint: Path, vocab):
     from .neural.nets import load_checkpoint
-    from .training.agents import FlatAgent, HierarchicalAgent, WalkthroughAgent
+    from .training.agents import WalkthroughAgent, greedy_agents
 
     if checkpoint.is_file() and checkpoint.suffix == ".json":
         doc = json.loads(checkpoint.read_text())
@@ -115,21 +115,8 @@ def _agent_factory_from_checkpoint(checkpoint: Path, vocab):
         raise FileNotFoundError(f"no sub.npz under {checkpoint}")
     sub_net, _ = load_checkpoint(sub_path, vocab)
     meta_path = checkpoint / "meta.npz"
-    if meta_path.exists():
-        meta_net, _ = load_checkpoint(meta_path, vocab)
-        return lambda level, index: HierarchicalAgent(sub_net, meta_net)
-    if sub_net.state_parts == 1:
-        return lambda level, index: FlatAgent(sub_net)
-    # goal-conditioned net without a meta head: deterministic random goals
-    def factory(level, index):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(0, level_hash(level), index)))
-        return HierarchicalAgent(sub_net, None, goal_rng=rng)
-
-    return factory
-
-
-def level_hash(level: str) -> int:
-    return sum(ord(c) for c in level)
+    meta_net = load_checkpoint(meta_path, vocab)[0] if meta_path.exists() else None
+    return greedy_agents(sub_net, meta_net)
 
 
 def cmd_eval(args) -> int:
@@ -149,8 +136,8 @@ def cmd_eval(args) -> int:
         return EXIT_IO
     try:
         splits = load_game_dir(args.games)
-    except (OSError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot load games: {exc}", file=sys.stderr)
         return EXIT_IO
 
     games: dict[str, list] = {}

@@ -1,6 +1,6 @@
 from .config import TrainConfig, load_config, save_config
 from .loop import EpisodeRecord, Trainer, evaluate_agent
-from .scheduler import LevelScheduler, sample_level, softmax_probabilities
+from .scheduler import LevelScheduler, softmax_probabilities
 
 __all__ = [
     "TrainConfig",
@@ -10,6 +10,5 @@ __all__ = [
     "Trainer",
     "evaluate_agent",
     "LevelScheduler",
-    "sample_level",
     "softmax_probabilities",
 ]

@@ -1,5 +1,5 @@
-"""Greedy rollout agents used for validation, testing, and oracle checks,
-and the ε-greedy selection rule that training shares with them."""
+"""Greedy rollout agents used for validation, evaluation and oracle checks,
+the rule that builds them, and the ε-greedy rule training shares with them."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Callable, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 
-from ..engine.spec import GameSpec
+from ..engine.spec import LEVELS, GameSpec
 from ..engine.state import admissible_actions, reset, step
 from ..engine.walkthrough import walkthrough
 from ..goals import Goal, generate_goal_set, goal_terminated
@@ -69,12 +69,8 @@ class HierarchicalAgent:
     def start_episode(self, spec: GameSpec, obs: KGObservation) -> None:
         self.goal = None
 
-    def observe(self, next_obs: KGObservation, done: bool) -> None:
-        if self.goal is not None and goal_terminated(next_obs, self.goal, done):
-            self.goal = None
-
     def act(self, obs: KGObservation, admissible: list[str]) -> str:
-        if self.goal is None:
+        if self.goal is None or goal_terminated(obs, self.goal, False):
             goal_set = generate_goal_set(obs)
             goal_q = None
             if self.meta_net is not None:
@@ -100,6 +96,27 @@ class WalkthroughAgent:
         return action
 
 
+def greedy_agents(sub_net: PolicyNet, meta_net: Optional[PolicyNet] = None
+                  ) -> Callable[[str, int], Agent]:
+    """The factory(level, index) that builds the greedy agent for each game.
+
+    A sub net without a goal input acts flat. A goal-conditioned sub net
+    takes its goals from meta_net when one is given, otherwise uniformly at
+    random from one stream per game keyed by (level, index) alone, so every
+    validation of a run and every evaluation of its checkpoints draw the
+    same goals on the same game."""
+    if sub_net.state_parts == 1:
+        return lambda level, index: FlatAgent(sub_net)
+    if meta_net is not None:
+        return lambda level, index: HierarchicalAgent(sub_net, meta_net)
+
+    def factory(level: str, index: int) -> HierarchicalAgent:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(LEVELS.index(level), index)))
+        return HierarchicalAgent(sub_net, goal_rng=rng)
+
+    return factory
+
+
 def rollout(agent: Agent, spec: GameSpec, step_limit: int) -> tuple[int, int]:
     """Greedy episode; returns (score, steps)."""
     state, obs = reset(spec, step_limit=step_limit)
@@ -108,12 +125,15 @@ def rollout(agent: Agent, spec: GameSpec, step_limit: int) -> tuple[int, int]:
     while not done:
         action = agent.act(obs, admissible_actions(state))
         state, obs, _, done = step(state, action)
-        observe = getattr(agent, "observe", None)
-        if observe is not None:
-            observe(obs, done)
     return state.score, state.steps
 
 
-def normalized_rollout(agent: Agent, spec: GameSpec, step_limit: int) -> float:
-    score, _ = rollout(agent, spec, step_limit)
-    return score / spec.max_score
+def level_scores(agent_factory: Callable[[str, int], Agent], games: dict[str, list[GameSpec]],
+                 step_limit: int) -> dict[str, list[float]]:
+    """Normalized greedy score of each game, per level in sorted order, with
+    a fresh agent_factory(level, index) per game."""
+    return {
+        level: [rollout(agent_factory(level, i), spec, step_limit)[0] / spec.max_score
+                for i, spec in enumerate(games[level])]
+        for level in sorted(games)
+    }

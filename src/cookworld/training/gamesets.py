@@ -56,14 +56,21 @@ def generate_game_dir(
 
 
 def load_game_dir(path: str | Path) -> dict[str, dict[str, list[GameSpec]]]:
-    """manifest -> {split: {level: [GameSpec, ...]}}"""
+    """manifest -> {split: {level: [GameSpec, ...]}}; a malformed manifest or
+    spec file raises ValueError."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {root}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        entries = [(e["file"], e["split"], e["level"])
+                   for e in json.loads(manifest_path.read_text())["games"]]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ValueError(f"malformed {manifest_path}: {exc!r}") from exc
     out: dict[str, dict[str, list[GameSpec]]] = {}
-    for entry in manifest["games"]:
-        spec = load_game(root / entry["file"])
-        out.setdefault(entry["split"], {}).setdefault(entry["level"], []).append(spec)
+    for file, split, level in entries:
+        spec = load_game(root / file)
+        if spec.level != level:
+            raise ValueError(f"{manifest_path} lists {file} as {level}, but it is a {spec.level} game")
+        out.setdefault(split, {}).setdefault(level, []).append(spec)
     return out

@@ -21,7 +21,7 @@ from ..neural.optim import AdamState
 from ..rl.counts import VisitCounter, accumulate_meta_reward, bebold_reward, compose_sub_reward
 from ..rl.dqn import td_update
 from ..rl.replay import PER_BETA_START, PrioritizedBuffer, Transition, gated_flush
-from .agents import FlatAgent, HierarchicalAgent, epsilon_greedy, normalized_rollout
+from .agents import epsilon_greedy, greedy_agents, level_scores
 from .config import TrainConfig
 from .metrics import MetricsWriter
 from .scheduler import LevelScheduler
@@ -391,26 +391,13 @@ class Trainer:
 
     # -- validation ------------------------------------------------------------------
 
-    def _eval_agent(self, episode: int, stream: int):
-        if not self.uses_goals:
-            return FlatAgent(self.sub.online)
-        if not self._trains_meta(episode):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(self.cfg.seed, 6, stream, episode)))
-            return HierarchicalAgent(self.sub.online, None, goal_rng=rng)
-        return HierarchicalAgent(self.sub.online, self.meta.online)
-
     def validate(self) -> float:
-        scores = []
-        per_level: dict[str, float] = {}
-        for level in sorted(self.val_games):
-            level_scores = []
-            for i, spec in enumerate(self.val_games[level]):
-                agent = self._eval_agent(self.episode, stream=i)
-                level_scores.append(
-                    normalized_rollout(agent, spec, self.cfg.step_limit_eval)
-                )
-            per_level[level] = float(np.mean(level_scores))
-            scores.extend(level_scores)
+        meta_net = self.meta.online if self._trains_meta(self.episode) else None
+        by_level = level_scores(
+            greedy_agents(self.sub.online, meta_net), self.val_games, self.cfg.step_limit_eval
+        )
+        per_level = {level: float(np.mean(scores)) for level, scores in by_level.items()}
+        scores = [score for group in by_level.values() for score in group]
         v_val = float(np.mean(scores)) if scores else 0.0
 
         if self.metrics is not None:
@@ -525,13 +512,10 @@ def evaluate_agent(agent_factory, games: dict[str, list[GameSpec]], step_limit: 
     aggregates. agent_factory(level, index) builds a fresh agent per game."""
     if not games or all(not v for v in games.values()):
         raise ValueError("empty evaluation game set")
-    per_level: dict[str, float] = {}
-    for level in sorted(games):
-        scores = [
-            normalized_rollout(agent_factory(level, i), spec, step_limit)
-            for i, spec in enumerate(games[level])
-        ]
-        per_level[level] = float(np.mean(scores))
+    per_level = {
+        level: float(np.mean(scores))
+        for level, scores in level_scores(agent_factory, games, step_limit).items()
+    }
     seen = [v for lvl, v in per_level.items() if lvl not in UNSEEN_LEVELS]
     unseen = [v for lvl, v in per_level.items() if lvl in UNSEEN_LEVELS]
     result = {"per_level": per_level}

@@ -31,7 +31,14 @@ class LevelScheduler:
         )
 
     def sample(self, rng: np.random.Generator) -> str:
-        return sample_level(self, rng)
+        """One level, by inverse CDF over probabilities() with one rng.random() draw."""
+        draw = float(rng.random())
+        cumulative = 0.0
+        for level, p in zip(self.levels, self.probabilities()):
+            cumulative += p
+            if draw < cumulative:
+                return level
+        return self.levels[-1]
 
 
 def softmax_probabilities(performance: list[float], beta: float) -> np.ndarray:
@@ -40,13 +47,3 @@ def softmax_probabilities(performance: list[float], beta: float) -> np.ndarray:
     exp = np.exp(logits)
     return exp / exp.sum()
 
-
-def sample_level(scheduler: LevelScheduler, rng: np.random.Generator) -> str:
-    probs = scheduler.probabilities()
-    draw = float(rng.random())
-    cumulative = 0.0
-    for level, p in zip(scheduler.levels, probs):
-        cumulative += p
-        if draw < cumulative:
-            return level
-    return scheduler.levels[-1]

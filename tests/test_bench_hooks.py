@@ -51,7 +51,7 @@ parents = collections.Counter(
     for name, p in zip(names, tracer.parent)
     if name in ("neural.nets.graph_tensor", "neural.nets.text_tensor")
 )
-print(json.dumps({"spans": counts, "encoder_parents": parents,
+print(json.dumps({"spans": counts, "encoder_parents": parents, "val_games": len(val["S1"]),
                   "updates_meta": tr.updates_meta, "updates_sub": tr.updates_sub}))
 """
 
@@ -73,6 +73,9 @@ def test_tracer_hooks_fire_on_training(tmp_path):
     # second, no worse than the first, writes best/ again: sub and meta each
     assert spans["neural.nets.save_checkpoint"] == 6
     assert spans["training.validate"] == 2
+    # each validation rolls out every game through agents.rollout, the name
+    # that the eval-greedy workload replaces to time its rollouts
+    assert spans["training.rollout"] == 2 * result["val_games"]
     # acting and validation score through the hooked q_values; each encoder
     # pass outside an update is a cache miss under graph_vector or
     # text_vector, so the benchmark's hit ratios stay computable

@@ -239,6 +239,35 @@ def test_eval_walkthrough_oracle_all_ones(tmp_path, capsys):
     assert len(lines) == 2 + 3  # two levels + three aggregates
 
 
+@pytest.mark.parametrize("damage", ["malformed spec", "manifest without games", "level mismatch"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bad_game_dir_is_io_error(command, damage, tmp_path, capsys):
+    games = tmp_path / "games"
+    run_cli("gen", "--levels", "S1", "--train", "1", "--val", "1", "--test", "1",
+            "--seed", "3", "--out", games)
+    if damage == "malformed spec":
+        (games / "S1_test-seen_000.json").write_text("{")
+        (games / "S1_train_000.json").write_text("{")
+    elif damage == "manifest without games":
+        (games / "manifest.json").write_text(json.dumps({"format_version": 1}))
+    else:
+        manifest = json.loads((games / "manifest.json").read_text())
+        for entry in manifest["games"]:
+            entry["level"] = "S2"
+        (games / "manifest.json").write_text(json.dumps(manifest))
+    pseudo = tmp_path / "oracle.json"
+    pseudo.write_text(json.dumps({"kind": "walkthrough_oracle"}))
+    if command == "train":
+        argv = ["train", "--games", games, "--out", tmp_path / "r"]
+    else:
+        argv = ["eval", "--checkpoint", pseudo, "--games", games]
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load games: ")
+    if damage != "malformed spec":
+        assert "manifest.json" in err
+
+
 def test_play_session_transcript_replays(tmp_path, monkeypatch, capsys, s1_spec):
     from cookworld.engine.state import admissible_actions, reset
     from cookworld.engine.walkthrough import walkthrough

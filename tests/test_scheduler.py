@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cookworld.training.scheduler import LevelScheduler, sample_level, softmax_probabilities
+from cookworld.training.scheduler import LevelScheduler, softmax_probabilities
 
 
 def test_equal_performance_symmetric():
@@ -58,7 +58,7 @@ def test_sampling_frequencies():
     sched.update("S2", 0.0)
     rng = np.random.default_rng(5)
     draws = 100_000
-    hits = sum(sample_level(sched, rng) == "S2" for _ in range(draws))
+    hits = sum(sched.sample(rng) == "S2" for _ in range(draws))
     assert abs(hits / draws - 0.7310585786300048) < 0.02
 
 
@@ -68,6 +68,6 @@ def test_uniform_when_equal():
     draws = 100_000
     counts = {lvl: 0 for lvl in sched.levels}
     for _ in range(draws):
-        counts[sample_level(sched, rng)] += 1
+        counts[sched.sample(rng)] += 1
     for lvl in counts:
         assert abs(counts[lvl] / draws - 0.25) < 0.02

@@ -9,10 +9,11 @@ from cookworld.training.agents import (
     HierarchicalAgent,
     WalkthroughAgent,
     epsilon_greedy,
-    normalized_rollout,
+    greedy_agents,
+    level_scores,
     rollout,
 )
-from cookworld.training import loop
+from cookworld.training import agents, loop
 from cookworld.training.config import ConfigError, TrainConfig, config_from_dict
 from cookworld.training.loop import Trainer, evaluate_agent
 
@@ -71,8 +72,7 @@ def capture_episodes(monkeypatch, tr):
 
 
 def test_walkthrough_agent_scores_max(s1_spec):
-    agent = WalkthroughAgent()
-    assert normalized_rollout(agent, s1_spec, 50) == 1.0
+    assert level_scores(lambda level, i: WalkthroughAgent(), {"S1": [s1_spec]}, 50) == {"S1": [1.0]}
     score, steps = rollout(WalkthroughAgent(), s1_spec, 50)
     assert score == 4 and steps == 8
 
@@ -254,8 +254,7 @@ def test_random_init_policy_weak_on_s3():
     games = {"S3": games_for("S3", 3)}
     cfg = small_cfg(levels=("S3",))
     tr = Trainer(cfg, games)
-    agent = HierarchicalAgent(tr.sub.online, tr.meta.online)
-    scores = [normalized_rollout(agent, g, 100) for g in games["S3"]]
+    scores = level_scores(greedy_agents(tr.sub.online, tr.meta.online), games, 100)["S3"]
     assert np.mean(scores) < 0.2
 
 
@@ -285,9 +284,8 @@ def test_evaluate_empty_set_raises():
 def test_scores_within_unit_interval(s1_games):
     cfg = small_cfg(episodes=5)
     tr = Trainer(cfg, s1_games)
-    agent = HierarchicalAgent(tr.sub.online, tr.meta.online)
-    for g in s1_games["S1"]:
-        assert 0.0 <= normalized_rollout(agent, g, 30) <= 1.0
+    for score in level_scores(greedy_agents(tr.sub.online, tr.meta.online), s1_games, 30)["S1"]:
+        assert 0.0 <= score <= 1.0
 
 
 # -- variants -------------------------------------------------------------------
@@ -355,6 +353,37 @@ def test_gc_gata_uniform_goal_choice():
         counts[g.text] = counts.get(g.text, 0) + 1
     for text, count in counts.items():
         assert abs(count / draws - 1 / 3) < 0.02, text
+
+
+def test_validation_and_eval_draw_the_same_goals(tmp_path, monkeypatch):
+    """GC-GATA draws its goals at random. Validation, at any episode, and
+    `cookworld eval` of the run's checkpoint pick the same first goal on each
+    (level, index), so `best/` is chosen on the goals that eval reports."""
+    from cookworld.cli import _agent_factory_from_checkpoint
+    from cookworld.engine.state import admissible_actions, reset
+
+    val = {"S1": games_for("S1", 1, base=50), "S4": games_for("S4", 5, base=50)}
+    cfg = small_cfg(variant="GC-GATA", levels=("S4",), episodes=2)
+    tr = Trainer(cfg, {"S4": games_for("S4", 2)}, val, out_dir=tmp_path)
+    first_goals = []
+
+    def first_goal(agent, spec, step_limit):
+        state, obs = reset(spec, step_limit=step_limit)
+        agent.start_episode(spec, obs)
+        agent.act(obs, admissible_actions(state))
+        first_goals.append(agent.goal.text)
+        return 0, 1
+
+    monkeypatch.setattr(agents, "rollout", first_goal)
+    tr.validate()
+    tr.run_episode()
+    tr.validate()
+    tr.save_latest()
+    evaluate_agent(_agent_factory_from_checkpoint(tmp_path / "latest", tr.vocab), val)
+    n = sum(len(specs) for specs in val.values())
+    assert len(first_goals) == 3 * n
+    assert first_goals[:n] == first_goals[n:2 * n] == first_goals[2 * n:]
+    assert len(set(first_goals[1:n])) > 1  # the S4 games do not all share one goal
 
 
 def test_ind_second_phase_freezes_sub(s1_games):
