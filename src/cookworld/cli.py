@@ -168,14 +168,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_play(args) -> int:
-    from .engine.spec import SpecParseError, load_game
+    from .engine.spec import InvariantViolation, SpecParseError, load_game
     from .engine.state import admissible_actions, reset, step
     from .engine.trace import record_trace, save_trace
     from .goals import generate_goal_set
 
     try:
         spec = load_game(args.spec)
-    except SpecParseError as exc:
+    except (SpecParseError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
@@ -213,13 +213,13 @@ def cmd_play(args) -> int:
 
 
 def cmd_replay_trace(args) -> int:
-    from .engine.spec import SpecParseError, load_game
+    from .engine.spec import InvariantViolation, SpecParseError, load_game
     from .engine.trace import TraceFormatError, load_trace, replay_trace
 
     try:
         spec = load_game(args.spec)
         trace = load_trace(args.trace)
-    except (SpecParseError, TraceFormatError) as exc:
+    except (SpecParseError, InvariantViolation, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     result = replay_trace(spec, trace, strict=not args.loose, step_limit=args.step_limit)

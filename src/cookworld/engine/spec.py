@@ -13,7 +13,6 @@ from ..kg import DIRECTIONS, OPPOSITE_DIRECTION, Triplet
 FORMAT_VERSION = 1
 
 LEVELS = ("S1", "S2", "S3", "S4", "US1", "US2", "US3", "US4")
-SEEN_LEVELS = ("S1", "S2", "S3", "S4")
 UNSEEN_LEVELS = ("US1", "US2", "US3", "US4")
 
 CUT_STATES = ("none", "uncut", "chopped", "diced", "sliced")
@@ -214,6 +213,9 @@ def validate_spec(spec: GameSpec) -> None:
         raise InvariantViolation("unique-room-names", "duplicate room name")
     if len(objects) != len(spec.objects):
         raise InvariantViolation("unique-object-names", "duplicate object name")
+    if "meal" in objects:
+        # the engine adds the meal when the recipe is prepared
+        raise InvariantViolation("reserved-name", "an object is named 'meal'")
     if spec.start_room not in rooms:
         raise InvariantViolation("start-room-exists", spec.start_room)
     if spec.level not in LEVEL_STRUCTURE:
@@ -322,6 +324,13 @@ def spec_from_dict(doc: Mapping) -> GameSpec:
             raise SpecParseError(f"missing field {key!r} in {where}")
         return mapping[key]
 
+    def need_int(key: str) -> int:
+        value = need(doc, key, "document")
+        try:
+            return int(value)
+        except (TypeError, ValueError) as exc:
+            raise SpecParseError(f"field {key!r} must be an integer, got {value!r}") from exc
+
     if not isinstance(doc, Mapping):
         raise SpecParseError("top level must be an object")
     version = need(doc, "format_version", "document")
@@ -376,13 +385,13 @@ def spec_from_dict(doc: Mapping) -> GameSpec:
         raise SpecParseError(f"malformed collection: {exc}") from exc
     spec = GameSpec(
         level=need(doc, "level", "document"),
-        seed=int(need(doc, "seed", "document")),
+        seed=need_int("seed"),
         start_room=need(doc, "start_room", "document"),
         rooms=rooms,
         doors=doors,
         objects=objects,
         recipe=recipe,
-        max_score=int(need(doc, "max_score", "document")),
+        max_score=need_int("max_score"),
     )
     validate_spec(spec)
     return spec
@@ -409,6 +418,11 @@ def loads_spec(text: str) -> GameSpec:
 def load_game(path: str | Path) -> GameSpec:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecParseError(f"cannot read {path}: {exc}") from exc
-    return loads_spec(text)
+    try:
+        return loads_spec(text)
+    except (SpecParseError, InvariantViolation) as exc:
+        # name the file, keeping the error's type and invariant
+        exc.args = (f"{path}: {exc}",)
+        raise

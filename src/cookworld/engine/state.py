@@ -38,9 +38,7 @@ class GameState:
     cut: dict[str, str]
     cook: dict[str, str]
     consumed: set[str]
-    meal_exists: bool = False
     collect_rewarded: set[str] = field(default_factory=set)
-    prep_rewarded: set[str] = field(default_factory=set)  # "<ingredient>|<state>"
     steps: int = 0
     step_limit: int = DEFAULT_STEP_LIMIT
     score: int = 0
@@ -61,9 +59,7 @@ class GameState:
             cut=dict(self.cut),
             cook=dict(self.cook),
             consumed=set(self.consumed),
-            meal_exists=self.meal_exists,
             collect_rewarded=set(self.collect_rewarded),
-            prep_rewarded=set(self.prep_rewarded),
             steps=self.steps,
             step_limit=self.step_limit,
             score=self.score,
@@ -80,9 +76,7 @@ class GameState:
             tuple(sorted(self.cut.items())),
             tuple(sorted(self.cook.items())),
             tuple(sorted(self.consumed)),
-            self.meal_exists,
             tuple(sorted(self.collect_rewarded)),
-            tuple(sorted(self.prep_rewarded)),
             self.score,
             self.done,
             self.lost,
@@ -167,7 +161,7 @@ def reset(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[GameSta
 def _portables(state: GameState) -> tuple[str, ...]:
     """Names of the portable objects, the meal included once it exists."""
     names = state.spec.portable_names
-    return names + ("meal",) if state.meal_exists else names
+    return names + ("meal",) if "meal" in state.locations else names
 
 
 def observation(state: GameState) -> KGObservation:
@@ -292,7 +286,7 @@ def _build_moves(state: GameState) -> dict[str, tuple]:
 
     if (
         room == "kitchen"
-        and not state.meal_exists
+        and "meal" not in state.locations
         and any(
             state.locations.get(i) is not None and state.locations[i][1] == "player"
             for i in spec.recipe_ingredients
@@ -309,19 +303,15 @@ def admissible_actions(state: GameState) -> list[str]:
     return sorted(_moves(state))
 
 
-def _prepare(state: GameState, states: dict[str, str], name: str, result: str) -> int:
-    """Set a cut or cook state; 1 the first time it meets the recipe."""
+def _prepare(spec: GameSpec, states: dict[str, str], name: str, result: str) -> bool:
+    """Set a cut or cook state; whether the new state meets the recipe.
+
+    Each (ingredient, requirement) is met this way at most once, so it pays
+    once: a cut needs an uncut ingredient, and cooking a cooked ingredient
+    burns it and ends the game.
+    """
     states[name] = result
-    key = f"{name}|{result}"
-    spec = state.spec
-    if (
-        name in spec.recipe_ingredients
-        and result in spec.recipe_entry(name).requirements
-        and key not in state.prep_rewarded
-    ):
-        state.prep_rewarded.add(key)
-        return 1
-    return 0
+    return name in spec.recipe_ingredients and result in spec.recipe_entry(name).requirements
 
 
 def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, bool]:
@@ -354,7 +344,7 @@ def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, 
         new.lost = True
     elif verb in ("cut", "cook"):
         name, result = args
-        reward = _prepare(new, new.cut if verb == "cut" else new.cook, name, result)
+        reward = int(_prepare(spec, new.cut if verb == "cut" else new.cook, name, result))
     elif verb == "eat":
         name = args[0]
         new.locations[name] = None
@@ -369,7 +359,6 @@ def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, 
         if _recipe_ready(new):
             for ingredient in spec.recipe_ingredients:
                 new.locations[ingredient] = None
-            new.meal_exists = True
             new.locations["meal"] = ("in", "player")
             new.cook["meal"] = "raw"
             reward = 1

@@ -42,7 +42,7 @@ class ReplayResult:
 def load_trace(path: str | Path) -> list[TraceStep]:
     try:
         rows = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise TraceFormatError(f"cannot load trace {path}: {exc}") from exc
     return trace_from_jsonable(rows)
 
@@ -50,30 +50,40 @@ def load_trace(path: str | Path) -> list[TraceStep]:
 def trace_from_jsonable(rows) -> list[TraceStep]:
     if not isinstance(rows, list) or not rows:
         raise TraceFormatError("trace must be a non-empty JSON list")
-    steps = []
+    steps: list[TraceStep] = []
     for i, row in enumerate(rows):
-        if "obs" not in row:
-            raise TraceFormatError(f"step {i}: missing obs")
-        obs = KGObservation.from_lists(row["obs"])
-        if "action" in row and row["action"] is not None:
-            for key in ("admissible", "reward", "score", "done"):
-                if key not in row:
-                    raise TraceFormatError(f"step {i}: missing {key}")
-            steps.append(
-                TraceStep(
-                    obs=obs,
-                    admissible=list(row["admissible"]),
-                    action=row["action"],
-                    reward=int(row["reward"]),
-                    score=int(row["score"]),
-                    done=bool(row["done"]),
-                )
-            )
-        else:
-            if i != len(rows) - 1:
-                raise TraceFormatError(f"step {i}: action-less entry before the end")
-            steps.append(TraceStep(obs=obs))
+        try:
+            steps.append(_trace_step(row, steps[-1] if steps else None, i == len(rows) - 1))
+        except (TypeError, ValueError) as exc:
+            raise TraceFormatError(f"step {i}: {exc}") from exc
     return steps
+
+
+def _trace_step(row, previous: Optional[TraceStep], last: bool) -> TraceStep:
+    if not isinstance(row, dict):
+        raise TraceFormatError("not a JSON object")
+    if "obs" not in row:
+        raise TraceFormatError("missing obs")
+    obs = KGObservation.from_lists(row["obs"])
+    if row.get("action") is None:
+        if not last:
+            raise TraceFormatError("action-less entry before the end")
+        return TraceStep(obs=obs)
+    if previous is not None and previous.done:
+        raise TraceFormatError("action after the game ended")
+    for key in ("admissible", "reward", "score", "done"):
+        if key not in row:
+            raise TraceFormatError(f"missing {key}")
+    if not isinstance(row["done"], bool):
+        raise TraceFormatError(f"done must be true or false, got {row['done']!r}")
+    return TraceStep(
+        obs=obs,
+        admissible=list(row["admissible"]),
+        action=row["action"],
+        reward=int(row["reward"]),
+        score=int(row["score"]),
+        done=row["done"],
+    )
 
 
 def trace_to_jsonable(steps: list[TraceStep]) -> list[dict]:

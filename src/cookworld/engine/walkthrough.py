@@ -2,22 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .spec import GameSpec
 from .state import DEFAULT_STEP_LIMIT, _moves, reset, step
 
 
 class WalkthroughError(RuntimeError):
     """The solver could not finish the game (generator/engine bug)."""
-
-
-@dataclass
-class WalkthroughStats:
-    actions: list[str]
-    reset_triplets: int
-    mean_admissible: float
-    final_score: int
 
 
 def _route(spec: GameSpec, src: str, dst: str) -> list[tuple[str, str | None]]:
@@ -49,10 +39,8 @@ def _route(spec: GameSpec, src: str, dst: str) -> list[tuple[str, str | None]]:
 class _Driver:
     def __init__(self, spec: GameSpec, step_limit: int):
         self.spec = spec
-        self.state, self.obs = reset(spec, step_limit=step_limit)
+        self.state, _ = reset(spec, step_limit=step_limit)
         self.actions: list[str] = []
-        self.admissible_sizes: list[int] = []
-        self.reset_triplets = len(self.obs)
 
     def do(self, effect: tuple) -> None:
         """Play the one admissible command with the given effect."""
@@ -60,8 +48,7 @@ class _Driver:
         matches = [action for action, move in moves.items() if move == effect]
         if len(matches) != 1:
             raise WalkthroughError(f"{len(matches)} commands have effect {effect}")
-        self.admissible_sizes.append(len(moves))
-        self.state, self.obs, _, _ = step(self.state, matches[0])
+        self.state, _, _, _ = step(self.state, matches[0])
         self.actions.append(matches[0])
 
     def goto(self, room: str) -> None:
@@ -80,7 +67,7 @@ class _Driver:
         self.do(("take", name))
 
 
-def solve(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> WalkthroughStats:
+def walkthrough(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> list[str]:
     driver = _Driver(spec, step_limit)
     # read the recipe first, the way a player would
     driver.goto(driver.state.room_of("cookbook"))
@@ -108,14 +95,4 @@ def solve(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> WalkthroughSt
             f"walkthrough ended with score {state.score}/{spec.max_score}, "
             f"done={state.done}, lost={state.lost}"
         )
-    mean_adm = sum(driver.admissible_sizes) / len(driver.admissible_sizes)
-    return WalkthroughStats(
-        actions=driver.actions,
-        reset_triplets=driver.reset_triplets,
-        mean_admissible=mean_adm,
-        final_score=state.score,
-    )
-
-
-def walkthrough(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> list[str]:
-    return solve(spec, step_limit).actions
+    return driver.actions

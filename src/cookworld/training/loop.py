@@ -16,7 +16,9 @@ from ..engine.spec import UNSEEN_LEVELS, GameSpec
 from ..engine.state import admissible_actions, reset, step
 from ..engine.vocab import Vocabulary, default_vocabulary
 from ..goals import Goal, generate_goal_set, goal_reward, goal_terminated
-from ..neural.nets import PolicyNet, clone_net, save_checkpoint, load_checkpoint, sync_target
+from ..neural.nets import (
+    CheckpointError, PolicyNet, clone_net, load_checkpoint, save_checkpoint, sync_target,
+)
 from ..neural.optim import AdamState
 from ..rl.counts import VisitCounter, accumulate_meta_reward, bebold_reward, compose_sub_reward
 from ..rl.dqn import td_update
@@ -68,8 +70,8 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
 class Learner:
     """One policy level's Double DQN learner: online and target nets, Adam
     state, the prioritized replay buffer and the rng that samples it, the
-    update count, the last loss and the best-validation snapshot. Its
-    checkpoint is `<name>.npz` in a run directory."""
+    last loss and the best-validation snapshot. Its checkpoint is
+    `<name>.npz` in a run directory."""
 
     def __init__(self, name: str, cfg: TrainConfig, vocab: Vocabulary, state_parts: int,
                  capacity: int, net_seed: int, rng: np.random.Generator):
@@ -88,9 +90,13 @@ class Learner:
         self.adam = AdamState(self.online)
         self.buffer = PrioritizedBuffer(capacity)
         self.rng = rng
-        self.updates = 0
         self.last_loss: Optional[float] = None
         self.best_params: Optional[dict[str, np.ndarray]] = None
+
+    @property
+    def updates(self) -> int:
+        """TD updates so far: each makes one Adam step."""
+        return self.adam.t
 
     def maybe_update(self, beta: float) -> None:
         """One TD update once the buffer holds a batch; a hard target copy
@@ -109,7 +115,6 @@ class Learner:
             self.adam,
             lr=cfg.lr,
         )
-        self.updates += 1
         if self.updates % cfg.target_sync_every == 0:
             sync_target(self.online, self.target)
 
@@ -130,11 +135,19 @@ class Learner:
     def save(self, directory: Path) -> None:
         save_checkpoint(self.online, directory / f"{self.name}.npz", self.adam.as_dict())
 
-    def load(self, directory: Path) -> None:
-        net, adam = load_checkpoint(directory / f"{self.name}.npz", self.online.vocab)
+    def load(self, directory: Path, updates: int) -> None:
+        """Resume from `<name>.npz`, which must hold the Adam state of
+        `updates` TD updates."""
+        path = directory / f"{self.name}.npz"
+        net, adam = load_checkpoint(path, self.online.vocab)
+        if adam is None:
+            raise CheckpointError(f"{path} holds no optimizer state to resume")
+        if adam["t"] != updates:
+            raise CheckpointError(
+                f"{path} holds {adam['t']} updates, but run_state.json counts {updates}"
+            )
         self._set_params({name: p.data for name, p in net.params.items()})
-        if adam is not None:
-            self.adam = AdamState.from_dict(self.online, adam)
+        self.adam = AdamState.from_dict(self.online, adam)
 
 
 class Trainer:
@@ -144,7 +157,6 @@ class Trainer:
         train_games: dict[str, list[GameSpec]],
         val_games: Optional[dict[str, list[GameSpec]]] = None,
         out_dir: Optional[str | Path] = None,
-        vocab: Optional[Vocabulary] = None,
         resume: bool = False,
     ):
         cfg.validate()
@@ -152,7 +164,7 @@ class Trainer:
         self.train_games = train_games
         self.val_games = val_games or {}
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.vocab = vocab or default_vocabulary()
+        self.vocab = default_vocabulary()
 
         missing = [lvl for lvl in cfg.levels if not train_games.get(lvl)]
         if missing:
@@ -287,7 +299,6 @@ class Trainer:
 
         meta_net = self.meta.online if self._trains_meta(episode) else None
         goal_set = generate_goal_set(obs) if self.uses_goals else None
-        t = 0
         done = False
         while not done:
             goal: Optional[Goal] = None
@@ -297,8 +308,7 @@ class Trainer:
                     goal_q = partial(meta_net.q_values, obs, None, goal_set.texts)
                 goal = epsilon_greedy(goal_set.goals, goal_q, self.rng_meta, eps)
             cond = goal.text if goal is not None else None
-            span_start = t
-            r_meta_parts: list[float] = []
+            span_start = state.steps
             goal_obs = obs
             while True:
                 action = epsilon_greedy(
@@ -314,7 +324,6 @@ class Trainer:
                 if cfg.bebold:
                     r_count = bebold_reward(self.counter, obs, next_obs, cfg.bebold_count_order)
                 r_sub = compose_sub_reward(r_goal, r_count, cfg.lambda_count)
-                t += 1
                 # the goal span is the sub-policy's episode: terminal when the
                 # goal is accomplished or the game ends, time-up included
                 span_over = done if goal is None else goal_terminated(next_obs, goal, done)
@@ -332,7 +341,6 @@ class Trainer:
                         level=level,
                     )
                 )
-                r_meta_parts.append(float(r_env))
                 record.env_rewards.append(float(r_env))
                 self.k += 1
                 self._maybe_update(episode)
@@ -340,7 +348,7 @@ class Trainer:
                 if span_over:
                     break
             if goal is not None:
-                r_meta = accumulate_meta_reward(r_meta_parts)
+                r_meta = accumulate_meta_reward(record.env_rewards[span_start:])
                 # the next span chooses from the meta record's next candidates
                 goal_set = None if done else generate_goal_set(obs)
                 if self.meta is not None:
@@ -357,7 +365,7 @@ class Trainer:
                             level=level,
                         )
                     )
-                record.goal_spans.append(GoalSpan(goal.text, span_start, t, r_meta))
+                record.goal_spans.append(GoalSpan(goal.text, span_start, state.steps, r_meta))
 
         record.steps = state.steps
         record.score = state.score
@@ -500,9 +508,8 @@ class Trainer:
         self.rng_sub.bit_generator.state = rng_states["sub"]
         for learner in self.learners:
             # the checkpoint first: it refuses a run of another variant
-            learner.load(directory)
+            learner.load(directory, run_state[f"updates_{learner.name}"])
             learner.rng.bit_generator.state = rng_states[f"buf_{learner.name}"]
-            learner.updates = run_state[f"updates_{learner.name}"]
 
 
 # -- evaluation ---------------------------------------------------------------------

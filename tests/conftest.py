@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,6 +8,19 @@ from cookworld.engine.spec import load_game
 from cookworld.engine.trace import load_trace
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# GameState fields that are not the world: the game, the clock and the outcome
+NOT_WORLD = ("spec", "steps", "step_limit", "score", "done", "lost")
+
+
+def world(state):
+    """The state's world fields by name: where everything is and what was
+    cut, cooked, eaten and collected, without score, clock or outcome."""
+    return {
+        f.name: getattr(state, f.name)
+        for f in dataclasses.fields(state)
+        if f.compare and f.name not in NOT_WORLD
+    }
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,8 @@ from scipy import stats as scipy_stats
 from cookworld.engine.generate import generate_game
 from cookworld.engine.spec import load_game
 from cookworld.engine.state import admissible_actions, observation, reset, step
-from cookworld.engine.trace import load_trace, replay_trace
-from cookworld.engine.walkthrough import solve
+from cookworld.engine.trace import load_trace, record_trace, replay_trace
+from cookworld.engine.walkthrough import walkthrough
 from cookworld.goals import Goal, generate_goal_set, goal_reward
 from cookworld.kg import KGObservation, Triplet, canonical_hash
 from cookworld.neural import autodiff as ad
@@ -83,9 +83,9 @@ def test_criterion_table_structure():
                 or spec.max_score != max_score
             ):
                 report("table-structure", False, f"{level} seed {seed} integer columns")
-            stats = solve(spec)
-            triplets.append(stats.reset_triplets)
-            acts.append(stats.mean_admissible)
+            trace = record_trace(spec, walkthrough(spec))
+            triplets.append(len(trace[0].obs))
+            acts.append(np.mean([len(st.admissible) for st in trace[:-1]]))
         if abs(np.mean(triplets) - t_tgt) > 0.25 * t_tgt:
             report("table-structure", False, f"{level} triplets {np.mean(triplets):.2f} vs {t_tgt}")
         if abs(np.mean(acts) - a_tgt) > 0.30 * a_tgt:
@@ -127,7 +127,7 @@ def _brute_force_goal_reward(state, goal):
             state.cook.get(goal.ingredient, "none"),
         )
     else:
-        hit = state.meal_exists
+        hit = "meal" in state.locations
     return 1.0 if hit else 0.0
 
 

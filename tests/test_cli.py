@@ -66,6 +66,63 @@ def test_replay_trace_missing_file_is_io_error(tmp_path):
                    "--trace", tmp_path / "nope.json") == 3
 
 
+@pytest.mark.parametrize("damage", ["trace not UTF-8", "spec not UTF-8", "seed not an integer"])
+def test_replay_trace_undecodable_input_is_io_error(damage, tmp_path, capsys):
+    spec, trace = FIXTURES / "s1_game1.spec.json", FIXTURES / "s1_game1.trace.json"
+    bad = tmp_path / "bad.json"
+    if damage == "seed not an integer":
+        bad.write_text(json.dumps(dict(json.loads(spec.read_text()), seed="x")))
+    else:
+        bad.write_bytes(b"\xff\xfe[")
+    if damage == "trace not UTF-8":
+        trace = bad
+    else:
+        spec = bad
+    assert run_cli("replay-trace", "--spec", spec, "--trace", trace) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.json" in err
+
+
+# (damage to the S1 golden trace's rows, the step the error names)
+BAD_TRACES = {
+    "not an object": (lambda rows: [1], 0),
+    "two-field obs row": (lambda rows: [dict(rows[0], obs=[["player", "kitchen"]])] + rows[1:], 0),
+    "unknown relation": (
+        lambda rows: [dict(rows[0], obs=rows[0]["obs"] + [["player", "kitchen", "under"]])] + rows[1:],
+        0,
+    ),
+    "non-integer reward": (lambda rows: rows[:3] + [dict(rows[3], reward="x")] + rows[4:], 3),
+    "string done flag": (lambda rows: [dict(rows[0], done="false")] + rows[1:], 0),
+    "action after the end": (lambda rows: rows[:-1] + [rows[-2], rows[-1]], 8),
+}
+
+
+@pytest.mark.parametrize("damage", list(BAD_TRACES))
+def test_replay_trace_malformed_trace_is_io_error(damage, s1_trace_rows, tmp_path, capsys):
+    edit, bad_step = BAD_TRACES[damage]
+    bad = tmp_path / "bad.trace.json"
+    bad.write_text(json.dumps(edit(s1_trace_rows)))
+    assert run_cli("replay-trace", "--spec", FIXTURES / "s1_game1.spec.json", "--trace", bad) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"step {bad_step}: " in err
+
+
+@pytest.mark.parametrize("command", ["play", "replay-trace"])
+def test_spec_breaking_an_invariant_is_io_error(command, tmp_path, monkeypatch, capsys):
+    doc = json.loads((FIXTURES / "s1_game1.spec.json").read_text())
+    doc["max_score"] = 99
+    spec = tmp_path / "broken.spec.json"
+    spec.write_text(json.dumps(doc))
+    monkeypatch.setattr("builtins.input", lambda prompt="": pytest.fail("play took a command"))
+    if command == "play":
+        argv = ["play", spec]
+    else:
+        argv = ["replay-trace", "--spec", spec, "--trace", FIXTURES / "s1_game1.trace.json"]
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "broken.spec.json: max-score-formula" in err
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         run_cli("gen", "--levels", "S1", "--out", "/tmp/x", "--frobnicate")
@@ -159,6 +216,29 @@ def test_train_resume_without_meta_checkpoint_refused(tmp_path, capsys):
     assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
                    "--variant", "H-KGA", "--resume") == 2
     assert "meta.npz" in capsys.readouterr().err
+
+
+def test_train_resume_refuses_a_mismatched_update_count(tmp_path, capsys):
+    games = tmp_path / "games"
+    out = tmp_path / "run"
+    run_cli("gen", "--levels", "S1", "--train", "2", "--val", "1", "--test", "1",
+            "--seed", "3", "--out", games)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "episodes": 3, "warmup_episodes": 1, "val_freq": 3, "batch_size": 4,
+        "hidden_dim": 8, "ff_dim": 8, "scorer_hidden": 8, "seed": 1,
+    }))
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path) == 0
+    capsys.readouterr()
+    # as a crash between writing sub.npz and run_state.json leaves it
+    state_path = out / "latest" / "run_state.json"
+    run_state = json.loads(state_path.read_text())
+    run_state["updates_sub"] += 1
+    state_path.write_text(json.dumps(run_state))
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
+                   "--resume") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sub.npz" in err
 
 
 def test_train_resume_refuses_a_changed_config(tmp_path, capsys):
@@ -264,7 +344,9 @@ def test_bad_game_dir_is_io_error(command, damage, tmp_path, capsys):
     assert run_cli(*argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load games: ")
-    if damage != "malformed spec":
+    if damage == "malformed spec":
+        assert "S1_train_000.json: invalid JSON" in err  # the first broken file
+    else:
         assert "manifest.json" in err
 
 

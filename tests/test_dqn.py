@@ -419,7 +419,7 @@ def test_target_cache_lives_as_long_as_the_target_weights(warm_trainers, variant
         p.data += 0.1
     sync_target(online, target)
     filled_cache()
-    learner.load(tmp_path)
+    learner.load(tmp_path, learner.updates)
     assert not target._vec_cache
     assert np.array_equal(filled_cache(), before)
     assert np.array_equal(before, fresh_q())

@@ -2,24 +2,32 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cookworld.engine.generate import LEVEL_PARAMS, generate_game
 from cookworld.engine.spec import (
     InvariantViolation,
     SpecParseError,
     dumps_spec,
+    load_game,
     loads_spec,
 )
 from cookworld.engine.state import (
+    CUT_VERBS,
+    GameState,
     InadmissibleActionError,
     admissible_actions,
     reset,
     step,
 )
 from cookworld.engine.trace import record_trace, replay_trace
-from cookworld.engine.walkthrough import solve
+from cookworld.engine.walkthrough import walkthrough
 from cookworld.kg import InvalidTripletError, Triplet
+
+from conftest import world
 
 
 def test_golden_replay_s1(s1_spec, s1_trace):
@@ -130,11 +138,11 @@ def test_premature_prepare_meal_is_noop(s1_spec):
     state, obs0 = reset(s1_spec)
     for action in ["open fridge", "take cilantro from fridge"]:
         state, obs0, _, _ = step(state, action)
-    before = state.signature()
+    before = world(state)
     state2, obs1, r, done = step(state, "prepare meal")
     assert r == 0 and not done
     assert obs1 == obs0
-    assert state2.signature()[0:9] == before[0:9]  # world unchanged, steps differ
+    assert world(state2) == before  # world unchanged, steps differ
 
 
 def test_step_limit_terminates(s1_spec):
@@ -159,8 +167,6 @@ def test_step_limit_one_plays_one_command(s1_spec):
 
 
 def test_score_bounded_and_monotone_random_play(s1_spec, s4_spec):
-    import random
-
     for spec in (s1_spec, s4_spec):
         rng = random.Random(11)
         for _ in range(15):
@@ -178,8 +184,6 @@ NOOP_ALLOWED = {"examine cookbook", "prepare meal"}
 
 
 def test_admissible_actions_change_state_except_documented_noops(s1_spec, s4_spec):
-    import random
-
     for spec in (s1_spec, s4_spec):
         rng = random.Random(5)
         for _ in range(8):
@@ -189,7 +193,7 @@ def test_admissible_actions_change_state_except_documented_noops(s1_spec, s4_spe
                 actions = admissible_actions(state)
                 for action in actions:
                     nxt, _, reward, _ = step(state, action)
-                    changed = nxt.signature()[0:9] != state.signature()[0:9]
+                    changed = world(nxt) != world(state)
                     if not changed and reward == 0:
                         assert action in NOOP_ALLOWED, action
                 action = rng.choice(actions)
@@ -198,8 +202,7 @@ def test_admissible_actions_change_state_except_documented_noops(s1_spec, s4_spe
 
 def test_walkthrough_reaches_max_score(s1_spec, s4_spec):
     for spec in (s1_spec, s4_spec):
-        stats = solve(spec)
-        assert stats.final_score == spec.max_score
+        assert record_trace(spec, walkthrough(spec))[-2].score == spec.max_score
 
 
 def test_max_score_values(s1_spec, s4_spec):
@@ -208,7 +211,7 @@ def test_max_score_values(s1_spec, s4_spec):
 
 
 def test_determinism_bit_identical_runs(s4_spec):
-    actions = solve(s4_spec).actions
+    actions = walkthrough(s4_spec)
     t1 = record_trace(s4_spec, actions)
     t2 = record_trace(s4_spec, actions)
     assert [s.obs for s in t1] == [s.obs for s in t2]
@@ -244,6 +247,30 @@ def test_wrong_max_score_is_invariant_violation(s1_spec):
     with pytest.raises(InvariantViolation) as err:
         loads_spec(json.dumps(doc))
     assert "max-score-formula" in str(err.value)
+
+
+def test_object_named_meal_is_invariant_violation(s1_spec):
+    doc = json.loads(dumps_spec(s1_spec))
+    doc["objects"].append(
+        {"name": "meal", "kind": "distractor", "holder": "kitchen", "holder_relation": "at"}
+    )
+    with pytest.raises(InvariantViolation) as err:
+        loads_spec(json.dumps(doc))
+    assert err.value.invariant == "reserved-name"
+
+
+def test_load_game_names_the_file(s1_spec, tmp_path):
+    doc = json.loads(dumps_spec(s1_spec))
+    doc["max_score"] = 99
+    path = tmp_path / "broken.spec.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvariantViolation) as err:
+        load_game(path)
+    assert err.value.invariant == "max-score-formula"
+    assert str(err.value).startswith(f"{path}: max-score-formula: ")
+    path.write_text("{")
+    with pytest.raises(SpecParseError, match="broken.spec.json: invalid JSON"):
+        load_game(path)
 
 
 def test_final_obs_keeps_states_after_meal(s1_spec):
@@ -309,15 +336,74 @@ def test_action_table_stays_with_its_state(s1_spec):
     assert state.signature() == untouched.signature()
 
 
+def test_copy_carries_every_field(s1_spec):
+    live = _replay(s1_spec, ["open fridge"])
+    admissible_actions(live)  # builds its action table
+    assert live._move_table is not None and live.copy()._move_table is None
+
+    state, _ = reset(s1_spec, step_limit=40)
+    for action in ["open fridge", "take cilantro from fridge",
+                   "cook cilantro with stove", "cook cilantro with stove"]:
+        state, _, _, _ = step(state, action)
+    copied = state.copy()
+    for f in dataclasses.fields(GameState):
+        if not f.compare:
+            continue
+        value = getattr(state, f.name)
+        # a field at its default would compare equal even if copy() left it out
+        if f.default is not dataclasses.MISSING:
+            assert value != f.default, f.name
+        if f.default_factory is not dataclasses.MISSING:
+            assert value != f.default_factory(), f.name
+        assert getattr(copied, f.name) == value, f.name
+        if isinstance(value, (dict, set)):
+            assert getattr(copied, f.name) is not value, f.name
+
+
+RECIPE_VERBS = ("take", "cook", "prepare", *CUT_VERBS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    level=st.sampled_from(list(LEVEL_PARAMS)),
+    game_seed=st.integers(0, 2**16),
+    play_seed=st.integers(0, 2**16),
+)
+def test_random_play_pays_each_recipe_step_once(level, game_seed, play_seed):
+    spec = generate_game(level, game_seed)
+    rng = random.Random(play_seed)
+    state, _ = reset(spec, step_limit=100)
+    paid = set()
+    done = False
+    while not done:
+        actions = admissible_actions(state)
+        # lean towards the recipe's commands, so that repeats of them get tried
+        recipe_steps = [a for a in actions if a.split()[0] in RECIPE_VERBS]
+        action = rng.choice(recipe_steps if recipe_steps and rng.random() < 0.8 else actions)
+        new, _, reward, done = step(state, action)
+        assert new.score == state.score + reward <= spec.max_score
+        meal_appears = "meal" in new.locations and "meal" not in state.locations
+        assert meal_appears == (action == "prepare meal" and reward == 1)
+        if action.split()[0] in ("cook", *CUT_VERBS) and reward:
+            prepared = {
+                (name, value)
+                for after, before in ((new.cut, state.cut), (new.cook, state.cook))
+                for name, value in after.items()
+                if before.get(name) != value
+            }
+            assert len(prepared) == 1 and prepared.isdisjoint(paid), (action, paid)
+            ((name, value),) = prepared
+            assert value in spec.recipe_entry(name).requirements
+            paid |= prepared
+        state = new
+
+
 # sha256 of the play log below, generated before the action table
 # replaced the format-then-parse pair in engine/state.py
 RANDOM_PLAY_DIGEST = "37faa048f4f2476fef6e7279ef36c7a3a81825095cd23820974b112ad894d195"
 
 
 def _random_play_log():
-    import random
-
-    from cookworld.engine.generate import LEVEL_PARAMS, generate_game
     from cookworld.kg import canonical_hash
 
     for level in LEVEL_PARAMS:
@@ -326,7 +412,7 @@ def _random_play_log():
             rng = random.Random(1000 * seed + len(level))
             # three random episodes, then the winning walkthrough
             for episode in range(4):
-                plan = iter(solve(spec).actions if episode == 3 else ())
+                plan = iter(walkthrough(spec) if episode == 3 else ())
                 state, obs = reset(spec, step_limit=50)
                 yield f"{level} {seed} {episode} reset {canonical_hash(obs)}"
                 done = False

@@ -11,7 +11,8 @@ from cookworld.engine.spec import (
     dumps_spec,
     validate_spec,
 )
-from cookworld.engine.walkthrough import solve
+from cookworld.engine.trace import record_trace
+from cookworld.engine.walkthrough import walkthrough
 
 # per-level targets: (#triplets, rooms, #ings, #reqs per ing, #acts, max score)
 LEVEL_TABLE = {
@@ -62,8 +63,7 @@ def test_unknown_level_rejected():
 def test_walkthrough_solves_generated_games(level):
     for seed in range(25):
         spec = generate_game(level, seed)
-        stats = solve(spec)
-        assert stats.final_score == spec.max_score
+        assert record_trace(spec, walkthrough(spec))[-2].score == spec.max_score
 
 
 @pytest.mark.parametrize("level", list(LEVEL_PARAMS))
@@ -71,9 +71,10 @@ def test_level_statistics_within_bands(level):
     triplet_target, _, _, _, acts_target, _ = LEVEL_TABLE[level]
     triplets, acts = [], []
     for seed in range(100):
-        stats = solve(generate_game(level, seed))
-        triplets.append(stats.reset_triplets)
-        acts.append(stats.mean_admissible)
+        spec = generate_game(level, seed)
+        trace = record_trace(spec, walkthrough(spec))
+        triplets.append(len(trace[0].obs))
+        acts.append(np.mean([len(st.admissible) for st in trace[:-1]]))
     assert abs(np.mean(triplets) - triplet_target) <= 0.25 * triplet_target
     assert abs(np.mean(acts) - acts_target) <= 0.30 * acts_target
 

@@ -138,7 +138,7 @@ def brute_force_goal_reward(state, goal):
             state.cook.get(goal.ingredient, "none"),
         )
     else:
-        hit = state.meal_exists
+        hit = "meal" in state.locations
     return R_MAX if hit else R_MIN
 
 
