@@ -167,6 +167,32 @@ class GameSpec:
         """The objects that never move: furniture and appliances."""
         return tuple(o for o in self.objects if not o.portable)
 
+    @cached_property
+    def holder_rooms(self) -> dict[str, str]:
+        """Each room, mapped to itself, and each fixture that stands in a
+        room, mapped to that room: the room of whatever is on or in it. No
+        action moves such a fixture."""
+        rooms = {obj.name: obj.holder for obj in self.fixtures if self.is_room(obj.holder)}
+        rooms.update((room.name, room.name) for room in self.rooms)
+        return rooms
+
+    @cached_property
+    def openable_names(self) -> tuple[str, ...]:
+        """The doors and the container fixtures: what opens and closes."""
+        doors = tuple(door.name for door in self.doors)
+        return doors + tuple(o.name for o in self.fixtures if o.name in CONTAINER_NAMES)
+
+    @cached_property
+    def fittings(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """Per room: the fixtures held by it, and what opens and closes in
+        it (its container fixtures, then its doors)."""
+        fittings = {}
+        for room in self.rooms:
+            fixed = tuple(o.name for o in self.fixtures if o.holder == room.name)
+            doors = tuple(d.name for d in self.doors if room.name in (d.room_a, d.room_b))
+            fittings[room.name] = (fixed, tuple(f for f in fixed if f in CONTAINER_NAMES) + doors)
+        return fittings
+
     # -- observation triplets ---------------------------------------------
 
     @cached_property
@@ -197,6 +223,14 @@ class GameSpec:
             for requirement in entry.requirements:
                 edges.append(self.triplet(entry.ingredient, requirement, "needs"))
         return tuple(edges)
+
+    @cached_property
+    def static_triplets_of(self) -> dict[str, tuple[Triplet, ...]]:
+        """The static edges grouped by subject."""
+        grouped: dict[str, list[Triplet]] = {}
+        for edge in self.static_triplets:
+            grouped.setdefault(edge.subject, []).append(edge)
+        return {subject: tuple(edges) for subject, edges in grouped.items()}
 
 
 def expected_max_score(recipe: Sequence[RecipeEntry]) -> int:

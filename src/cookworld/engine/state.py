@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..kg import KGObservation
+from ..kg import KGObservation, Triplet, sort_key, subject_of
 from .spec import (
     APPLIANCE_RESULT,
     CONTAINER_NAMES,
@@ -47,6 +49,11 @@ class GameState:
     # this state's action table, built by the first _moves call; not part of
     # the state's identity, and copy() starts without it
     _move_table: Optional[dict[str, tuple]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    # this state's observation, rendered by the first observation call; kept
+    # the same way as the action table
+    _observation: Optional[KGObservation] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -102,22 +109,26 @@ class GameState:
         return self.spec.object(name).edible
 
     def room_of(self, name: str) -> Optional[str]:
-        """Room an object resolves to through its holder chain, if any."""
+        """Room an object resolves to through its holder chain, if any.
+
+        A room or a fixture standing in one ends the chain in one lookup.
+        """
+        rooms = self.spec.holder_rooms
         seen = set()
         current = name
-        while True:
-            if current in seen:
-                return None
+        while current not in seen:
             seen.add(current)
             loc = self.locations.get(current)
             if loc is None:
                 return None
-            _, holder = loc
+            holder = loc[1]
             if holder == "player":
                 return self.player_room
-            if self.spec.is_room(holder):
-                return holder
+            room = rooms.get(holder)
+            if room is not None:
+                return room
             current = holder
+        return None
 
     def inventory(self) -> list[str]:
         return sorted(
@@ -164,31 +175,92 @@ def _portables(state: GameState) -> tuple[str, ...]:
     return names + ("meal",) if "meal" in state.locations else names
 
 
-def observation(state: GameState) -> KGObservation:
-    spec = state.spec
-    edge = spec.triplet
-    triplets = list(spec.static_triplets)
-    triplets.append(edge("player", state.player_room, "at"))
-    for door in spec.doors:
-        triplets.append(edge(door.name, "open" if state.open_flags[door.name] else "closed", "is"))
-    for obj in spec.fixtures:
-        if obj.name in CONTAINER_NAMES:
-            flag = "open" if state.open_flags[obj.name] else "closed"
-            triplets.append(edge(obj.name, flag, "is"))
+def _player_edge(state: GameState) -> Triplet:
+    return state.spec.triplet("player", state.player_room, "at")
 
+
+def _flag_edge(state: GameState, name: str) -> Triplet:
+    return state.spec.triplet(name, "open" if state.open_flags[name] else "closed", "is")
+
+
+def _portable_edges(state: GameState, name: str) -> list[Triplet]:
+    edge = state.spec.triplet
+    edges = []
+    loc = state.locations.get(name)
+    if loc is not None:
+        rel, holder = loc
+        edges.append(edge(name, holder, rel))
+    if name in state.consumed:
+        edges.append(edge(name, "consumed", "is"))
+    if state.cut.get(name, "none") != "none":
+        edges.append(edge(name, state.cut[name], "is"))
+    if state.cook.get(name, "none") != "none":
+        edges.append(edge(name, state.cook[name], "is"))
+    return edges
+
+
+def _render(state: GameState) -> list[Triplet]:
+    """Every edge of the state."""
+    triplets = list(state.spec.static_triplets)
+    triplets.append(_player_edge(state))
+    for name in state.spec.openable_names:
+        triplets.append(_flag_edge(state, name))
     for name in _portables(state):
-        loc = state.locations.get(name)
-        if loc is not None:
-            rel, holder = loc
-            triplets.append(edge(name, holder, rel))
-        if name in state.consumed:
-            triplets.append(edge(name, "consumed", "is"))
-        if state.cut.get(name, "none") != "none":
-            triplets.append(edge(name, state.cut[name], "is"))
-        if state.cook.get(name, "none") != "none":
-            triplets.append(edge(name, state.cook[name], "is"))
+        triplets += _portable_edges(state, name)
+    return triplets
 
-    return KGObservation(triplets)
+
+def _subject_edges(state: GameState, name: str) -> list[Triplet]:
+    """The edges of one subject: the ones _render gives it, in any order."""
+    spec = state.spec
+    edges = list(spec.static_triplets_of.get(name, ()))
+    if name == "player":
+        edges.append(_player_edge(state))
+    if name in spec.openable_names:
+        edges.append(_flag_edge(state, name))
+    if name == "meal" or name in spec.portable_names:
+        edges += _portable_edges(state, name)
+    return edges
+
+
+def _patch(
+    parent: tuple[Triplet, ...], state: GameState, touched: tuple[str, ...]
+) -> list[Triplet]:
+    """The parent's edges with each touched subject's run re-rendered.
+
+    The canonical order sorts by subject first, so a subject's edges are one
+    run of the parent's triplets, and the rest of them stay as they were.
+    Each new run is sorted too, so the whole list is in canonical order.
+    """
+    triplets: list[Triplet] = []
+    start = 0
+    for name in sorted(touched):
+        lo = bisect_left(parent, name, lo=start, key=subject_of)
+        hi = bisect_right(parent, name, lo=lo, key=subject_of)
+        triplets += parent[start:lo]
+        triplets += sorted(_subject_edges(state, name), key=sort_key)
+        start = hi
+    triplets += parent[start:]
+    return triplets
+
+
+def observation(
+    state: GameState, parent: Optional[GameState] = None, touched: tuple[str, ...] = ()
+) -> KGObservation:
+    """The state's knowledge graph, rendered by the first call.
+
+    step() names the state it copied (`parent`) and the subjects whose edges
+    its effect touched; if the parent holds its rendered graph, this state's
+    graph is that one with the touched subjects' edges replaced. Otherwise
+    every edge is rendered.
+    """
+    if state._observation is None:
+        if parent is not None and parent._observation is not None:
+            triplets = _patch(parent._observation.triplets, state, touched)
+        else:
+            triplets = _render(state)
+        state._observation = KGObservation(triplets)
+    return state._observation
 
 
 def _visible_portables(state: GameState, room: str) -> list[tuple[str, Optional[str]]]:
@@ -249,9 +321,8 @@ def _build_moves(state: GameState) -> dict[str, tuple]:
         if ex.door is None or state.open_flags[ex.door]:
             moves[f"go {ex.direction}"] = ("go", ex.to)
 
-    fixed = [o.name for o in spec.fixtures if o.holder == room]
-    doors = [d.name for d in spec.doors if room in (d.room_a, d.room_b)]
-    for name in [f for f in fixed if f in CONTAINER_NAMES] + doors:
+    fixed, openable = spec.fittings[room]
+    for name in openable:
         verb = "close" if state.open_flags[name] else "open"
         moves[f"{verb} {name}"] = (verb, name)
 
@@ -300,7 +371,9 @@ def _build_moves(state: GameState) -> dict[str, tuple]:
 
 
 def admissible_actions(state: GameState) -> list[str]:
-    return sorted(_moves(state))
+    # one string object per command, however many states and replay records
+    # hold it
+    return sorted(map(sys.intern, _moves(state)))
 
 
 def _prepare(spec: GameSpec, states: dict[str, str], name: str, result: str) -> bool:
@@ -323,9 +396,13 @@ def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, 
     spec = new.spec
     reward = 0
     verb, *args = effect
+    # the subjects whose edges the effect changes: the object it names, if
+    # any, unless a branch below says otherwise
+    touched = tuple(args[:1])
 
     if verb == "go":
         new.player_room = args[0]
+        touched = ("player",)
     elif verb in ("open", "close"):
         new.open_flags[args[0]] = verb == "open"
     elif verb == "take":
@@ -362,6 +439,7 @@ def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, 
             new.locations["meal"] = ("in", "player")
             new.cook["meal"] = "raw"
             reward = 1
+            touched = spec.recipe_ingredients + ("meal",)
         # premature "prepare meal" is a documented admissible no-op
     # "examine cookbook" is informationless under the full-graph observation
 
@@ -369,4 +447,4 @@ def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, 
     new.score += reward
     if new.steps >= new.step_limit and not new.done:
         new.done = True
-    return new, observation(new), reward, new.done
+    return new, observation(new, state, touched), reward, new.done

@@ -135,7 +135,7 @@ def goal_reward(
     if goal.kind == FIND:
         accomplished = _collected(goal.ingredient, next_obs)
     elif goal.kind == PREPARE:
-        accomplished = goal.requirement in _statuses(goal.ingredient, next_obs)
+        accomplished = next_obs.has(goal.ingredient, goal.requirement, "is")
     else:
         # any triplet mentioning a meal entity counts, including "consumed"
         accomplished = any(t.subject == "meal" or t.object == "meal" for t in next_obs)

@@ -7,9 +7,10 @@ platform-stable 64-bit digest so they can be used as visitation-count keys.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cached_property
+from operator import attrgetter, lt
 from typing import Iterable, Iterator, Sequence
 
 RELATIONS = (
@@ -60,9 +61,25 @@ class Triplet:
     def as_list(self) -> list[str]:
         return [self.subject, self.object, self.relation]
 
+    # Built on first use and kept, so that an edge interned once per game
+    # builds them once. cached_property stores them in the instance
+    # __dict__, outside the fields, so they take no part in ==, hash or
+    # ordering.
 
-# (subject, object, relation): the canonical order, compared as plain tuples
-_sort_key = attrgetter("subject", "object", "relation")
+    @cached_property
+    def key(self) -> tuple[str, str, str]:
+        """(subject, object, relation): the canonical order, compared as plain tuples."""
+        return (self.subject, self.object, self.relation)
+
+    @cached_property
+    def line(self) -> str:
+        """This edge's line of the canonical serialization."""
+        return f"{self.subject}|{self.object}|{self.relation}"
+
+
+sort_key = attrgetter("key")
+subject_of = attrgetter("subject")
+_line = attrgetter("line")
 
 
 class KGObservation:
@@ -71,9 +88,16 @@ class KGObservation:
     __slots__ = ("triplets", "_digest")
 
     def __init__(self, triplets: Iterable[Triplet]):
-        unique = {_sort_key(t): t for t in triplets}
-        ordered = tuple(map(unique.__getitem__, sorted(unique)))
-        player_at = [t for t in ordered if t.subject == "player" and t.relation == "at"]
+        ordered = tuple(triplets)
+        keys = list(map(sort_key, ordered))
+        if not all(map(lt, keys, keys[1:])):
+            # not already strictly ascending: drop duplicates and sort
+            unique = dict(zip(keys, ordered))
+            ordered = tuple(map(unique.__getitem__, sorted(unique)))
+        # the player's edges are one run of the subject-first order
+        lo = bisect_left(ordered, "player", key=subject_of)
+        hi = bisect_right(ordered, "player", lo=lo, key=subject_of)
+        player_at = [t for t in ordered[lo:hi] if t.relation == "at"]
         if len(player_at) > 1:
             raise InvalidObservationError(f"multiple player locations: {player_at}")
         object.__setattr__(self, "triplets", ordered)
@@ -89,7 +113,7 @@ class KGObservation:
         return len(self.triplets)
 
     def __contains__(self, triplet: Triplet) -> bool:
-        return self.has(*_sort_key(triplet))
+        return self.has(*triplet.key)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KGObservation) and self.triplets == other.triplets
@@ -103,8 +127,8 @@ class KGObservation:
     def has(self, subject: str, obj: str, relation: str) -> bool:
         # binary search on the canonical order, without building a Triplet
         key = (subject, obj, relation)
-        i = bisect_left(self.triplets, key, key=_sort_key)
-        return i < len(self.triplets) and _sort_key(self.triplets[i]) == key
+        i = bisect_left(self.triplets, key, key=sort_key)
+        return i < len(self.triplets) and self.triplets[i].key == key
 
     def entities(self) -> list[str]:
         """All entity strings appearing as subject or object, sorted."""
@@ -134,7 +158,7 @@ def canonical_hash(obs: KGObservation) -> int:
     cached = obs._digest
     if cached is not None:
         return cached
-    payload = "\n".join(map("|".join, map(_sort_key, obs.triplets)))
+    payload = "\n".join(map(_line, obs.triplets))
     digest = int.from_bytes(hashlib.blake2b(payload.encode(), digest_size=8).digest(), "big")
     object.__setattr__(obs, "_digest", digest)
     return digest

@@ -20,12 +20,13 @@ from cookworld.engine.state import (
     GameState,
     InadmissibleActionError,
     admissible_actions,
+    observation,
     reset,
     step,
 )
 from cookworld.engine.trace import record_trace, replay_trace
 from cookworld.engine.walkthrough import walkthrough
-from cookworld.kg import InvalidTripletError, Triplet
+from cookworld.kg import InvalidTripletError, Triplet, canonical_hash
 
 from conftest import world
 
@@ -325,10 +326,16 @@ def test_action_table_stays_with_its_state(s1_spec):
         assert admissible_actions(new) != before
     assert admissible_actions(state) == before
 
-    # a copy starts without the table: changing it changes its actions
+    # a copy starts without the table and the observation: changing it
+    # changes its actions and renders its own facts
+    assert observation(state) is observation(state)
     closed = state.copy()
+    assert closed._move_table is None and closed._observation is None
     closed.open_flags["fridge"] = False
     assert admissible_actions(closed) == admissible_actions(_replay(s1_spec, []))
+    assert observation(closed) == reset(s1_spec)[1] != observation(state)
+    assert observation(closed).has("fridge", "closed", "is")
+    assert observation(state).has("fridge", "open", "is")
 
     # the table is no part of the state's identity
     untouched = _replay(s1_spec, prefix)
@@ -340,6 +347,8 @@ def test_copy_carries_every_field(s1_spec):
     live = _replay(s1_spec, ["open fridge"])
     admissible_actions(live)  # builds its action table
     assert live._move_table is not None and live.copy()._move_table is None
+    # step rendered its observation; a copy renders its own
+    assert live._observation is not None and live.copy()._observation is None
 
     state, _ = reset(s1_spec, step_limit=40)
     for action in ["open fridge", "take cilantro from fridge",
@@ -396,6 +405,79 @@ def test_random_play_pays_each_recipe_step_once(level, game_seed, play_seed):
             assert value in spec.recipe_entry(name).requirements
             paid |= prepared
         state = new
+
+
+def _effect_kind(before, after, action, reward):
+    verb, _, rest = action.partition(" ")
+    name = rest.split(" with ")[0]
+    if verb in ("open", "close"):
+        return f"{verb} {'container' if name in before.locations else 'door'}"
+    if verb == "cook" and after.cook.get(name) == "burned":
+        return "burn"
+    if verb == "prepare":
+        return "prepare" if reward else "premature prepare"
+    if action == "eat meal":
+        return action
+    return "cut" if verb in CUT_VERBS else verb
+
+
+EFFECT_KINDS = {
+    "go", "open door", "close door", "open container", "close container", "take", "drop",
+    "put", "insert", "eat", "eat meal", "cut", "cook", "burn", "prepare", "premature prepare",
+    "examine",
+}
+
+
+def _play_patched(spec, rng, plan=()):
+    """One episode, leaning towards the recipe's commands after any planned
+    ones, that checks each step's observation, patched from its parent's,
+    against a full render of the same state. Returns the effects played."""
+    plan = iter(plan)
+    state, obs = reset(spec, step_limit=100)
+    kinds = set()
+    done = False
+    while not done:
+        actions = admissible_actions(state)
+        recipe_steps = [a for a in actions if a.split()[0] in RECIPE_VERBS]
+        action = next(plan, None) or rng.choice(
+            recipe_steps if recipe_steps and rng.random() < 0.8 else actions
+        )
+        assert state._observation is obs  # the parent's graph, for step to patch
+        new, obs, reward, done = step(state, action)
+        full = observation(new.copy())  # a copy has no memo and no parent
+        assert obs.triplets == full.triplets, action
+        assert canonical_hash(obs) == canonical_hash(full), action
+        kinds.add(_effect_kind(state, new, action, reward))
+        state = new
+    return kinds
+
+
+def _play_game_patched(spec, play_seed):
+    """Two random episodes and the walkthrough, checked as above."""
+    rng = random.Random(play_seed)
+    return _play_patched(spec, rng) | _play_patched(spec, rng) | _play_patched(
+        spec, rng, walkthrough(spec)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    level=st.sampled_from(list(LEVEL_PARAMS)),
+    game_seed=st.integers(0, 2**16),
+    play_seed=st.integers(0, 2**16),
+)
+def test_patched_observation_equals_full_render(level, game_seed, play_seed):
+    _play_game_patched(generate_game(level, game_seed), play_seed)
+
+
+def test_patched_observation_play_reaches_every_effect():
+    # the play of the test above, on fixed games: it exercises every effect
+    # that step patches the observation for
+    kinds = set()
+    for level in LEVEL_PARAMS:
+        for seed in range(6):
+            kinds |= _play_game_patched(generate_game(level, seed), seed)
+    assert kinds == EFFECT_KINDS
 
 
 # sha256 of the play log below, generated before the action table
