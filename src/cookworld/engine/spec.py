@@ -8,7 +8,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from ..kg import DIRECTIONS, OPPOSITE_DIRECTION, Triplet
+from ..kg import DIRECTIONS, OPPOSITE_DIRECTION, Triplet, is_entity_token
 
 FORMAT_VERSION = 1
 
@@ -145,9 +145,6 @@ class GameSpec:
     def object(self, name: str) -> ObjectSpec:
         return self._objects_by_name[name]
 
-    def is_room(self, name: str) -> bool:
-        return name in self._rooms_by_name
-
     @cached_property
     def recipe_ingredients(self) -> tuple[str, ...]:
         return tuple(entry.ingredient for entry in self.recipe)
@@ -172,7 +169,7 @@ class GameSpec:
         """Each room, mapped to itself, and each fixture that stands in a
         room, mapped to that room: the room of whatever is on or in it. No
         action moves such a fixture."""
-        rooms = {obj.name: obj.holder for obj in self.fixtures if self.is_room(obj.holder)}
+        rooms = {o.name: o.holder for o in self.fixtures if o.holder in self._rooms_by_name}
         rooms.update((room.name, room.name) for room in self.rooms)
         return rooms
 
@@ -208,28 +205,24 @@ class GameSpec:
         return found
 
     @cached_property
-    def static_triplets(self) -> tuple[Triplet, ...]:
-        """The observation edges no action changes: exits, fixtures, the recipe."""
-        edges = []
+    def static_triplets_of(self) -> dict[str, tuple[Triplet, ...]]:
+        """The observation edges no action changes, grouped by subject:
+        exits, fixtures, the recipe."""
+        grouped: dict[str, list[Triplet]] = {}
+
+        def add(subject: str, obj: str, relation: str) -> None:
+            grouped.setdefault(subject, []).append(self.triplet(subject, obj, relation))
+
         for room in self.rooms:
             for ex in room.exits:
                 # "X is <dir> of room" means going <dir> from the room reaches X.
-                target = ex.to if ex.door is None else ex.door
-                edges.append(self.triplet(target, room.name, f"{ex.direction}_of"))
+                add(ex.to if ex.door is None else ex.door, room.name, f"{ex.direction}_of")
         for obj in self.fixtures:
-            edges.append(self.triplet(obj.name, obj.holder, "at"))
+            add(obj.name, obj.holder, "at")
         for entry in self.recipe:
-            edges.append(self.triplet(entry.ingredient, "cookbook", "part_of"))
+            add(entry.ingredient, "cookbook", "part_of")
             for requirement in entry.requirements:
-                edges.append(self.triplet(entry.ingredient, requirement, "needs"))
-        return tuple(edges)
-
-    @cached_property
-    def static_triplets_of(self) -> dict[str, tuple[Triplet, ...]]:
-        """The static edges grouped by subject."""
-        grouped: dict[str, list[Triplet]] = {}
-        for edge in self.static_triplets:
-            grouped.setdefault(edge.subject, []).append(edge)
+                add(entry.ingredient, requirement, "needs")
         return {subject: tuple(edges) for subject, edges in grouped.items()}
 
 
@@ -239,6 +232,10 @@ def expected_max_score(recipe: Sequence[RecipeEntry]) -> int:
 
 
 def validate_spec(spec: GameSpec) -> None:
+    for named in (*spec.rooms, *spec.doors, *spec.objects):
+        if not is_entity_token(named.name):
+            # the engine renders every name as a graph node
+            raise InvariantViolation("entity-token", repr(named.name))
     rooms = {r.name: r for r in spec.rooms}
     doors = {d.name: d for d in spec.doors}
     objects = {o.name: o for o in spec.objects}
@@ -311,6 +308,11 @@ def validate_spec(spec: GameSpec) -> None:
                 raise InvariantViolation("holder-contains", f"{obj.name} in {obj.holder}")
         if obj.holder in rooms and obj.holder_relation != "at":
             raise InvariantViolation("room-holder-relation", obj.name)
+        if not obj.portable and obj.holder not in rooms:
+            # no action moves a fixture, and only portables are held
+            raise InvariantViolation(
+                "fixture-in-room", f"{obj.name} {obj.holder_relation} {obj.holder}"
+            )
 
     if "knife" not in objects or objects["knife"].kind != "tool":
         raise InvariantViolation("knife-exists", "no knife tool")

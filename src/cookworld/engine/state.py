@@ -89,25 +89,6 @@ class GameState:
             self.lost,
         )
 
-    # -- object queries ----------------------------------------------------
-
-    def is_food(self, name: str) -> bool:
-        if name == "meal":
-            return True
-        try:
-            return self.spec.object(name).kind == "ingredient"
-        except KeyError:
-            return False
-
-    def is_edible(self, name: str) -> bool:
-        if not self.is_food(name):
-            return False
-        if self.cook.get(name) in ("fried", "roasted"):
-            return True
-        if name == "meal":
-            return True
-        return self.spec.object(name).edible
-
     def room_of(self, name: str) -> Optional[str]:
         """Room an object resolves to through its holder chain, if any.
 
@@ -129,13 +110,6 @@ class GameState:
                 return room
             current = holder
         return None
-
-    def inventory(self) -> list[str]:
-        return sorted(
-            name
-            for name, loc in self.locations.items()
-            if loc is not None and loc[1] == "player"
-        )
 
 
 def reset(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[GameState, KGObservation]:
@@ -175,51 +149,25 @@ def _portables(state: GameState) -> tuple[str, ...]:
     return names + ("meal",) if "meal" in state.locations else names
 
 
-def _player_edge(state: GameState) -> Triplet:
-    return state.spec.triplet("player", state.player_room, "at")
-
-
-def _flag_edge(state: GameState, name: str) -> Triplet:
-    return state.spec.triplet(name, "open" if state.open_flags[name] else "closed", "is")
-
-
-def _portable_edges(state: GameState, name: str) -> list[Triplet]:
-    edge = state.spec.triplet
-    edges = []
-    loc = state.locations.get(name)
-    if loc is not None:
-        rel, holder = loc
-        edges.append(edge(name, holder, rel))
-    if name in state.consumed:
-        edges.append(edge(name, "consumed", "is"))
-    if state.cut.get(name, "none") != "none":
-        edges.append(edge(name, state.cut[name], "is"))
-    if state.cook.get(name, "none") != "none":
-        edges.append(edge(name, state.cook[name], "is"))
-    return edges
-
-
-def _render(state: GameState) -> list[Triplet]:
-    """Every edge of the state."""
-    triplets = list(state.spec.static_triplets)
-    triplets.append(_player_edge(state))
-    for name in state.spec.openable_names:
-        triplets.append(_flag_edge(state, name))
-    for name in _portables(state):
-        triplets += _portable_edges(state, name)
-    return triplets
-
-
 def _subject_edges(state: GameState, name: str) -> list[Triplet]:
-    """The edges of one subject: the ones _render gives it, in any order."""
+    """The edges of one subject, in any order."""
     spec = state.spec
+    edge = spec.triplet
     edges = list(spec.static_triplets_of.get(name, ()))
     if name == "player":
-        edges.append(_player_edge(state))
+        edges.append(edge("player", state.player_room, "at"))
     if name in spec.openable_names:
-        edges.append(_flag_edge(state, name))
+        edges.append(edge(name, "open" if state.open_flags[name] else "closed", "is"))
     if name == "meal" or name in spec.portable_names:
-        edges += _portable_edges(state, name)
+        loc = state.locations.get(name)
+        if loc is not None:
+            edges.append(edge(name, loc[1], loc[0]))
+        if name in state.consumed:
+            edges.append(edge(name, "consumed", "is"))
+        if state.cut.get(name, "none") != "none":
+            edges.append(edge(name, state.cut[name], "is"))
+        if state.cook.get(name, "none") != "none":
+            edges.append(edge(name, state.cook[name], "is"))
     return edges
 
 
@@ -231,10 +179,11 @@ def _patch(
     The canonical order sorts by subject first, so a subject's edges are one
     run of the parent's triplets, and the rest of them stay as they were.
     Each new run is sorted too, so the whole list is in canonical order.
+    With no parent and every subject touched, this renders the whole state.
     """
     triplets: list[Triplet] = []
     start = 0
-    for name in sorted(touched):
+    for name in sorted(set(touched)):
         lo = bisect_left(parent, name, lo=start, key=subject_of)
         hi = bisect_right(parent, name, lo=lo, key=subject_of)
         triplets += parent[start:lo]
@@ -252,39 +201,17 @@ def observation(
     step() names the state it copied (`parent`) and the subjects whose edges
     its effect touched; if the parent holds its rendered graph, this state's
     graph is that one with the touched subjects' edges replaced. Otherwise
-    every edge is rendered.
+    every subject's edges are rendered from nothing.
     """
     if state._observation is None:
         if parent is not None and parent._observation is not None:
-            triplets = _patch(parent._observation.triplets, state, touched)
+            edges = parent._observation.triplets
         else:
-            triplets = _render(state)
-        state._observation = KGObservation(triplets)
+            spec = state.spec
+            edges = ()
+            touched = (*spec.static_triplets_of, "player", *spec.openable_names, *_portables(state))
+        state._observation = KGObservation(_patch(edges, state, touched))
     return state._observation
-
-
-def _visible_portables(state: GameState, room: str) -> list[tuple[str, Optional[str]]]:
-    """(name, holder-phrase) pairs the player could take in this room."""
-    result = []
-    for name in _portables(state):
-        loc = state.locations.get(name)
-        if loc is None:
-            continue
-        rel, holder = loc
-        if holder == "player":
-            continue
-        if rel == "at" and holder == room:
-            result.append((name, None))
-        elif rel == "on" and holder in SUPPORTER_NAMES and state.room_of(name) == room:
-            result.append((name, holder))
-        elif (
-            rel == "in"
-            and holder in CONTAINER_NAMES
-            and state.open_flags.get(holder, False)
-            and state.room_of(name) == room
-        ):
-            result.append((name, holder))
-    return result
 
 
 def _recipe_ready(state: GameState) -> bool:
@@ -326,21 +253,42 @@ def _build_moves(state: GameState) -> dict[str, tuple]:
         verb = "close" if state.open_flags[name] else "open"
         moves[f"{verb} {name}"] = (verb, name)
 
-    for name, holder in _visible_portables(state, room):
-        moves[f"take {name}" if holder is None else f"take {name} from {holder}"] = ("take", name)
+    # one pass over the portables: what the player holds, and what it could
+    # take here
+    held = []
+    for name in _portables(state):
+        loc = state.locations[name]
+        if loc is None:
+            continue
+        rel, holder = loc
+        if holder == "player":
+            held.append(name)
+        elif rel == "at":
+            if holder == room:
+                moves[f"take {name}"] = ("take", name)
+        elif (
+            holder in SUPPORTER_NAMES
+            if rel == "on"
+            else holder in CONTAINER_NAMES and state.open_flags.get(holder, False)
+        ) and state.room_of(name) == room:
+            moves[f"take {name} from {holder}"] = ("take", name)
 
-    inventory = state.inventory()
-    has_knife = "knife" in inventory
-    for name in inventory:
+    has_knife = "knife" in held
+    for name in held:
         moves[f"drop {name}"] = ("put", name, "at", room)
         for holder in fixed:
             if holder in SUPPORTER_NAMES:
                 moves[f"put {name} on {holder}"] = ("put", name, "on", holder)
             elif holder in CONTAINER_NAMES and state.open_flags[holder]:
                 moves[f"insert {name} into {holder}"] = ("put", name, "in", holder)
-        if not state.is_food(name):
-            continue
-        if state.is_edible(name):
+        if name == "meal":
+            edible = True
+        else:
+            obj = spec.object(name)
+            if obj.kind != "ingredient":
+                continue
+            edible = obj.edible or state.cook.get(name) in ("fried", "roasted")
+        if edible:
             moves[f"eat {name}"] = ("eat", name)
         for appliance in fixed:
             if appliance in APPLIANCE_RESULT:
@@ -349,19 +297,13 @@ def _build_moves(state: GameState) -> dict[str, tuple]:
             for verb, result in CUT_VERBS.items():
                 moves[f"{verb} {name} with knife"] = ("cut", name, result)
 
-    cookbook_loc = state.locations.get("cookbook")
-    if cookbook_loc is not None and (
-        cookbook_loc[1] == "player" or state.room_of("cookbook") == room
-    ):
+    if "cookbook" in held or state.room_of("cookbook") == room:
         moves["examine cookbook"] = ("examine",)
 
     if (
         room == "kitchen"
         and "meal" not in state.locations
-        and any(
-            state.locations.get(i) is not None and state.locations[i][1] == "player"
-            for i in spec.recipe_ingredients
-        )
+        and any(i in held for i in spec.recipe_ingredients)
     ):
         moves["prepare meal"] = ("prepare",)
 

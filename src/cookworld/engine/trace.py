@@ -76,9 +76,14 @@ def _trace_step(row, previous: Optional[TraceStep], last: bool) -> TraceStep:
             raise TraceFormatError(f"missing {key}")
     if not isinstance(row["done"], bool):
         raise TraceFormatError(f"done must be true or false, got {row['done']!r}")
+    if not isinstance(row["action"], str):
+        raise TraceFormatError(f"action must be a string, got {row['action']!r}")
+    admissible = row["admissible"]
+    if not isinstance(admissible, list) or not all(isinstance(a, str) for a in admissible):
+        raise TraceFormatError(f"admissible must be a list of strings, got {admissible!r}")
     return TraceStep(
         obs=obs,
-        admissible=list(row["admissible"]),
+        admissible=list(admissible),
         action=row["action"],
         reward=int(row["reward"]),
         score=int(row["score"]),

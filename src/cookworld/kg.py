@@ -39,6 +39,12 @@ class InvalidObservationError(ValueError):
     """A triplet set violates an observation invariant."""
 
 
+def is_entity_token(name) -> bool:
+    """Whether a graph node can carry this name: a non-empty lowercase
+    string without surrounding whitespace."""
+    return isinstance(name, str) and name != "" and name == name.lower() and name == name.strip()
+
+
 @dataclass(frozen=True, order=True)
 class Triplet:
     """One edge of the observation graph.
@@ -52,10 +58,10 @@ class Triplet:
     relation: str
 
     def __post_init__(self) -> None:
-        if self.relation not in RELATION_SET:
+        if not isinstance(self.relation, str) or self.relation not in RELATION_SET:
             raise InvalidTripletError(f"unknown relation {self.relation!r}")
         for field in (self.subject, self.object):
-            if not field or field != field.lower() or field != field.strip():
+            if not is_entity_token(field):
                 raise InvalidTripletError(f"bad entity token {field!r}")
 
     def as_list(self) -> list[str]:

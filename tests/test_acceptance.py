@@ -446,3 +446,33 @@ def test_criterion_ablation_plumbing(monkeypatch):
         if not np.array_equal(p.data, frozen[k]):
             report("ablation-plumbing", False, f"Ind phase 2 changed {k}")
     report("ablation-plumbing", True)
+
+
+# -- 9. runtime dependencies ---------------------------------------------------
+
+def test_criterion_runtime_dependencies_numpy_only():
+    import ast
+    import sys
+
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cookworld"}
+    src = Path(__file__).parent.parent / "src" / "cookworld"
+    paths = sorted(src.rglob("*.py"))
+    foreign = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.relative_to(src)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    report(
+        "runtime-dependencies",
+        not foreign,
+        ", ".join(foreign) or f"({len(paths)} source files import stdlib and numpy only)",
+    )

@@ -94,6 +94,12 @@ BAD_TRACES = {
     "non-integer reward": (lambda rows: rows[:3] + [dict(rows[3], reward="x")] + rows[4:], 3),
     "string done flag": (lambda rows: [dict(rows[0], done="false")] + rows[1:], 0),
     "action after the end": (lambda rows: rows[:-1] + [rows[-2], rows[-1]], 8),
+    "non-string obs field": (
+        lambda rows: [dict(rows[0], obs=rows[0]["obs"] + [[1, "kitchen", "at"]])] + rows[1:],
+        0,
+    ),
+    "admissible not a list": (lambda rows: [dict(rows[0], admissible="go north")] + rows[1:], 0),
+    "non-string action": (lambda rows: [dict(rows[0], action=["take"])] + rows[1:], 0),
 }
 
 
@@ -107,20 +113,43 @@ def test_replay_trace_malformed_trace_is_io_error(damage, s1_trace_rows, tmp_pat
     assert err.startswith("error: ") and f"step {bad_step}: " in err
 
 
+def _edit_oven(**fields):
+    def edit(doc):
+        for obj in doc["objects"]:
+            if obj["name"] == "oven":
+                obj.update(fields)
+
+    return edit
+
+
+# (damage to the S1 golden spec, the invariant the error names)
+BAD_SPECS = {
+    "wrong max score": (lambda doc: doc.update(max_score=99), "max-score-formula"),
+    "number as a name": (_edit_oven(name=7), "entity-token"),
+    "capitalised name": (_edit_oven(name="Oven"), "entity-token"),
+    "padded name": (_edit_oven(name=" oven"), "entity-token"),
+    "fixture held by the player": (
+        _edit_oven(holder="player", holder_relation="in"),
+        "fixture-in-room",
+    ),
+}
+
+
 @pytest.mark.parametrize("command", ["play", "replay-trace"])
 def test_spec_breaking_an_invariant_is_io_error(command, tmp_path, monkeypatch, capsys):
-    doc = json.loads((FIXTURES / "s1_game1.spec.json").read_text())
-    doc["max_score"] = 99
-    spec = tmp_path / "broken.spec.json"
-    spec.write_text(json.dumps(doc))
     monkeypatch.setattr("builtins.input", lambda prompt="": pytest.fail("play took a command"))
+    spec = tmp_path / "broken.spec.json"
     if command == "play":
         argv = ["play", spec]
     else:
         argv = ["replay-trace", "--spec", spec, "--trace", FIXTURES / "s1_game1.trace.json"]
-    assert run_cli(*argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "broken.spec.json: max-score-formula" in err
+    for damage, (edit, invariant) in BAD_SPECS.items():
+        doc = json.loads((FIXTURES / "s1_game1.spec.json").read_text())
+        edit(doc)
+        spec.write_text(json.dumps(doc))
+        assert run_cli(*argv) == 3, damage
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"broken.spec.json: {invariant}" in err, damage
 
 
 def test_unknown_flag_rejected():

@@ -431,7 +431,8 @@ EFFECT_KINDS = {
 def _play_patched(spec, rng, plan=()):
     """One episode, leaning towards the recipe's commands after any planned
     ones, that checks each step's observation, patched from its parent's,
-    against a full render of the same state. Returns the effects played."""
+    against the same state rendered from nothing, which touches every
+    subject. Returns the effects played."""
     plan = iter(plan)
     state, obs = reset(spec, step_limit=100)
     kinds = set()
