@@ -232,10 +232,17 @@ def expected_max_score(recipe: Sequence[RecipeEntry]) -> int:
 
 
 def validate_spec(spec: GameSpec) -> None:
-    for named in (*spec.rooms, *spec.doors, *spec.objects):
-        if not is_entity_token(named.name):
+    names = [named.name for named in (*spec.rooms, *spec.doors, *spec.objects)]
+    # the fields that refer to a node are looked up in the dicts and sets
+    # below, where a JSON list is unhashable, so they are checked first
+    names.append(spec.start_room)
+    names += [f for room in spec.rooms for ex in room.exits for f in (ex.to, ex.door) if f is not None]
+    names += [room for door in spec.doors for room in (door.room_a, door.room_b)]
+    names += [obj.holder for obj in spec.objects] + [e.ingredient for e in spec.recipe]
+    for name in names:
+        if not is_entity_token(name):
             # the engine renders every name as a graph node
-            raise InvariantViolation("entity-token", repr(named.name))
+            raise InvariantViolation("entity-token", repr(name))
     rooms = {r.name: r for r in spec.rooms}
     doors = {d.name: d for d in spec.doors}
     objects = {o.name: o for o in spec.objects}
@@ -249,8 +256,8 @@ def validate_spec(spec: GameSpec) -> None:
         raise InvariantViolation("reserved-name", "an object is named 'meal'")
     if spec.start_room not in rooms:
         raise InvariantViolation("start-room-exists", spec.start_room)
-    if spec.level not in LEVEL_STRUCTURE:
-        raise InvariantViolation("known-level", spec.level)
+    if not isinstance(spec.level, str) or spec.level not in LEVEL_STRUCTURE:
+        raise InvariantViolation("known-level", repr(spec.level))
 
     for room in spec.rooms:
         seen_dirs = set()

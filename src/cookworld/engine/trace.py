@@ -81,12 +81,15 @@ def _trace_step(row, previous: Optional[TraceStep], last: bool) -> TraceStep:
     admissible = row["admissible"]
     if not isinstance(admissible, list) or not all(isinstance(a, str) for a in admissible):
         raise TraceFormatError(f"admissible must be a list of strings, got {admissible!r}")
+    for key in ("reward", "score"):
+        if not isinstance(row[key], int) or isinstance(row[key], bool):
+            raise TraceFormatError(f"{key} must be an integer, got {row[key]!r}")
     return TraceStep(
         obs=obs,
         admissible=list(admissible),
         action=row["action"],
-        reward=int(row["reward"]),
-        score=int(row["score"]),
+        reward=row["reward"],
+        score=row["score"],
         done=row["done"],
     )
 

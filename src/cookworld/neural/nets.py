@@ -471,13 +471,17 @@ def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[dict]]
         meta = json.loads(bytes(bundle["meta"]).decode())
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
+    if not isinstance(meta, dict) or meta.get("checkpoint_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version in {path}")
-    if meta["vocab_tokens"] != list(vocab.tokens):
-        raise VocabularyMismatchError(
-            f"checkpoint {path} was trained with a different vocabulary"
-        )
-    net = PolicyNet(vocab, seed=meta["seed"], **meta["config"])
+    try:
+        if meta["vocab_tokens"] != list(vocab.tokens):
+            raise VocabularyMismatchError(
+                f"checkpoint {path} was trained with a different vocabulary"
+            )
+        net = PolicyNet(vocab, seed=meta["seed"], **meta["config"])
+    except (KeyError, TypeError) as exc:
+        # a missing field, or a config PolicyNet does not take
+        raise CheckpointError(f"malformed metadata in checkpoint {path}: {exc!r}") from exc
     for name, p in net.params.items():
         key = f"param.{name}"
         if key not in bundle:

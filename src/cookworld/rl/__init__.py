@@ -1,6 +1,6 @@
 from .counts import VisitCounter, accumulate_meta_reward, bebold_reward, compose_sub_reward
 from .dqn import double_dqn_target, td_update
-from .replay import PrioritizedBuffer, SumTree, Transition, UnderfullBufferError, gated_flush
+from .replay import PrioritizedBuffer, Transition, UnderfullBufferError, gated_flush
 
 __all__ = [
     "VisitCounter",
@@ -10,7 +10,6 @@ __all__ = [
     "double_dqn_target",
     "td_update",
     "PrioritizedBuffer",
-    "SumTree",
     "Transition",
     "UnderfullBufferError",
     "gated_flush",

@@ -37,49 +37,17 @@ class UnderfullBufferError(RuntimeError):
     pass
 
 
-class SumTree:
-    """Binary indexed tree over leaf priorities for O(log n) sampling."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.tree = np.zeros(2 * capacity - 1)
-
-    def set(self, leaf: int, value: float) -> None:
-        idx = leaf + self.capacity - 1
-        change = value - self.tree[idx]
-        self.tree[idx] = value
-        while idx != 0:
-            idx = (idx - 1) // 2
-            self.tree[idx] += change
-
-    def get(self, leaf: int) -> float:
-        return float(self.tree[leaf + self.capacity - 1])
-
-    @property
-    def total(self) -> float:
-        return float(self.tree[0])
-
-    def find(self, mass: float) -> int:
-        idx = 0
-        while True:
-            left = 2 * idx + 1
-            if left >= len(self.tree):
-                return idx - (self.capacity - 1)
-            if mass <= self.tree[left] or self.tree[left + 1] == 0.0:
-                idx = left
-            else:
-                mass -= self.tree[left]
-                idx = left + 1
-
-
 PER_BETA_START = 0.4  # importance exponent before the trainer anneals it to 1.0
 
 
 class PrioritizedBuffer:
     """FIFO ring of transitions with proportional prioritized sampling.
 
-    Per-level running means of the gate reward are maintained exactly
-    (rewards are small integers or halves, so float sums stay exact).
+    `priorities[i]` holds entry i's priority ** alpha, and a draw picks
+    entry i with probability priorities[i] / priorities[:size].sum(), so
+    `priorities[:size]` is the whole sampling state. Per-level running
+    means of the gate reward are maintained exactly (rewards are small
+    integers or halves, so float sums stay exact).
     """
 
     def __init__(
@@ -94,7 +62,7 @@ class PrioritizedBuffer:
         self.beta = beta
         self.epsilon = epsilon
         self.entries: list = [None] * capacity
-        self.tree = SumTree(capacity)
+        self.priorities = np.zeros(capacity)
         self.size = 0
         self.cursor = 0
         self.max_priority = 1.0
@@ -129,24 +97,24 @@ class PrioritizedBuffer:
         )
         self._level_count[transition.level] = self._level_count.get(transition.level, 0) + 1
         self.max_priority = max(self.max_priority, priority)
-        self.tree.set(self.cursor, priority**self.alpha)
+        self.priorities[self.cursor] = priority**self.alpha
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def probabilities(self) -> np.ndarray:
         """Exact sampling distribution over stored entries (for tests)."""
-        leaves = self.tree.tree[self.tree.capacity - 1 : self.tree.capacity - 1 + self.size]
-        return leaves / leaves.sum()
+        live = self.priorities[: self.size]
+        return live / live.sum()
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         if self.size < batch_size:
             raise UnderfullBufferError(f"buffer holds {self.size} < batch {batch_size}")
-        total = self.tree.total
-        indices = np.empty(batch_size, dtype=np.intp)
-        for i in range(batch_size):
-            indices[i] = self.tree.find(float(rng.random()) * total)
-        probs = np.array([self.tree.get(int(i)) for i in indices]) / total
-        weights = (self.size * probs) ** (-self.beta)
+        # each draw takes the first entry whose cumulative mass reaches it;
+        # a draw is below 1, so it never passes the last entry
+        cumulative = np.cumsum(self.priorities[: self.size])
+        total = cumulative[-1]
+        indices = np.searchsorted(cumulative, rng.random(batch_size) * total)
+        weights = (self.size * self.priorities[indices] / total) ** (-self.beta)
         weights = weights / weights.max()
         batch = [self.entries[int(i)] for i in indices]
         return batch, indices, weights
@@ -155,7 +123,7 @@ class PrioritizedBuffer:
         for idx, err in zip(indices, td_errors):
             priority = abs(float(err)) + self.epsilon
             self.max_priority = max(self.max_priority, priority)
-            self.tree.set(int(idx), priority**self.alpha)
+            self.priorities[int(idx)] = priority**self.alpha
 
 
 def gated_flush(

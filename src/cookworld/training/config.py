@@ -14,6 +14,12 @@ class ConfigError(ValueError):
     pass
 
 
+# the types each field's annotation accepts: an int serves as a float, and
+# a bool, whose type is not int, as no number
+_ACCEPTS = {"str": (str,), "bool": (bool,), "int": (int,), "float": (int, float),
+            "tuple[str, ...]": (tuple,)}
+
+
 @dataclass
 class TrainConfig:
     variant: str = "H-KGA"
@@ -62,6 +68,11 @@ class TrainConfig:
     levels: tuple[str, ...] = ("S1", "S2", "S3", "S4")
 
     def validate(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            items = value if type(value) is tuple else ()
+            if type(value) not in _ACCEPTS[field.type] or any(type(v) is not str for v in items):
+                raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"unknown variant {self.variant!r}; valid variants: {', '.join(VARIANTS)}"
@@ -89,6 +100,8 @@ def config_from_dict(doc: dict) -> TrainConfig:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     kwargs = dict(doc)
     if "levels" in kwargs:
+        if not isinstance(kwargs["levels"], list):
+            raise ConfigError(f"levels must be a list of strings, got {kwargs['levels']!r}")
         kwargs["levels"] = tuple(kwargs["levels"])
     cfg = TrainConfig(**kwargs)
     cfg.validate()

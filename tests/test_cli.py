@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cookworld.cli import main
@@ -100,6 +101,9 @@ BAD_TRACES = {
     ),
     "admissible not a list": (lambda rows: [dict(rows[0], admissible="go north")] + rows[1:], 0),
     "non-string action": (lambda rows: [dict(rows[0], action=["take"])] + rows[1:], 0),
+    "fractional reward": (lambda rows: rows[:2] + [dict(rows[2], reward=1.7)] + rows[3:], 2),
+    "boolean reward": (lambda rows: rows[:2] + [dict(rows[2], reward=True)] + rows[3:], 2),
+    "string score": (lambda rows: rows[:2] + [dict(rows[2], score="1")] + rows[3:], 2),
 }
 
 
@@ -132,6 +136,11 @@ BAD_SPECS = {
         _edit_oven(holder="player", holder_relation="in"),
         "fixture-in-room",
     ),
+    "list as level": (lambda doc: doc.update(level=["S1"]), "known-level"),
+    "list as start room": (lambda doc: doc.update(start_room=["kitchen"]), "entity-token"),
+    "list as holder": (_edit_oven(holder=["kitchen"]), "entity-token"),
+    "list as ingredient": (lambda doc: doc["recipe"][0].update(ingredient=["cilantro"]),
+                           "entity-token"),
 }
 
 
@@ -270,6 +279,47 @@ def test_train_resume_refuses_a_mismatched_update_count(tmp_path, capsys):
     assert err.startswith("error: ") and "sub.npz" in err
 
 
+def _edit_meta(edit):
+    def damage(path):
+        with np.load(path) as bundle:
+            arrays = dict(bundle)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        arrays["meta"] = np.frombuffer(json.dumps(edit(meta)).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+
+    return damage
+
+
+BAD_CHECKPOINT_META = {
+    "meta without seed": lambda meta: {k: v for k, v in meta.items() if k != "seed"},
+    "unknown config key": lambda meta: dict(meta, config=dict(meta["config"], depth=3)),
+    "meta a list": lambda meta: [meta],
+}
+
+
+@pytest.mark.parametrize("damage", list(BAD_CHECKPOINT_META))
+def test_malformed_checkpoint_metadata_is_refused(damage, tmp_path, capsys):
+    games = tmp_path / "games"
+    out = tmp_path / "run"
+    run_cli("gen", "--levels", "S1", "--train", "1", "--val", "1", "--test", "1",
+            "--seed", "3", "--out", games)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "episodes": 1, "warmup_episodes": 1, "val_freq": 1, "variant": "GATA",
+        "hidden_dim": 8, "ff_dim": 8, "scorer_hidden": 8, "seed": 1,
+    }))
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path) == 0
+    _edit_meta(BAD_CHECKPOINT_META[damage])(out / "latest" / "sub.npz")
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", out / "latest", "--games", games) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sub.npz" in err
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
+                   "--resume") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sub.npz" in err
+
+
 def test_train_resume_refuses_a_changed_config(tmp_path, capsys):
     games = tmp_path / "games"
     out = tmp_path / "run"
@@ -321,6 +371,7 @@ def test_train_invalid_variant_exit_code(tmp_path, capsys):
     {"batch_size": 0}, {"buffer_capacity_meta": 0}, {"buffer_capacity_sub": 0},
     {"lambda_count": -1}, {"hidden_dim": 0},
     {"grad_clip": 5.0},  # a field that no longer exists, as in an older config.json
+    {"episodes": "2"}, {"hidden_dim": 2.5}, {"bebold": "no"}, {"lr": True},
 ])
 def test_train_bad_config_is_usage_error(doc, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"

@@ -132,7 +132,7 @@ def test_td_update_priorities_refreshed(vocab):
     buf.push(tr, priority=0.01)
     q0 = float(online.q_values(tr.obs, tr.cond_text, [tr.chosen_text])[0])
     td_update(buf, online, target, 1, 0.9, np.random.default_rng(3), AdamState(online))
-    assert buf.tree.get(0) == pytest.approx(abs(q0 - 5.0) + buf.epsilon, rel=1e-9)
+    assert buf.priorities[0] == pytest.approx(abs(q0 - 5.0) + buf.epsilon, rel=1e-9)
 
 
 def test_td_error_contracts_on_one_transition(vocab):

@@ -260,6 +260,22 @@ def test_object_named_meal_is_invariant_violation(s1_spec):
     assert err.value.invariant == "reserved-name"
 
 
+def test_room_references_must_be_entity_tokens(s4_spec):
+    # each field below is looked up in a dict, where a JSON list is unhashable
+    edits = [
+        lambda doc: doc["rooms"][0]["exits"][0].update(to=["corridor"]),
+        lambda doc: doc["rooms"][0]["exits"][0].update(door=["bathroom door"]),
+        lambda doc: doc["doors"][0].update(room_a=["kitchen"]),
+        lambda doc: doc["doors"][0].update(room_b=["pantry"]),
+    ]
+    for edit in edits:
+        doc = json.loads(dumps_spec(s4_spec))
+        edit(doc)
+        with pytest.raises(InvariantViolation) as err:
+            loads_spec(json.dumps(doc))
+        assert err.value.invariant == "entity-token"
+
+
 def test_load_game_names_the_file(s1_spec, tmp_path):
     doc = json.loads(dumps_spec(s1_spec))
     doc["max_score"] = 99

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from cookworld.rl.replay import PrioritizedBuffer, SumTree, UnderfullBufferError, gated_flush
+from cookworld.rl.replay import PrioritizedBuffer, UnderfullBufferError, gated_flush
 
 
 @dataclass(frozen=True)
@@ -22,15 +22,26 @@ def filled(entries, capacity=64, alpha=1.0, priorities=None):
     return buf
 
 
-def test_sum_tree_totals_and_find():
-    tree = SumTree(4)
-    for i, p in enumerate([1.0, 3.0, 2.0, 0.0]):
-        tree.set(i, p)
-    assert tree.total == 6.0
-    assert tree.find(0.5) == 0
-    assert tree.find(1.5) == 1
-    assert tree.find(3.999) == 1
-    assert tree.find(4.5) == 2
+class StubRng:
+    """Hands `sample` fixed draws in [0, 1)."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws)
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return self.draws
+
+
+def test_sample_takes_first_entry_whose_mass_reaches_the_draw():
+    buf = filled([Rec(0.0)] * 4, alpha=1.0, priorities=[1.0, 3.0, 2.0, 0.0])
+    assert buf.priorities[:4].sum() == 6.0
+    masses = np.array([0.5, 1.5, 3.999, 4.5])
+    _, idx, _ = buf.sample(4, StubRng(masses / 6.0))
+    assert idx.tolist() == [0, 1, 1, 2]
+    # the zero-priority last entry holds no mass, even for the largest draw
+    _, idx, _ = buf.sample(4, StubRng([0.0, 1 / 6, 4 / 6, np.nextafter(1.0, 0.0)]))
+    assert idx.tolist() == [0, 0, 1, 2]
 
 
 def test_probabilities_two_entries():
@@ -188,4 +199,4 @@ def test_gate_pushes_at_max_priority():
     buf.update_priorities([0], [5.0])
     gated_flush(buf, [Rec(1.0)], "S1", tolerance=1.0)
     # the new entry entered at the running max priority
-    assert buf.tree.get(1) == pytest.approx(buf.max_priority**buf.alpha)
+    assert buf.priorities[1] == pytest.approx(buf.max_priority**buf.alpha)

@@ -309,6 +309,15 @@ def test_counts_and_cadences_must_be_positive():
     config_from_dict({"lambda_count": 0})
 
 
+def test_config_values_must_have_their_field_type():
+    for doc in ({"levels": "S1"}, {"levels": ["S1", 2]}, {"episodes": 2.0}, {"tau": "1"},
+                {"gamma": False}, {"variant": None}):
+        with pytest.raises(ConfigError, match=next(iter(doc))):
+            config_from_dict(doc)
+    cfg = config_from_dict({"levels": ["S1", "S4"], "tau": 1, "bebold": False})
+    assert cfg.levels == ("S1", "S4") and cfg.tau == 1 and cfg.bebold is False
+
+
 def test_gata_has_no_goal_machinery(s1_games, monkeypatch):
     cfg = small_cfg(variant="GATA", episodes=6)
     tr = Trainer(cfg, s1_games)
