@@ -106,7 +106,12 @@ def _agent_factory_from_checkpoint(checkpoint: Path, vocab):
     from .training.agents import WalkthroughAgent, greedy_agents
 
     if checkpoint.is_file() and checkpoint.suffix == ".json":
-        doc = json.loads(checkpoint.read_text())
+        try:
+            doc = json.loads(checkpoint.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON in pseudo-checkpoint {checkpoint}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValueError(f"pseudo-checkpoint {checkpoint} is not a JSON object")
         if doc.get("kind") == "walkthrough_oracle":
             return lambda level, index: WalkthroughAgent()
         raise ValueError(f"unknown pseudo-checkpoint kind in {checkpoint}")

@@ -67,7 +67,8 @@ class Vocabulary:
         self.tokens = ("<unk>",) + tokens
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         # the graph encoder's compiled observations (neural.nets), keyed by
-        # canonical hash; they hold token ids, so they live with this map
+        # canonical hash, with their node colours once they have joined a
+        # batch; they hold token ids, so they live with this map
         self.graph_layouts: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:

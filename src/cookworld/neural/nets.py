@@ -79,82 +79,182 @@ def distinct(items: Sequence, key=None) -> tuple[list, np.ndarray]:
 REL_INDEX = {rel: i for i, rel in enumerate(RELATIONS)}
 
 
-class _GraphLayout:
-    """Parameter-free compilation of one or more observations for the R-GCN:
-    their nodes laid end to end, as index arrays.
+_U64 = np.uint64
+_GOLDEN, _ODD = _U64(0x9E3779B97F4A7C15), _U64(0xD6E8FEB86659FD93)
+_M1, _M2 = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
+_S27, _S30, _S31, _S32 = _U64(27), _U64(30), _U64(31), _U64(32)
 
-    Raw arrays: nodes per graph, every node's token ids with the node each
-    token belongs to, and every edge as (relation, source node, target
-    node). From these it derives the segment ids the encoder sums by: tokens
-    into nodes (token_nodes), edges into (relation, target node) groups
-    (group_ids), which are contiguous per relation, groups into nodes
-    (group_dst), and nodes into graphs (graph_ids).
-    """
 
-    __slots__ = (
-        "node_counts", "token_ids", "token_nodes", "edge_rel", "edge_src", "edge_dst",
-        "n_nodes", "token_scale", "group_src", "group_ids", "group_scale", "group_rel",
-        "group_dst", "relations", "relation_bounds", "graph_ids", "graph_scale",
-    )
+def _splitmix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output function on a uint64 array: a bijection whose
+    every output bit depends on every input bit. Arithmetic wraps modulo
+    2**64."""
+    x = x + _GOLDEN
+    x ^= x >> _S30
+    x *= _M1
+    x ^= x >> _S27
+    x *= _M2
+    x ^= x >> _S31
+    return x
 
-    def __init__(self, node_counts, token_ids, token_nodes, edge_rel, edge_src, edge_dst):
-        self.node_counts = node_counts
-        self.token_ids = token_ids
-        self.token_nodes = token_nodes
-        self.edge_rel = edge_rel
-        self.edge_src = edge_src
-        self.edge_dst = edge_dst
-        n = self.n_nodes = int(node_counts.sum())
-        self.token_scale = 1.0 / np.bincount(token_nodes, minlength=n)[:, None]
+
+class _EdgeGroups:
+    """A layer's edges grouped for the per-relation mean, by (relation,
+    target row): each edge's source row (src) and group (ids), 1 / in-degree
+    per group (scale), each group's relation and target row (rel, dst), and,
+    as groups are sorted by relation, the relations present with their group
+    row bounds. Within a group, edges keep the order they were given in."""
+
+    __slots__ = ("src", "ids", "scale", "rel", "dst", "relations", "bounds")
+
+    def __init__(self, edge_rel, edge_src, edge_dst):
         order = np.lexsort((edge_dst, edge_rel))
         rel, dst = edge_rel[order], edge_dst[order]
         first = np.ones(len(order), dtype=bool)
         first[1:] = (rel[1:] != rel[:-1]) | (dst[1:] != dst[:-1])
-        groups = self.group_ids = np.cumsum(first) - 1
-        self.group_src = edge_src[order]
-        self.group_scale = 1.0 / np.bincount(groups, minlength=first.sum())[:, None]  # 1 / in-degree
-        self.group_rel = rel[first]
-        self.group_dst = dst[first]
-        # groups are sorted by relation: the relations present and their row bounds
-        starts = np.flatnonzero(np.r_[True, self.group_rel[1:] != self.group_rel[:-1]])
-        self.relations = [RELATIONS[r] for r in self.group_rel[starts]] if len(self.group_rel) else []
-        self.relation_bounds = list(np.append(starts, len(self.group_rel))) if self.relations else []
+        self.ids = np.cumsum(first) - 1
+        self.src = edge_src[order]
+        self.scale = 1.0 / np.bincount(self.ids, minlength=first.sum())[:, None]
+        self.rel = rel[first]
+        self.dst = dst[first]
+        starts = np.flatnonzero(np.r_[True, self.rel[1:] != self.rel[:-1]])
+        self.relations = [RELATIONS[r] for r in self.rel[starts]] if len(self.rel) else []
+        self.bounds = list(np.append(starts, len(self.rel))) if self.relations else []
+
+
+class _EncoderPass:
+    """The rows graph_tensor computes for a set of observations, as index
+    arrays.
+
+    Layer 0 row i averages the embeddings of the tokens whose token_rows
+    entry is i. R-GCN layer l maps its input rows to its own output rows:
+    layers[l] is (self_rows, groups, n_rows), where output row i starts from
+    input row self_rows[i] (row i when None) and groups holds the edges it
+    averages, sources as input rows and targets as output rows. node_rows
+    gives each node its final row (node i's row when None); graph_ids and
+    graph_scale mean-pool the nodes into their observations."""
+
+    __slots__ = ("token_ids", "token_rows", "token_scale", "layers", "node_rows",
+                 "graph_ids", "graph_scale")
+
+    def __init__(self, token_ids, token_rows, n_rows, layers, node_rows, node_counts):
+        self.token_ids = token_ids
+        self.token_rows = token_rows
+        self.token_scale = 1.0 / np.bincount(token_rows, minlength=n_rows)[:, None]
+        self.layers = layers
+        self.node_rows = node_rows
         self.graph_ids = np.repeat(np.arange(len(node_counts)), node_counts)
         self.graph_scale = 1.0 / np.maximum(node_counts, 1)[:, None]
 
-    @classmethod
-    def of(cls, obs: KGObservation, vocab) -> "_GraphLayout":
+
+class _GraphLayout:
+    """Parameter-free compilation of one observation for the R-GCN, as
+    index arrays: every node's token ids with the node each token belongs
+    to, every edge as (relation, source node, target node), and the edges
+    grouped for the per-relation mean (groups). Once the observation joins a
+    batch of several, it also keeps its nodes' colours (see colours_to)."""
+
+    __slots__ = ("n_nodes", "token_ids", "token_nodes", "edge_rel", "edge_src", "edge_dst",
+                 "groups", "colours", "_own")
+
+    def __init__(self, obs: KGObservation, vocab):
         nodes = obs.entities()
         index = {name: i for i, name in enumerate(nodes)}
         token_lists = [vocab.encode(name) or [0] for name in nodes]
         edges = [(REL_INDEX[t.relation], index[t.subject], index[t.object]) for t in obs]
+        self.n_nodes = len(nodes)
+        self.token_ids = np.array([tid for ids in token_lists for tid in ids], dtype=np.intp)
+        self.token_nodes = np.repeat(np.arange(len(nodes)), [len(ids) for ids in token_lists])
         # message flows subject -> object
         rel, src, dst = np.array(edges, dtype=np.intp).reshape(-1, 3).T
-        return cls(
-            np.array([len(nodes)], dtype=np.intp),
-            np.array([tid for ids in token_lists for tid in ids], dtype=np.intp),
-            np.repeat(np.arange(len(nodes)), [len(ids) for ids in token_lists]),
-            rel, src, dst,
+        self.edge_rel, self.edge_src, self.edge_dst = rel, src, dst
+        self.groups = _EdgeGroups(rel, src, dst)
+        self.colours: list[np.ndarray] = []
+        self._own: Optional[_EncoderPass] = None
+
+    def own_pass(self, depth: int) -> _EncoderPass:
+        """The observation encoded alone: every node is its own row."""
+        own = self._own
+        if own is None or len(own.layers) != depth:
+            n = self.n_nodes
+            own = self._own = _EncoderPass(
+                self.token_ids, self.token_nodes, n, [(None, self.groups, n)] * depth, None,
+                np.array([n]),
+            )
+        return own
+
+    def colours_to(self, depth: int) -> list[np.ndarray]:
+        """The nodes' colours at layers 0..depth, 64-bit digests computed once
+        and kept. Layer 0 digests a node's token ids with their positions;
+        layer l+1 digests its own layer-l colour with the multiset of
+        (relation, source's layer-l colour) over its in-edges, a sum of
+        per-edge digests. Two nodes of one colour at layer l have the same
+        R-GCN state after l layers, unless two digests collide: the
+        assumption canonical_hash makes."""
+        colours = self.colours
+        if not colours:
+            first_token = np.searchsorted(self.token_nodes, self.token_nodes)
+            position = (np.arange(len(self.token_ids)) - first_token).astype(_U64)
+            terms = _splitmix(self.token_ids.astype(_U64) | (position << _S32))
+            tokens = np.zeros(self.n_nodes, dtype=_U64)
+            np.add.at(tokens, self.token_nodes, terms)
+            colours.append(_splitmix(tokens))
+        if len(colours) <= depth:
+            relation = _splitmix(self.edge_rel.astype(_U64))
+            for _ in range(len(colours), depth + 1):
+                own = colours[-1]
+                incoming = np.zeros(self.n_nodes, dtype=_U64)
+                np.add.at(incoming, self.edge_dst, _splitmix(own[self.edge_src] ^ relation))
+                colours.append(_splitmix(own * _ODD + incoming))
+        return colours
+
+
+def _encoder_pass(layouts: Sequence[_GraphLayout], depth: int) -> _EncoderPass:
+    """The pass that encodes the observations. One observation is encoded
+    alone, uncoloured: its nodes are already distinct. Several are encoded
+    together, one row per node class.
+
+    The nodes are laid end to end, and a node's class at layer l is its
+    colour there: one np.unique per layer gives each node its class row and
+    one representative node per class. Layer 0 embeds the representatives'
+    tokens; layer l computes a row per layer-(l+1) class from its
+    representative's own layer-l row and in-edges."""
+    if len(layouts) == 1:
+        return layouts[0].own_pass(depth)
+    counts = np.array([x.n_nodes for x in layouts])
+    n = int(counts.sum())
+    offsets = np.r_[0, np.cumsum(counts)[:-1]]
+    edge_offsets = np.repeat(offsets, [len(x.edge_rel) for x in layouts])
+    token_nodes = np.concatenate([x.token_nodes + off for x, off in zip(layouts, offsets)])
+    edge_rel = np.concatenate([x.edge_rel for x in layouts])
+    edge_src = np.concatenate([x.edge_src for x in layouts]) + edge_offsets
+    edge_dst = np.concatenate([x.edge_dst for x in layouts]) + edge_offsets
+    colours = [x.colours_to(depth) for x in layouts]
+    classes, reps = [], []
+    for layer in range(depth + 1):
+        _, first, inverse = np.unique(
+            np.concatenate([c[layer] for c in colours]), return_index=True, return_inverse=True
         )
+        classes.append(inverse)
+        reps.append(first)
 
-    @classmethod
-    def concat(cls, layouts: Sequence["_GraphLayout"]) -> "_GraphLayout":
-        if len(layouts) == 1:
-            return layouts[0]
-        counts = np.concatenate([x.node_counts for x in layouts])
-        offsets = np.r_[0, np.cumsum(counts)[:-1]]
+    def represented(layer: int, node_ids: np.ndarray) -> np.ndarray:
+        chosen = np.zeros(n, dtype=bool)
+        chosen[reps[layer]] = True
+        return chosen[node_ids]
 
-        def shifted(field: str) -> np.ndarray:
-            return np.concatenate([getattr(x, field) + off for x, off in zip(layouts, offsets)])
-
-        return cls(
-            counts,
-            np.concatenate([x.token_ids for x in layouts]),
-            shifted("token_nodes"),
-            np.concatenate([x.edge_rel for x in layouts]),
-            shifted("edge_src"),
-            shifted("edge_dst"),
+    keep = represented(0, token_nodes)
+    layers = []
+    for layer in range(depth):
+        into = represented(layer + 1, edge_dst)
+        groups = _EdgeGroups(
+            edge_rel[into], classes[layer][edge_src[into]], classes[layer + 1][edge_dst[into]]
         )
+        layers.append((classes[layer][reps[layer + 1]], groups, len(reps[layer + 1])))
+    return _EncoderPass(
+        np.concatenate([x.token_ids for x in layouts])[keep], classes[0][token_nodes[keep]],
+        len(reps[0]), layers, classes[depth], counts,
+    )
 
 
 _LAYOUT_CACHE_SIZE = 4096
@@ -169,7 +269,7 @@ def _layout_for(obs: KGObservation, vocab) -> _GraphLayout:
     if cached is not None:
         cache.move_to_end(key)
         return cached
-    layout = cache[key] = _GraphLayout.of(obs, vocab)
+    layout = cache[key] = _GraphLayout(obs, vocab)
     if len(cache) > _LAYOUT_CACHE_SIZE:
         cache.popitem(last=False)
     return layout
@@ -257,37 +357,45 @@ class PolicyNet:
     def graph_tensor(self, observations: Sequence[KGObservation]) -> Tensor:
         """Mean-pooled R-GCN encodings of the observations, one row each.
 
-        The distinct observations are packed into one node list. Per layer,
-        each relation averages its source nodes' states into the nodes it
-        targets and projects only those averages by its own weight; one
-        segment sum scatters every relation's messages into the nodes."""
+        The distinct observations are packed into one node list, and each
+        layer computes one row per node class (see _encoder_pass): nodes whose
+        computation trees agree share a row. Per layer, each relation
+        averages its source rows into the rows it targets and projects only
+        those averages by its own weight; one segment sum scatters every
+        relation's messages into the rows. The pool gathers each node's
+        final row."""
         unique, rows = distinct(observations, key=canonical_hash)
-        layout = _GraphLayout.concat([_layout_for(obs, self.vocab) for obs in unique])
-        n, groups = layout.n_nodes, len(layout.group_rel)
-        if n == 0:
+        layouts = [_layout_for(obs, self.vocab) for obs in unique]
+        if not any(x.n_nodes for x in layouts):
             return ad.constant(np.zeros((len(observations), self.d)))
+        plan = _encoder_pass(layouts, self.rgcn_layers)
         h = ad.mul(
             ad.segment_sum(
-                ad.gather_rows(self.params["word_emb"], layout.token_ids), layout.token_nodes, n
+                ad.gather_rows(self.params["word_emb"], plan.token_ids),
+                plan.token_rows, len(plan.token_scale),
             ),
-            ad.constant(layout.token_scale),
+            ad.constant(plan.token_scale),
         )
-        for layer in range(self.rgcn_layers):
+        for layer, (self_rows, groups, n_rows) in enumerate(plan.layers):
             total = ad.affine(h, self.params[f"rgcn.{layer}.self"], self.params[f"rgcn.{layer}.bias"])
-            if layout.relations:
+            if self_rows is not None:
+                total = ad.gather_rows(total, self_rows)
+            if groups.relations:
                 mean = ad.mul(
-                    ad.segment_sum(ad.gather_rows(h, layout.group_src), layout.group_ids, groups),
-                    ad.constant(layout.group_scale),
+                    ad.segment_sum(ad.gather_rows(h, groups.src), groups.ids, len(groups.rel)),
+                    ad.constant(groups.scale),
                 )
-                weights = [self.params[f"rgcn.{layer}.rel.{rel}"] for rel in layout.relations]
+                weights = [self.params[f"rgcn.{layer}.rel.{rel}"] for rel in groups.relations]
                 messages = ad.add(
-                    ad.grouped_matmul(mean, weights, layout.relation_bounds),
-                    ad.gather_rows(self.params["rel_emb"], layout.group_rel),
+                    ad.grouped_matmul(mean, weights, groups.bounds),
+                    ad.gather_rows(self.params["rel_emb"], groups.rel),
                 )
-                total = ad.add(total, ad.segment_sum(messages, layout.group_dst, n))
+                total = ad.add(total, ad.segment_sum(messages, groups.dst, n_rows))
             h = ad.relu(total)
+        if plan.node_rows is not None:
+            h = ad.gather_rows(h, plan.node_rows)
         pooled = ad.mul(
-            ad.segment_sum(h, layout.graph_ids, len(unique)), ad.constant(layout.graph_scale)
+            ad.segment_sum(h, plan.graph_ids, len(unique)), ad.constant(plan.graph_scale)
         )
         return pooled if len(unique) == len(observations) else ad.gather_rows(pooled, rows)
 

@@ -399,6 +399,19 @@ def test_eval_walkthrough_oracle_all_ones(tmp_path, capsys):
     assert len(lines) == 2 + 3  # two levels + three aggregates
 
 
+@pytest.mark.parametrize("body", ["[1]", "null", '"walkthrough_oracle"', "{", '{"kind": "oracle"}'])
+def test_eval_malformed_pseudo_checkpoint_is_io_error(body, tmp_path, capsys):
+    games = tmp_path / "games"
+    run_cli("gen", "--levels", "S1", "--train", "1", "--val", "1", "--test", "1",
+            "--seed", "3", "--out", games)
+    pseudo = tmp_path / "oracle.json"
+    pseudo.write_text(body)
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", pseudo, "--games", games) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "oracle.json" in err
+
+
 @pytest.mark.parametrize("damage", ["malformed spec", "manifest without games", "level mismatch"])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_bad_game_dir_is_io_error(command, damage, tmp_path, capsys):

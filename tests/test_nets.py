@@ -155,6 +155,9 @@ def test_graph_batch_equals_each_alone(vocab, s1_spec, s4_spec):
         packed = net.graph_tensor(batch).data
         alone = np.concatenate([net.graph_tensor([obs]).data for obs in batch])
     assert packed.shape == (len(batch), 8)
+    # not bit-equal: numpy computes a one-row matrix product (a relation
+    # with one target row in an observation alone) by gemv, which rounds
+    # differently from the multi-row gemm of the batch
     assert np.allclose(packed, alone, rtol=0, atol=1e-12)
     assert np.array_equal(packed[1], np.zeros(8))
 
@@ -173,6 +176,58 @@ def test_graph_batch_gradients_equal_each_alone(vocab, s1_spec, s4_spec):
         assert (p.grad is None) == (packed[name] is None), name
         if p.grad is not None:
             assert np.allclose(packed[name], p.grad, rtol=0, atol=1e-12), name
+
+
+def edges(*triplets):
+    return KGObservation([Triplet(*t) for t in triplets])
+
+
+# Observation pairs whose nodes share names, and the number of node classes
+# the pair packs into at layers 0, 1 and 2. "zork" and "quux" are both
+# out of the vocabulary, so they embed the same tokens.
+COLOURING_PAIRS = {
+    # table receives knife through a different relation
+    "relation": (
+        edges(("knife", "table", "on")),
+        edges(("knife", "table", "in")),
+        (2, 3, 3),
+    ),
+    # fridge averages {zork, quux, knife} against {zork, knife}
+    "multiplicity": (
+        edges(("zork", "fridge", "in"), ("quux", "fridge", "in"), ("knife", "fridge", "in")),
+        edges(("zork", "fridge", "in"), ("knife", "fridge", "in")),
+        (3, 4, 4),
+    ),
+    # table and counter receive the same message but start from their own tokens
+    "own state": (
+        edges(("knife", "table", "on")),
+        edges(("knife", "counter", "on")),
+        (3, 3, 3),
+    ),
+    # kitchen's in-neighbour fridge differs only in what fridge receives
+    "depth 2": (
+        edges(("cilantro", "fridge", "in"), ("fridge", "kitchen", "in")),
+        edges(("parsley", "fridge", "in"), ("fridge", "kitchen", "in")),
+        (4, 5, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(COLOURING_PAIRS))
+def test_node_classes_separate_nodes_that_differ(vocab, case):
+    """A batch gives one row to each node class and no more: a class merged
+    too far encodes one observation's node with another's row."""
+    from cookworld.neural.nets import _encoder_pass, _layout_for
+
+    first, second, counts = COLOURING_PAIRS[case]
+    net = tiny_net(vocab, seed=26, layers=2, d=16)
+    plan = _encoder_pass([_layout_for(obs, vocab) for obs in (first, second)], 2)
+    assert (len(plan.token_scale), *(n for _, _, n in plan.layers)) == counts
+    with ad.no_grad():
+        packed = net.graph_tensor([first, second]).data
+        alone = np.concatenate([net.graph_tensor([obs]).data for obs in (first, second)])
+    assert np.allclose(packed, alone, rtol=0, atol=1e-12)
+    assert not np.allclose(alone[0], alone[1])
 
 
 def test_text_batch_equals_each_alone(vocab):
@@ -400,6 +455,42 @@ def test_gradient_check_all_blocks(vocab):
         )
         for build in (graph, text, scorer, full):
             assert _max_rel_error(net, build, rng) < 1e-3
+
+
+def test_gradient_check_through_shared_nodes(vocab, s1_spec, s4_spec):
+    """Finite differences through one batch whose observations share nodes,
+    so each class row gathers the gradients of several nodes: three entries
+    of every graph-encoder parameter, max relative error < 1e-3."""
+    rng = np.random.default_rng(44)
+    batch = [obs for first, second, _ in COLOURING_PAIRS.values() for obs in (first, second)]
+    batch += game_observations(s1_spec, s4_spec)
+    net = tiny_net(vocab, seed=27, layers=2, d=8)
+    weights = ad.constant(np.cos(np.arange(len(batch) * 8)).reshape(len(batch), 8))
+
+    def loss():
+        out = ad.mul(net.graph_tensor(batch), weights)
+        return ad.sum_all(ad.mul(out, out))
+
+    net.zero_grad()
+    loss().backward()
+    h = 1e-5
+    checked = 0
+    for name, p in net.params.items():
+        if p.grad is None:
+            continue
+        flat, grad = p.data.reshape(-1), p.grad.reshape(-1)
+        live = np.flatnonzero(np.abs(grad) > 1e-6)
+        for idx in rng.choice(live, size=min(3, len(live)), replace=False):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = loss().item()
+            flat[idx] = orig - h
+            down = loss().item()
+            flat[idx] = orig
+            numeric = (up - down) / (2 * h)
+            assert abs(numeric - grad[idx]) / max(abs(numeric), abs(grad[idx])) < 1e-3, name
+            checked += 1
+    assert checked >= 3 * 10  # word and relation embeddings, and the R-GCN layers
 
 
 # -- optimizer and target sync ----------------------------------------------------------
