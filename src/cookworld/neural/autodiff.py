@@ -7,6 +7,7 @@ Tensor.grad; every backward formula is covered by finite-difference tests.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -263,7 +264,7 @@ def _segment_sum(x: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
     # One bincount over every element: each output element sums its rows in
     # their original order. np.add.reduceat pays a per-segment cost that
     # dominates on the many one- and two-row segments of a packed graph.
-    width = int(np.prod(x.shape[1:], dtype=np.intp))
+    width = math.prod(x.shape[1:])
     flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
     sums = np.bincount(flat, weights=x.reshape(-1), minlength=count * width)
     return sums.reshape((count,) + x.shape[1:])
@@ -295,14 +296,16 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    # np.mean and np.var's own arithmetic, without their Python wrappers:
+    # the same sums in the same order, so the same bits
+    d = x.data.shape[1]
+    centred = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / d
+    var = np.add.reduce(centred * centred, axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     out = xhat * gain.data + bias.data
 
     def backward(g):
-        d = x.data.shape[1]
         dxhat = g * gain.data
         dx = inv * (
             dxhat

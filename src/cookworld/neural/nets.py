@@ -4,6 +4,7 @@ and a paired-candidate scorer, with deterministic seeded initialization.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import OrderedDict
 from pathlib import Path
@@ -52,12 +53,16 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
+@functools.cache
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
+    """The (length, dim) positional table, built once per shape and shared
+    read-only."""
     positions = np.arange(length)[:, None]
     div = np.exp(np.arange(0, dim, 2) * (-np.log(10000.0) / dim))
     enc = np.zeros((length, dim))
     enc[:, 0::2] = np.sin(positions * div)
     enc[:, 1::2] = np.cos(positions * div)
+    enc.flags.writeable = False
     return enc
 
 
@@ -300,6 +305,7 @@ class PolicyNet:
         self.scorer_hidden = scorer_hidden
         self.seed = seed
         self._vec_cache: dict = {}
+        self._q_memo: dict = {}
         self.params: OrderedDict[str, Parameter] = OrderedDict()
 
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xC00C)))
@@ -341,7 +347,9 @@ class PolicyNet:
             p.zero_grad()
 
     def bump_version(self) -> None:
+        """Forget every cached row and Q vector: the weights changed."""
         self._vec_cache.clear()
+        self._q_memo.clear()
 
     def config(self) -> dict:
         return {
@@ -509,25 +517,42 @@ class PolicyNet:
         self, states: Sequence[tuple[KGObservation, Optional[str], Sequence[str]]]
     ) -> np.ndarray:
         """Q for every candidate of every (obs, cond_text, candidates) state,
-        laid end to end; no gradients recorded.
+        laid end to end, read-only; no gradients recorded.
 
-        score_tensor's formula on cached rows, in plain numpy: a state's
-        row broadcast over its candidates' rows, one relu and one product
-        with the output layer."""
+        Each state's Q is memoized until the weights change (bump_version
+        empties the memo with the vector cache). A miss is score_tensor's
+        formula on cached rows, in plain numpy, over that state alone: the
+        state's row broadcast over its candidates' rows, one relu and one
+        product with the output layer. So a state's Q never depends on which
+        states it was scored with."""
+        qs = [self._state_q(obs, cond, candidates) for obs, cond, candidates in states]
+        if len(qs) == 1:
+            return qs[0]
+        q = np.concatenate(qs)
+        q.flags.writeable = False
+        return q
+
+    def _state_q(self, obs: KGObservation, cond: Optional[str], candidates: Sequence[str]) -> np.ndarray:
+        if not candidates:
+            raise EmptyCandidatesError("no candidates to score")
         cand_part = self.state_parts
-        blocks = []
-        for obs, cond, candidates in states:
-            if not candidates:
-                raise EmptyCandidatesError("no candidates to score")
+        if cand_part == 2:
+            if cond is None:
+                raise ValueError("this net conditions on an instruction text")
+        else:
+            cond = None
+        key = (canonical_hash(obs), cond, tuple(candidates))
+        q = self._q_memo.get(key)
+        if q is None:
             state = self._projection(0, obs)
-            if cand_part == 2:
-                if cond is None:
-                    raise ValueError("this net conditions on an instruction text")
+            if cond is not None:
                 state = state + self._projection(1, cond)
-            blocks.append(state + np.concatenate([self._projection(cand_part, c) for c in candidates]))
-        hidden = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        np.maximum(hidden, 0.0, out=hidden)
-        return (hidden @ self.params["scorer.w2"].data + self.params["scorer.b2"].data)[:, 0]
+            hidden = state + np.concatenate([self._projection(cand_part, c) for c in candidates])
+            np.maximum(hidden, 0.0, out=hidden)
+            q = (hidden @ self.params["scorer.w2"].data + self.params["scorer.b2"].data)[:, 0]
+            q.flags.writeable = False
+            self._q_memo[key] = q
+        return q
 
 
 def sync_target(online: PolicyNet, target: PolicyNet) -> None:

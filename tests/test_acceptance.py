@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, one PASS/FAIL line each.
 
-The two training criteria carry pytest's `slow` marker; everything else runs
-in seconds. Criterion names mirror the project contract.
+The one training criterion, byte-identical metrics across two runs, carries
+pytest's `slow` marker; everything else runs in seconds. Criterion names
+mirror the project contract.
 """
 
 import json

@@ -164,6 +164,17 @@ def test_layer_norm():
     check_op(lambda x, g, b: ad.layer_norm(x, g, b), [(4, 6), (1, 6), (1, 6)])
 
 
+def test_layer_norm_is_bit_equal_to_mean_and_var():
+    rng = np.random.default_rng(7)
+    for rows in range(1, 51):
+        d = int(rng.choice([6, 8, 16, 64]))
+        x = rng.uniform(0.01, 100.0) * rng.standard_normal((rows, d)) + rng.uniform(-10, 10)
+        gain, bias = rng.standard_normal((1, d)), rng.standard_normal((1, d))
+        out = ad.layer_norm(ad.constant(x), ad.constant(gain), ad.constant(bias)).data
+        mu, var = x.mean(axis=1, keepdims=True), x.var(axis=1, keepdims=True)
+        assert np.array_equal(out, (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias), rows
+
+
 def test_affine():
     check_op(lambda x, w, b: ad.affine(x, w, b), [(3, 4), (4, 2), (1, 2)])
 

@@ -364,6 +364,27 @@ def test_cached_targets_match_the_batched_pass(warm_trainers, variant, level):
 
 
 @pytest.mark.parametrize("variant, level", LEARNERS)
+def test_memoized_q_equals_a_cold_one_state_pass(warm_trainers, variant, level):
+    learner = getattr(warm_trainers[variant], level)
+    online, target = disagreeing_nets(learner, 16)
+    batch, _, _ = learner.buffer.sample(min(32, len(learner.buffer)), np.random.default_rng(17))
+    states = next_states(batch) + [(tr.obs, tr.cond_text, [tr.chosen_text]) for tr in batch]
+    assert len(states) > len(batch)
+    for net in (online, target):
+        batched = net.batch_q_values(states)  # fills the memo in one call
+        hits = [net.q_values(*state) for state in states]
+        assert all(net.q_values(*state) is hit for state, hit in zip(states, hits))
+        cold_net = clone_net(net)
+        cold = []
+        for state in states:
+            cold_net.bump_version()
+            cold.append(cold_net.q_values(*state))
+        assert np.array_equal(batched, np.concatenate(cold))
+        for hit, ref in zip(hits, cold):
+            assert np.array_equal(hit, ref)
+
+
+@pytest.mark.parametrize("variant, level", LEARNERS)
 def test_target_cache_lives_as_long_as_the_target_weights(warm_trainers, variant, level, tmp_path):
     learner = copy.copy(getattr(warm_trainers[variant], level))  # shares the buffer, only samples it
     online = learner.online = clone_net(learner.online)
@@ -375,8 +396,11 @@ def test_target_cache_lives_as_long_as_the_target_weights(warm_trainers, variant
 
     def filled_cache(net=target) -> np.ndarray:
         q = net.batch_q_values(states)
-        assert net._vec_cache
+        assert net._vec_cache and net._q_memo
         return q
+
+    def emptied(*nets) -> bool:
+        return all(not net._vec_cache and not net._q_memo for net in nets)
 
     def fresh_q() -> np.ndarray:
         """Q of a net built anew on the online weights, its cache cold."""
@@ -388,38 +412,41 @@ def test_target_cache_lives_as_long_as_the_target_weights(warm_trainers, variant
     assert np.array_equal(filled_cache(online), before)
     # an Adam step moves the online weights: it empties the online net's
     # cached rows, and the target keeps its own
-    cached = dict(target._vec_cache)
+    cached, memo = dict(target._vec_cache), dict(target._q_memo)
     learner.snapshot()
     noise = np.random.default_rng(15)
     for p in online.params.values():
         p.grad = noise.standard_normal(p.data.shape)
     apply_update(online, learner.adam, lr=0.05)
-    assert not online._vec_cache
+    assert emptied(online)
     stepped = filled_cache(online)
     assert not np.allclose(stepped, before)
     assert np.array_equal(stepped, fresh_q())
     assert cached.keys() == target._vec_cache.keys()
     assert all(target._vec_cache[key] is vec for key, vec in cached.items())
+    assert memo.keys() == target._q_memo.keys()
+    assert all(target._q_memo[key] is q for key, q in memo.items())
     assert np.array_equal(target.batch_q_values(states), before)
 
     # a sync empties it, and the targets then come from the new weights
     sync_target(online, target)
-    assert not target._vec_cache
+    assert emptied(target)
     after = filled_cache()
     assert not np.allclose(after, before)
     assert np.array_equal(after, fresh_q())
 
     learner.restore()
-    assert not target._vec_cache
+    assert emptied(online, target)
     assert np.array_equal(filled_cache(), before)
     assert np.array_equal(before, fresh_q())
 
     learner.save(tmp_path)
+    filled_cache(online)
     for p in online.params.values():  # weights the load must replace
         p.data += 0.1
     sync_target(online, target)
     filled_cache()
     learner.load(tmp_path, learner.updates)
-    assert not target._vec_cache
+    assert emptied(online, target)
     assert np.array_equal(filled_cache(), before)
     assert np.array_equal(before, fresh_q())

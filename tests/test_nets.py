@@ -305,6 +305,42 @@ def test_empty_text_raises(vocab):
         net.text_vector("   ")
 
 
+def test_positional_table_is_shared_and_read_only():
+    table = sinusoidal_positions(5, 8)
+    assert sinusoidal_positions(5, 8) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        table += 1.0
+
+
+def reference_layer_norm(x, gain, bias, eps=1e-5):
+    """layer_norm's forward through numpy's mean and var."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    return (x - mu) * (1.0 / np.sqrt(var + eps)) * gain + bias
+
+
+def test_layer_norm_is_bit_equal_to_mean_and_var_on_text_batches(vocab, monkeypatch):
+    net = tiny_net(vocab, seed=25, parts=1, d=16)
+    seen = []
+    real = ad.layer_norm
+
+    def recorded(x, gain, bias):
+        out = real(x, gain, bias)
+        seen.append((x.data, gain.data, bias.data, out.data))
+        return out
+
+    monkeypatch.setattr(ad, "layer_norm", recorded)
+    texts = ["knife", "take knife from table", "find cilantro", "open fridge",
+             "dice red apple with knife", "cook yellow potato with oven", "prepare meal"]
+    for batch in (texts, texts[:1], texts[1:4], texts[::-1]):
+        net.text_tensor(batch)
+    assert len(seen) == 8
+    for x, gain, bias, out in seen:
+        assert np.array_equal(out, reference_layer_norm(x, gain, bias))
+
+
 # -- scorer ----------------------------------------------------------------------
 
 def test_score_single_candidate_is_scalar(vocab):
@@ -347,6 +383,30 @@ def test_empty_candidates_raise(vocab):
         score(net, np.ones(8), [])
     with pytest.raises(EmptyCandidatesError):
         net.q_values(small_obs(), None, [])
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_memoized_q_is_read_only_and_bad_states_still_raise(vocab, parts):
+    net = tiny_net(vocab, parts=parts, seed=9)
+    cond = "find cilantro" if parts == 2 else None
+    state = (small_obs(), cond, ["open fridge", "take knife from table"])
+    first = net.q_values(*state)
+    assert net._q_memo
+    assert net.q_values(*state) is first
+    both = net.batch_q_values([state, (KGObservation([]), cond, ["open fridge"])])
+    for q in (first, both):
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0] = 0.0
+    assert np.array_equal(both[:2], first)
+    with pytest.raises(EmptyCandidatesError):
+        net.q_values(small_obs(), cond, [])
+    with pytest.raises(EmptyCandidatesError):
+        net.batch_q_values([state, (small_obs(), cond, [])])
+    if parts == 2:
+        with pytest.raises(ValueError, match="instruction"):
+            net.q_values(small_obs(), None, ["open fridge"])
+    assert net.q_values(*state) is first
 
 
 @pytest.mark.parametrize("parts", [1, 2])
