@@ -5,9 +5,9 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from ..kg import KGObservation, Triplet, sort_key, subject_of
+from ..kg import KGObservation, Triplet, canonical_hash, sort_key, subject_of
 from .spec import (
     APPLIANCE_RESULT,
     CONTAINER_NAMES,
@@ -28,6 +28,14 @@ class EngineInconsistencyError(RuntimeError):
     """Internal contract broken (e.g. no admissible actions in a live game)."""
 
 
+class _Facts(NamedTuple):
+    """What one graph fixes, as an episode memo keeps it (see _facts)."""
+
+    moves: dict[str, tuple]  # each admissible command -> its resolved effect
+    actions: tuple[str, ...]  # the commands, sorted and interned
+    children: dict[str, KGObservation]  # command -> the graph it led to
+
+
 @dataclass
 class GameState:
     """Mutable simulation state. step() copies, so old states stay valid."""
@@ -46,16 +54,15 @@ class GameState:
     score: int = 0
     done: bool = False
     lost: bool = False
-    # this state's action table, built by the first _moves call; not part of
-    # the state's identity, and copy() starts without it
-    _move_table: Optional[dict[str, tuple]] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    # this state's observation, rendered by the first observation call; kept
-    # the same way as the action table
+    # this state's observation, rendered by the first observation call; not
+    # part of the state's identity, and copy() starts without it
     _observation: Optional[KGObservation] = field(
         default=None, init=False, compare=False, repr=False
     )
+    # the episode memo, graph digest -> _Facts: reset starts one, and every
+    # state that copy() and step derive from that reset shares it, so it
+    # lives as long as the episode's last state. Not part of the identity.
+    _episode: dict[int, _Facts] = field(default_factory=dict, compare=False, repr=False)
 
     def copy(self) -> "GameState":
         return GameState(
@@ -72,6 +79,7 @@ class GameState:
             score=self.score,
             done=self.done,
             lost=self.lost,
+            _episode=self._episode,
         )
 
     def signature(self) -> tuple:
@@ -194,23 +202,33 @@ def _patch(
 
 
 def observation(
-    state: GameState, parent: Optional[GameState] = None, touched: tuple[str, ...] = ()
+    state: GameState,
+    parent: Optional[GameState] = None,
+    command: str = "",
+    touched: tuple[str, ...] = (),
 ) -> KGObservation:
     """The state's knowledge graph, rendered by the first call.
 
-    step() names the state it copied (`parent`) and the subjects whose edges
-    its effect touched; if the parent holds its rendered graph, this state's
-    graph is that one with the touched subjects' edges replaced. Otherwise
-    every subject's edges are rendered from nothing.
+    step() names the state it copied (`parent`), the command it played and
+    the subjects whose edges its effect touched. If the episode played that
+    command from the parent's graph before, this state's graph is the one it
+    led to then, the same object. Otherwise it is the parent's graph with the
+    touched subjects' edges replaced, kept in the memo for the next time.
+    With no parent, every subject's edges are rendered from nothing.
     """
     if state._observation is None:
-        if parent is not None and parent._observation is not None:
-            edges = parent._observation.triplets
-        else:
+        if parent is None:
             spec = state.spec
-            edges = ()
             touched = (*spec.static_triplets_of, "player", *spec.openable_names, *_portables(state))
-        state._observation = KGObservation(_patch(edges, state, touched))
+            state._observation = KGObservation(_patch((), state, touched))
+        else:
+            children = _facts(parent).children
+            graph = children.get(command)
+            if graph is None:
+                graph = children[command] = KGObservation(
+                    _patch(parent._observation.triplets, state, touched)
+                )
+            state._observation = graph
     return state._observation
 
 
@@ -226,20 +244,35 @@ def _recipe_ready(state: GameState) -> bool:
     return True
 
 
-def _moves(state: GameState) -> dict[str, tuple]:
-    """Every admissible command of a live game, mapped to its resolved effect.
+def _facts(state: GameState) -> _Facts:
+    """A live state's action table, its sorted commands and the next graphs
+    its episode has reached from its graph, built on the graph's first visit.
 
-    Built once per state: admissible_actions and then step on the same state
-    share one table.
+    A state's graph fixes all three. _build_moves reads the player's room,
+    the open flags of doors and containers, each portable's holder and its
+    cut and cook states, and whether the meal exists, and the graph has an
+    edge for each. An effect changes only those facts, so each command's
+    next graph follows from the graph too. What the graph leaves out (the
+    score, collect_rewarded, the step count, done and lost) is never read
+    from the memo: step computes it from the state. Keys are 64-bit
+    canonical_hash digests, the collision assumption that the Q memo and
+    Vocabulary.graph_layouts make as well.
     """
-    if state._move_table is None:
-        state._move_table = _build_moves(state)
-    return state._move_table
+    if state.done:
+        raise ValueError("admissible_actions on a finished game")
+    graph = state._observation
+    if graph is None:  # a copy() that nothing rendered yet
+        graph = observation(state)
+    key = canonical_hash(graph)
+    facts = state._episode.get(key)
+    if facts is None:
+        moves = _build_moves(state)
+        facts = state._episode[key] = _Facts(moves, tuple(sorted(map(sys.intern, moves))), {})
+    return facts
 
 
 def _build_moves(state: GameState) -> dict[str, tuple]:
-    if state.done:
-        raise ValueError("admissible_actions on a finished game")
+    """Every admissible command of a live game, mapped to its resolved effect."""
     spec = state.spec
     room = state.player_room
     moves: dict[str, tuple] = {}
@@ -313,9 +346,9 @@ def _build_moves(state: GameState) -> dict[str, tuple]:
 
 
 def admissible_actions(state: GameState) -> list[str]:
-    # one string object per command, however many states and replay records
-    # hold it
-    return sorted(map(sys.intern, _moves(state)))
+    # a fresh list, of one string object per command however many states
+    # and replay records hold it
+    return list(_facts(state).actions)
 
 
 def _prepare(spec: GameSpec, states: dict[str, str], name: str, result: str) -> bool:
@@ -330,7 +363,7 @@ def _prepare(spec: GameSpec, states: dict[str, str], name: str, result: str) -> 
 
 
 def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, bool]:
-    effect = _moves(state).get(action)
+    effect = _facts(state).moves.get(action)
     if effect is None:
         raise InadmissibleActionError(f"{action!r} not admissible here")
 
@@ -389,4 +422,4 @@ def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, 
     new.score += reward
     if new.steps >= new.step_limit and not new.done:
         new.done = True
-    return new, observation(new, state, touched), reward, new.done
+    return new, observation(new, state, action, touched), reward, new.done

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .spec import GameSpec
-from .state import DEFAULT_STEP_LIMIT, _moves, reset, step
+from .state import DEFAULT_STEP_LIMIT, _facts, reset, step
 
 
 class WalkthroughError(RuntimeError):
@@ -44,7 +44,7 @@ class _Driver:
 
     def do(self, effect: tuple) -> None:
         """Play the one admissible command with the given effect."""
-        moves = _moves(self.state)
+        moves = _facts(self.state).moves
         matches = [action for action, move in moves.items() if move == effect]
         if len(matches) != 1:
             raise WalkthroughError(f"{len(matches)} commands have effect {effect}")

@@ -30,7 +30,7 @@ def epsilon_greedy(
     does not depend on eps."""
     if q_fn is None or (rng is not None and rng.random() < eps):
         return candidates[int(rng.integers(0, len(candidates)))]
-    return candidates[int(np.argmax(q_fn()))]
+    return candidates[int(q_fn().argmax())]
 
 
 class Agent(Protocol):

@@ -19,6 +19,8 @@ from cookworld.engine.state import (
     CUT_VERBS,
     GameState,
     InadmissibleActionError,
+    _build_moves,
+    _facts,
     admissible_actions,
     observation,
     reset,
@@ -342,11 +344,12 @@ def test_action_table_stays_with_its_state(s1_spec):
         assert admissible_actions(new) != before
     assert admissible_actions(state) == before
 
-    # a copy starts without the table and the observation: changing it
-    # changes its actions and renders its own facts
+    # a copy shares the episode memo but starts without the observation:
+    # changing it changes its actions and renders its own facts, since the
+    # memo is keyed by the graph
     assert observation(state) is observation(state)
     closed = state.copy()
-    assert closed._move_table is None and closed._observation is None
+    assert closed._episode is state._episode and closed._observation is None
     closed.open_flags["fridge"] = False
     assert admissible_actions(closed) == admissible_actions(_replay(s1_spec, []))
     assert observation(closed) == reset(s1_spec)[1] != observation(state)
@@ -361,8 +364,9 @@ def test_action_table_stays_with_its_state(s1_spec):
 
 def test_copy_carries_every_field(s1_spec):
     live = _replay(s1_spec, ["open fridge"])
-    admissible_actions(live)  # builds its action table
-    assert live._move_table is not None and live.copy()._move_table is None
+    admissible_actions(live)  # builds its graph's entry in the episode memo
+    assert canonical_hash(live._observation) in live._episode
+    assert live.copy()._episode is live._episode
     # step rendered its observation; a copy renders its own
     assert live._observation is not None and live.copy()._observation is None
 
@@ -448,7 +452,9 @@ def _play_patched(spec, rng, plan=()):
     """One episode, leaning towards the recipe's commands after any planned
     ones, that checks each step's observation, patched from its parent's,
     against the same state rendered from nothing, which touches every
-    subject. Returns the effects played."""
+    subject, and each live state's action table and commands, served from
+    the episode memo, against a table built from nothing. Returns the
+    effects played."""
     plan = iter(plan)
     state, obs = reset(spec, step_limit=100)
     kinds = set()
@@ -461,9 +467,13 @@ def _play_patched(spec, rng, plan=()):
         )
         assert state._observation is obs  # the parent's graph, for step to patch
         new, obs, reward, done = step(state, action)
-        full = observation(new.copy())  # a copy has no memo and no parent
+        full = observation(new.copy())  # a copy has no graph and no parent
         assert obs.triplets == full.triplets, action
         assert canonical_hash(obs) == canonical_hash(full), action
+        if not done:
+            table = _build_moves(new.copy())
+            assert _facts(new).moves == table, action
+            assert admissible_actions(new) == sorted(table), action
         kinds.add(_effect_kind(state, new, action, reward))
         state = new
     return kinds
@@ -495,6 +505,84 @@ def test_patched_observation_play_reaches_every_effect():
         for seed in range(6):
             kinds |= _play_game_patched(generate_game(level, seed), seed)
     assert kinds == EFFECT_KINDS
+
+
+# S1's cilantro starts in the closed fridge: taking it and putting it back
+# returns to the reset graph with a point scored and cilantro collected
+BACK_TO_START = ["open fridge", "take cilantro from fridge", "insert cilantro into fridge",
+                 "close fridge"]
+
+
+def test_memo_serves_a_graph_reached_with_another_score(s1_spec):
+    start, start_obs = reset(s1_spec)
+    state = start
+    for action in BACK_TO_START:
+        state, obs, _, _ = step(state, action)
+    assert obs == start_obs and obs is not start_obs
+    assert (state.score, state.collect_rewarded) == (1, {"cilantro"})
+    assert (start.score, start.collect_rewarded) == (0, set())
+    # the graph's table is the first visit's, the reward the state's own
+    assert _facts(state) is _facts(start)
+    opened, opened_obs, _, _ = step(state, "open fridge")
+    assert opened_obs is step(start, "open fridge")[1]
+    _, _, reward, _ = step(opened, "take cilantro from fridge")
+    assert reward == 0
+    # the path and a random play after it pass the per-step checks
+    for seed in range(5):
+        _play_patched(s1_spec, random.Random(seed), BACK_TO_START)
+
+
+def test_a_repeated_take_replays_its_graph_and_pays_nothing(s1_spec):
+    state, _ = reset(s1_spec)
+    opened, opened_obs, _, _ = step(state, "open fridge")
+    held, held_obs, reward, _ = step(opened, "take cilantro from fridge")
+    assert (reward, held.score) == (1, 1)
+    back, back_obs, _, _ = step(held, "insert cilantro into fridge")
+    assert back_obs == opened_obs
+    again, again_obs, reward, _ = step(back, "take cilantro from fridge")
+    assert again_obs is held_obs
+    assert (reward, again.score) == (0, 1)
+
+    # take -> drop -> take on the floor replays both graphs
+    floor, floor_obs, _, _ = step(again, "drop cilantro")
+    retaken, retaken_obs, _, _ = step(floor, "take cilantro")
+    dropped, dropped_obs, _, _ = step(retaken, "drop cilantro")
+    assert dropped_obs is floor_obs
+    last, last_obs, reward, _ = step(dropped, "take cilantro")
+    assert last_obs is retaken_obs
+    assert (reward, last.score) == (0, 1)
+
+
+def test_step_limit_on_a_memoized_graph_ends_the_game(s1_spec):
+    state, _ = reset(s1_spec, step_limit=3)
+    for action in ("open fridge", "close fridge", "open fridge"):
+        state, obs, _, done = step(state, action)
+    assert done and canonical_hash(obs) in state._episode
+    with pytest.raises(ValueError, match="finished game"):
+        admissible_actions(state)
+    with pytest.raises(ValueError, match="finished game"):
+        step(state, "close fridge")
+
+
+def test_admissible_actions_returns_a_fresh_list(s1_spec):
+    state, _ = reset(s1_spec)
+    actions = admissible_actions(state)
+    expected = list(actions)
+    actions.remove("open fridge")
+    actions.append("go nowhere")
+    assert admissible_actions(state) == expected
+    with pytest.raises(InadmissibleActionError):
+        step(state, "go nowhere")
+
+
+def test_each_reset_starts_its_own_memo(s1_spec):
+    first, _ = reset(s1_spec)
+    second, _ = reset(s1_spec)
+    assert first._episode is not second._episode
+    _, opened, _, _ = step(first, "open fridge")
+    assert second._episode == {}
+    _, again, _, _ = step(second, "open fridge")
+    assert again == opened and again is not opened
 
 
 # sha256 of the play log below, generated before the action table
