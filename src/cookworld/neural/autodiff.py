@@ -2,6 +2,8 @@
 
 Only the operations the policy networks need. Gradients accumulate into
 Tensor.grad; every backward formula is covered by finite-difference tests.
+Under no_grad an op computes its result by the same expression and returns
+it bare, building no backward closure and recording no parents.
 """
 
 from __future__ import annotations
@@ -92,9 +94,21 @@ class Tensor:
                 grads[key] = grads[key] + pg if key in grads else pg
 
 
+def _bare(data: np.ndarray) -> Tensor:
+    """An op's result under no_grad: the float64 array it computed, with no
+    recorded graph. Built without __init__'s conversions, which a result
+    computed from float64 tensors does not need."""
+    t = object.__new__(Tensor)
+    t.data = data
+    t.grad = None
+    t.requires_grad = False
+    t._parents = ()
+    t._backward = None
+    return t
+
+
 def _wrap(data, parents, backward) -> Tensor:
-    if not _GRAD_ENABLED:
-        return Tensor(data)
+    """An op's result with its parents and backward formula recorded."""
     return Tensor(data, parents=parents, backward=backward)
 
 
@@ -119,6 +133,8 @@ def _tracked(t: Tensor) -> bool:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         return tuple((t, _sum_to_shape(g, t.data.shape)) for t in (a, b) if _tracked(t))
@@ -128,6 +144,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         return tuple((t, _sum_to_shape(tg, t.data.shape)) for t, tg in ((a, g), (b, -g)) if _tracked(t))
@@ -137,6 +155,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         return tuple(
@@ -148,6 +168,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, factor: float) -> Tensor:
     out = a.data * factor
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         return ((a, g * factor),)
@@ -165,6 +187,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != b.data.ndim:
         raise ValueError("matmul operands need the same number of dimensions")
     out = a.data @ b.data
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         return ((a, g @ _swap_last(b.data)), (b, _swap_last(a.data) @ g))
@@ -177,6 +201,8 @@ def grouped_matmul(x: Tensor, weights: Sequence[Tensor], bounds: Sequence[int]) 
     group of rows; the groups tile x."""
     spans = list(zip(weights, bounds[:-1], bounds[1:]))
     out = np.concatenate([x.data[lo:hi] @ w.data for w, lo, hi in spans])
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         dx = np.concatenate([g[lo:hi] @ w.data.T for w, lo, hi in spans])
@@ -188,6 +214,8 @@ def grouped_matmul(x: Tensor, weights: Sequence[Tensor], bounds: Sequence[int]) 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     out = _swap_last(a.data)
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         return ((a, _swap_last(g)),)
@@ -197,6 +225,8 @@ def transpose(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         return ((a, g.reshape(a.data.shape)),)
@@ -207,6 +237,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     out = a.data * mask
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         return ((a, g * mask),)
@@ -216,6 +248,8 @@ def relu(a: Tensor) -> Tensor:
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     out = np.concatenate([p.data for p in parts], axis=1)
+    if not _GRAD_ENABLED:
+        return _bare(out)
     widths = [p.data.shape[1] for p in parts]
 
     def backward(g):
@@ -232,6 +266,8 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 def row_block(a: Tensor, rows: slice) -> Tensor:
     """A contiguous block of rows of a, a[rows]."""
     out = a.data[rows]
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         full = np.zeros_like(a.data)
@@ -243,6 +279,8 @@ def row_block(a: Tensor, rows: slice) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = a.data.sum()
+    if not _GRAD_ENABLED:
+        return _bare(np.asarray(out))
 
     def backward(g):
         return ((a, np.full_like(a.data, float(g))),)
@@ -253,6 +291,8 @@ def sum_all(a: Tensor) -> Tensor:
 def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     out = table.data[idx]
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         return ((table, _segment_sum(g, idx, table.data.shape[0])),)
@@ -265,6 +305,11 @@ def _segment_sum(x: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
     # their original order. np.add.reduceat pays a per-segment cost that
     # dominates on the many one- and two-row segments of a packed graph.
     width = math.prod(x.shape[1:])
+    if count == 1 and width > 1 and x.flags.c_contiguous:
+        # One segment: a reduction over the slow axis adds whole rows to the
+        # running sum in order from 0.0 (pairwise summation applies only
+        # along the fast axis), the same additions as the bincount.
+        return np.add.reduce(x, axis=0, keepdims=True, initial=0.0)
     flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
     sums = np.bincount(flat, weights=x.reshape(-1), minlength=count * width)
     return sums.reshape((count,) + x.shape[1:])
@@ -275,6 +320,8 @@ def segment_sum(x: Tensor, ids, count: int) -> Tensor:
     Ids need not be sorted; an empty segment gives a zero row."""
     ids = np.asarray(ids, dtype=np.intp)
     out = _segment_sum(x.data, ids, count)
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         return ((x, g[ids]),)
@@ -287,6 +334,8 @@ def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     out = exp / exp.sum(axis=-1, keepdims=True)
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
@@ -304,6 +353,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
     out = xhat * gain.data + bias.data
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         dxhat = g * gain.data
@@ -322,6 +373,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias as one tape node."""
     out = x.data @ weight.data + bias.data
+    if not _GRAD_ENABLED:
+        return _bare(out)
 
     def backward(g):
         return (

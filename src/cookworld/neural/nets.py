@@ -48,7 +48,8 @@ class Parameter(Tensor):
         self.grad = None
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
+def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
@@ -68,6 +69,8 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 
 def distinct(items: Sequence, key=None) -> tuple[list, np.ndarray]:
     """The distinct items in first-seen order, and each item's row among them."""
+    if len(items) == 1:
+        return [items[0]], np.zeros(1, dtype=np.intp)
     rows: dict = {}
     unique: list = []
     index = np.empty(len(items), dtype=np.intp)
@@ -107,8 +110,9 @@ class _EdgeGroups:
     """A layer's edges grouped for the per-relation mean, by (relation,
     target row): each edge's source row (src) and group (ids), 1 / in-degree
     per group (scale), each group's relation and target row (rel, dst), and,
-    as groups are sorted by relation, the relations present with their group
-    row bounds. Within a group, edges keep the order they were given in."""
+    as groups are sorted by relation, the indices of the relations present
+    with their group row bounds. Within a group, edges keep the order they
+    were given in."""
 
     __slots__ = ("src", "ids", "scale", "rel", "dst", "relations", "bounds")
 
@@ -123,8 +127,8 @@ class _EdgeGroups:
         self.rel = rel[first]
         self.dst = dst[first]
         starts = np.flatnonzero(np.r_[True, self.rel[1:] != self.rel[:-1]])
-        self.relations = [RELATIONS[r] for r in self.rel[starts]] if len(self.rel) else []
-        self.bounds = list(np.append(starts, len(self.rel))) if self.relations else []
+        self.relations = self.rel[starts].tolist() if len(self.rel) else []
+        self.bounds = np.append(starts, len(self.rel)).tolist() if self.relations else []
 
 
 class _EncoderPass:
@@ -280,6 +284,27 @@ def _layout_for(obs: KGObservation, vocab) -> _GraphLayout:
     return layout
 
 
+def _param_layout(vocab_size: int, hidden_dim: int, rgcn_layers: int, state_parts: int,
+                  ff_dim: int, scorer_hidden: int) -> list[tuple[str, str, tuple[int, int]]]:
+    """Every parameter of a PolicyNet as (name, initializer, shape), in the
+    order the seeded initialization draws them."""
+    d, ff, hid = hidden_dim, ff_dim, scorer_hidden
+    layout = [("word_emb", "emb", (vocab_size, d)), ("rel_emb", "emb", (len(RELATIONS), d))]
+    for layer in range(rgcn_layers):
+        layout += [(f"rgcn.{layer}.rel.{rel}", "glorot", (d, d)) for rel in RELATIONS]
+        layout += [(f"rgcn.{layer}.self", "glorot", (d, d)), (f"rgcn.{layer}.bias", "zeros", (1, d))]
+    layout += [(name, "glorot", (d, d)) for name in ("attn.wq", "attn.wk", "attn.wv", "attn.wo")]
+    in_dim = (state_parts + 1) * d
+    return layout + [
+        ("ln1.gain", "ones", (1, d)), ("ln1.bias", "zeros", (1, d)),
+        ("ff.w1", "glorot", (d, ff)), ("ff.b1", "zeros", (1, ff)),
+        ("ff.w2", "glorot", (ff, d)), ("ff.b2", "zeros", (1, d)),
+        ("ln2.gain", "ones", (1, d)), ("ln2.bias", "zeros", (1, d)),
+        ("scorer.w1", "glorot", (in_dim, hid)), ("scorer.b1", "zeros", (1, hid)),
+        ("scorer.w2", "glorot", (hid, 1)), ("scorer.b2", "zeros", (1, 1)),
+    ]
+
+
 class PolicyNet:
     """Online or target network for one policy.
 
@@ -297,6 +322,29 @@ class PolicyNet:
         scorer_hidden: int = 128,
         seed: int = 0,
     ):
+        self._configure(vocab, hidden_dim, rgcn_layers, state_parts, ff_dim, scorer_hidden, seed)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xC00C)))
+        emb = np.sqrt(3.0 / hidden_dim)
+        draw = {
+            "emb": lambda shape: rng.uniform(-emb, emb, size=shape),
+            "glorot": lambda shape: _glorot(rng, shape),
+            "zeros": np.zeros,
+            "ones": np.ones,
+        }
+        layout = _param_layout(len(vocab), hidden_dim, rgcn_layers, state_parts, ff_dim, scorer_hidden)
+        self._adopt({name: draw[init](shape) for name, init, shape in layout})
+
+    @classmethod
+    def _with_params(cls, vocab, config: dict, seed: int, arrays: dict) -> "PolicyNet":
+        """A net of this config whose parameters are the given arrays, named
+        as _param_layout names them, instead of draws from the seed."""
+        net = cls.__new__(cls)
+        net._configure(vocab, seed=seed, **config)
+        net._adopt(arrays)
+        return net
+
+    def _configure(self, vocab, hidden_dim: int, rgcn_layers: int, state_parts: int,
+                   ff_dim: int, scorer_hidden: int, seed: int) -> None:
         self.vocab = vocab
         self.d = hidden_dim
         self.rgcn_layers = rgcn_layers
@@ -304,41 +352,25 @@ class PolicyNet:
         self.ff_dim = ff_dim
         self.scorer_hidden = scorer_hidden
         self.seed = seed
+        self._attn_scale = 1.0 / np.sqrt(hidden_dim)
         self._vec_cache: dict = {}
         self._q_memo: dict = {}
-        self.params: OrderedDict[str, Parameter] = OrderedDict()
 
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xC00C)))
-        d = hidden_dim
-        v = len(vocab)
-
-        def par(name: str, values: np.ndarray) -> Parameter:
-            p = Parameter(name, values)
-            self.params[name] = p
-            return p
-
-        par("word_emb", rng.uniform(-np.sqrt(3.0 / d), np.sqrt(3.0 / d), size=(v, d)))
-        par("rel_emb", rng.uniform(-np.sqrt(3.0 / d), np.sqrt(3.0 / d), size=(len(RELATIONS), d)))
-        for layer in range(rgcn_layers):
-            for rel in RELATIONS:
-                par(f"rgcn.{layer}.rel.{rel}", _glorot(rng, d, d, (d, d)))
-            par(f"rgcn.{layer}.self", _glorot(rng, d, d, (d, d)))
-            par(f"rgcn.{layer}.bias", np.zeros((1, d)))
-        for name in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
-            par(name, _glorot(rng, d, d, (d, d)))
-        par("ln1.gain", np.ones((1, d)))
-        par("ln1.bias", np.zeros((1, d)))
-        par("ff.w1", _glorot(rng, d, ff_dim, (d, ff_dim)))
-        par("ff.b1", np.zeros((1, ff_dim)))
-        par("ff.w2", _glorot(rng, ff_dim, d, (ff_dim, d)))
-        par("ff.b2", np.zeros((1, d)))
-        par("ln2.gain", np.ones((1, d)))
-        par("ln2.bias", np.zeros((1, d)))
-        in_dim = (state_parts + 1) * d
-        par("scorer.w1", _glorot(rng, in_dim, scorer_hidden, (in_dim, scorer_hidden)))
-        par("scorer.b1", np.zeros((1, scorer_hidden)))
-        par("scorer.w2", _glorot(rng, scorer_hidden, 1, (scorer_hidden, 1)))
-        par("scorer.b2", np.zeros((1, 1)))
+    def _adopt(self, arrays: dict) -> None:
+        """Make the arrays this net's parameters, and resolve each R-GCN
+        layer's self weight, bias and per-relation weights (indexed like
+        RELATIONS) once, for graph_tensor."""
+        self.params: OrderedDict[str, Parameter] = OrderedDict(
+            (name, Parameter(name, values)) for name, values in arrays.items()
+        )
+        self._rgcn = [
+            (
+                self.params[f"rgcn.{layer}.self"],
+                self.params[f"rgcn.{layer}.bias"],
+                [self.params[f"rgcn.{layer}.rel.{rel}"] for rel in RELATIONS],
+            )
+            for layer in range(self.rgcn_layers)
+        ]
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -384,8 +416,8 @@ class PolicyNet:
             ),
             ad.constant(plan.token_scale),
         )
-        for layer, (self_rows, groups, n_rows) in enumerate(plan.layers):
-            total = ad.affine(h, self.params[f"rgcn.{layer}.self"], self.params[f"rgcn.{layer}.bias"])
+        for (self_w, bias, rel_ws), (self_rows, groups, n_rows) in zip(self._rgcn, plan.layers):
+            total = ad.affine(h, self_w, bias)
             if self_rows is not None:
                 total = ad.gather_rows(total, self_rows)
             if groups.relations:
@@ -393,9 +425,8 @@ class PolicyNet:
                     ad.segment_sum(ad.gather_rows(h, groups.src), groups.ids, len(groups.rel)),
                     ad.constant(groups.scale),
                 )
-                weights = [self.params[f"rgcn.{layer}.rel.{rel}"] for rel in groups.relations]
                 messages = ad.add(
-                    ad.grouped_matmul(mean, weights, groups.bounds),
+                    ad.grouped_matmul(mean, [rel_ws[r] for r in groups.relations], groups.bounds),
                     ad.gather_rows(self.params["rel_emb"], groups.rel),
                 )
                 total = ad.add(total, ad.segment_sum(messages, groups.dst, n_rows))
@@ -412,28 +443,40 @@ class PolicyNet:
         each text's tokens, one row each.
 
         The distinct texts are padded to the longest; attention runs within
-        each text, with padded keys masked out, and the pool drops padding."""
+        each text, with padded keys masked out, and the pool drops padding.
+        A single text needs no padding: its positions are the shared table's
+        rows themselves, and every token weighs 1 / length in the pool."""
         unique, rows = distinct(texts)
         encoded = [self.vocab.encode(text) for text in unique]
         for text, ids in zip(unique, encoded):
             if not ids:
                 raise EmptyTextError(f"cannot encode empty text {text!r}")
         b, d = len(unique), self.d
-        lengths = np.array([len(ids) for ids in encoded])
-        width = int(lengths.max())
-        valid = np.arange(width) < lengths[:, None]  # (b, width)
-        token_ids = np.zeros((b, width), dtype=np.intp)
-        token_ids[valid] = [tid for ids in encoded for tid in ids]
-        x = ad.add(
-            ad.gather_rows(self.params["word_emb"], token_ids.reshape(-1)),
-            ad.constant(np.tile(sinusoidal_positions(width, d), (b, 1))),
-        )
+        if b == 1:
+            width = len(encoded[0])
+            token_ids = np.array(encoded[0], dtype=np.intp)
+            positions = sinusoidal_positions(width, d)
+            mask = None
+            weights = np.full((width, 1), 1.0 / width)
+            segments = np.zeros(width, dtype=np.intp)
+        else:
+            lengths = np.array([len(ids) for ids in encoded])
+            width = int(lengths.max())
+            valid = np.arange(width) < lengths[:, None]  # (b, width)
+            token_ids = np.zeros((b, width), dtype=np.intp)
+            token_ids[valid] = [tid for ids in encoded for tid in ids]
+            token_ids = token_ids.reshape(-1)
+            positions = np.tile(sinusoidal_positions(width, d), (b, 1))
+            mask = None if valid.all() else np.where(valid, 0.0, -np.inf)[:, None, :]
+            weights = (valid / lengths[:, None]).reshape(-1, 1)
+            segments = np.repeat(np.arange(b), width)
+        x = ad.add(ad.gather_rows(self.params["word_emb"], token_ids), ad.constant(positions))
         q = ad.reshape(ad.matmul(x, self.params["attn.wq"]), (b, width, d))
         k = ad.reshape(ad.matmul(x, self.params["attn.wk"]), (b, width, d))
         v = ad.reshape(ad.matmul(x, self.params["attn.wv"]), (b, width, d))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d))
-        if not valid.all():
-            scores = ad.add(scores, ad.constant(np.where(valid, 0.0, -np.inf)[:, None, :]))
+        scores = ad.scale(ad.matmul(q, ad.transpose(k)), self._attn_scale)
+        if mask is not None:
+            scores = ad.add(scores, ad.constant(mask))
         attended = ad.reshape(ad.matmul(ad.softmax_rows(scores), v), (b * width, d))
         h1 = ad.layer_norm(
             ad.add(x, ad.matmul(attended, self.params["attn.wo"])),
@@ -446,8 +489,7 @@ class PolicyNet:
             self.params["ff.b2"],
         )
         h2 = ad.layer_norm(ad.add(h1, ff), self.params["ln2.gain"], self.params["ln2.bias"])
-        weights = (valid / lengths[:, None]).reshape(-1, 1)
-        pooled = ad.segment_sum(ad.mul(h2, ad.constant(weights)), np.repeat(np.arange(b), width), b)
+        pooled = ad.segment_sum(ad.mul(h2, ad.constant(weights)), segments, b)
         return pooled if b == len(texts) else ad.gather_rows(pooled, rows)
 
     def _w1_rows(self, part: int) -> slice:
@@ -562,17 +604,9 @@ def sync_target(online: PolicyNet, target: PolicyNet) -> None:
 
 
 def clone_net(net: PolicyNet) -> PolicyNet:
-    twin = PolicyNet(
-        net.vocab,
-        hidden_dim=net.d,
-        rgcn_layers=net.rgcn_layers,
-        state_parts=net.state_parts,
-        ff_dim=net.ff_dim,
-        scorer_hidden=net.scorer_hidden,
-        seed=net.seed,
+    return PolicyNet._with_params(
+        net.vocab, net.config(), net.seed, {name: p.data.copy() for name, p in net.params.items()}
     )
-    sync_target(net, twin)
-    return twin
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -600,8 +634,9 @@ def save_checkpoint(net: PolicyNet, path: str | Path, optimizer_state: Optional[
 
 def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[dict]]:
     try:
-        bundle = np.load(Path(path))
-        meta = json.loads(bytes(bundle["meta"]).decode())
+        with np.load(Path(path)) as bundle:
+            arrays = {key: bundle[key] for key in bundle.files}
+        meta = json.loads(bytes(arrays["meta"]).decode())
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("checkpoint_version") != CHECKPOINT_VERSION:
@@ -611,21 +646,28 @@ def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[dict]]
             raise VocabularyMismatchError(
                 f"checkpoint {path} was trained with a different vocabulary"
             )
-        net = PolicyNet(vocab, seed=meta["seed"], **meta["config"])
+        config, seed = meta["config"], meta["seed"]
+        layout = _param_layout(len(vocab), **config)
     except (KeyError, TypeError) as exc:
         # a missing field, or a config PolicyNet does not take
         raise CheckpointError(f"malformed metadata in checkpoint {path}: {exc!r}") from exc
-    for name, p in net.params.items():
-        key = f"param.{name}"
-        if key not in bundle:
-            raise CheckpointError(f"checkpoint missing parameter {name}")
-        np.copyto(p.data, bundle[key])
+    params = {}
+    for name, _, shape in layout:
+        values = arrays.get(f"param.{name}")
+        if values is None:
+            raise CheckpointError(f"checkpoint {path} is missing parameter {name}")
+        if values.shape != shape:
+            raise CheckpointError(
+                f"checkpoint {path}: parameter {name} has shape {values.shape}, not {shape}"
+            )
+        params[name] = np.ascontiguousarray(values, dtype=np.float64)
+    # the loaded arrays are the parameters: no initialization is drawn
+    net = PolicyNet._with_params(vocab, config, seed, params)
     optimizer_state = None
-    if "adam.t" in bundle:
+    if "adam.t" in arrays:
         optimizer_state = {
-            "m": {name: bundle[f"adam.m.{name}"] for name in net.params},
-            "v": {name: bundle[f"adam.v.{name}"] for name in net.params},
-            "t": int(bundle["adam.t"]),
+            "m": {name: arrays[f"adam.m.{name}"] for name in params},
+            "v": {name: arrays[f"adam.v.{name}"] for name in params},
+            "t": int(arrays["adam.t"]),
         }
-    net.bump_version()
     return net, optimizer_state

@@ -26,6 +26,8 @@ def finite_diff(fn, arrays, h=1e-6):
 
 
 def check_op(build, shapes, seed=0, tol=1e-6):
+    """build's gradients against central differences, and its result under
+    no_grad against the taped one: the same bits, with no graph recorded."""
     rng = np.random.default_rng(seed)
     arrays = [rng.standard_normal(s) for s in shapes]
 
@@ -36,6 +38,12 @@ def check_op(build, shapes, seed=0, tol=1e-6):
 
     tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
     out = build(*tensors)
+    with ad.no_grad():
+        bare = build(*[ad.Tensor(a, requires_grad=True) for a in arrays])
+    assert bare.data.dtype == out.data.dtype and bare.data.shape == out.data.shape, build.__name__
+    assert bare.data.tobytes() == out.data.tobytes(), build.__name__
+    with pytest.raises(ad.DetachedGraphError):
+        bare.backward()
     weight = np.cos(np.arange(out.data.size)).reshape(out.data.shape)
     loss = ad.sum_all(ad.mul(out, ad.constant(weight)))
     loss.backward()
@@ -107,6 +115,10 @@ def test_row_block():
     check_op(lambda a: ad.add(ad.row_block(a, slice(0, 2)), ad.row_block(a, slice(2, 4))), [(4, 3)])
 
 
+def test_sum_all():
+    check_op(lambda a: ad.sum_all(a), [(3, 4)])
+
+
 def test_gather_rows():
     check_op(lambda a: ad.gather_rows(a, [0, 2, 2, 1]), [(4, 3)])
 
@@ -148,6 +160,19 @@ def test_segment_sum_many_small_segments():
     for row, seg in enumerate(ids):  # each segment sums its rows in their original order
         expected[seg] += x[row]
     assert np.array_equal(ad.segment_sum(ad.constant(x), ids, 45).data, expected)
+
+
+@pytest.mark.parametrize("shape", [(20, 1), (7, 2), (20, 64), (0, 3), (5, 2, 3)])
+def test_segment_sum_one_segment_adds_rows_in_order(shape):
+    check_op(lambda a: ad.segment_sum(a, np.zeros(len(a.data), dtype=np.intp), 1), [shape])
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(shape) * np.exp(rng.uniform(-1, 1, shape))
+    for rows in (x, -np.abs(x) * 0.0, np.asfortranarray(x)):
+        expected = np.zeros((1,) + shape[1:])
+        for row in rows:
+            expected[0] += row
+        out = ad.segment_sum(ad.constant(rows), np.zeros(len(rows), dtype=np.intp), 1).data
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_gather_rows_repeated_indices():

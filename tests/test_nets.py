@@ -1,9 +1,12 @@
 """Network blocks: hand-computed values, invariances, and gradient checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from cookworld.engine.vocab import Vocabulary, default_vocabulary
+from cookworld.goals import generate_goal_set
 from cookworld.kg import KGObservation, Triplet
 from cookworld.neural import autodiff as ad
 from cookworld.neural.nets import (
@@ -409,6 +412,29 @@ def test_memoized_q_is_read_only_and_bad_states_still_raise(vocab, parts):
     assert net.q_values(*state) is first
 
 
+# sha256 of every Q vector below, laid end to end in float64 bytes
+INFERENCE_DIGEST = "dd97e4fea0250000a746547f70ed0d65c26b47719c228ea0b4ee6b0c796e03cf"
+
+
+def test_inference_bytes_are_pinned(vocab, s1_trace, s4_trace):
+    """Greedy H-KGA inference, bit for bit: fresh seeded meta and
+    goal-conditioned sub nets at the default sizes score every observation
+    of the golden traces, the meta net over the goal set's texts and the sub
+    net over the admissible commands under each goal. Their caches start
+    cold, so each graph and text is first encoded alone. The golden
+    training runs catch inference drift only when it flips an argmax."""
+    sub = PolicyNet(vocab, state_parts=2, seed=41)
+    meta = PolicyNet(vocab, state_parts=1, seed=42)
+    digest = hashlib.sha256()
+    for trace in (s1_trace, s4_trace):
+        for row in trace:
+            goals = generate_goal_set(row.obs).texts
+            digest.update(meta.q_values(row.obs, None, goals).tobytes())
+            for goal in goals if row.admissible else ():
+                digest.update(sub.q_values(row.obs, goal, row.admissible).tobytes())
+    assert digest.hexdigest() == INFERENCE_DIGEST
+
+
 @pytest.mark.parametrize("parts", [1, 2])
 def test_factorized_scorer_equals_concatenated_form(vocab, s1_spec, s4_spec, parts):
     """Scoring per input block equals one first layer over [state; candidate]
@@ -643,6 +669,18 @@ def test_checkpoint_vocabulary_mismatch(tmp_path, vocab):
     other = Vocabulary(("alpha", "beta"))
     with pytest.raises(VocabularyMismatchError):
         load_checkpoint(tmp_path / "net.npz", other)
+
+
+def test_checkpoint_parameter_of_the_wrong_shape_is_refused(tmp_path, vocab):
+    from cookworld.neural.nets import CheckpointError
+
+    save_checkpoint(tiny_net(vocab), tmp_path / "net.npz")
+    with np.load(tmp_path / "net.npz") as bundle:
+        arrays = dict(bundle)
+    arrays["param.scorer.b1"] = arrays["param.scorer.b1"][0]  # (1, h) saved as (h,)
+    np.savez(tmp_path / "net.npz", **arrays)
+    with pytest.raises(CheckpointError, match="scorer.b1"):
+        load_checkpoint(tmp_path / "net.npz", vocab)
 
 
 def test_clone_net_matches(vocab):
