@@ -1,7 +1,6 @@
 from .nets import (
     EmptyCandidatesError,
     EmptyTextError,
-    Parameter,
     PolicyNet,
     load_checkpoint,
     save_checkpoint,
@@ -12,7 +11,6 @@ from .optim import AdamState, apply_update
 __all__ = [
     "EmptyCandidatesError",
     "EmptyTextError",
-    "Parameter",
     "PolicyNet",
     "load_checkpoint",
     "save_checkpoint",

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import OrderedDict
+import math
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -15,6 +15,7 @@ import numpy as np
 from ..kg import KGObservation, RELATIONS, canonical_hash
 from . import autodiff as ad
 from .autodiff import Tensor
+from .optim import AdamState
 
 CHECKPOINT_VERSION = 1
 
@@ -33,19 +34,6 @@ class CheckpointError(ValueError):
 
 class VocabularyMismatchError(CheckpointError):
     pass
-
-
-class Parameter(Tensor):
-    """Named leaf tensor with an owned gradient buffer."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str, values: np.ndarray):
-        super().__init__(values, requires_grad=True)
-        self.name = name
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -305,6 +293,17 @@ def _param_layout(vocab_size: int, hidden_dim: int, rgcn_layers: int, state_part
     ]
 
 
+def _views(layout, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """flat's consecutive segments, in layout order, as views named and
+    shaped as the layout lists them."""
+    views, start = {}, 0
+    for name, _, shape in layout:
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
 class PolicyNet:
     """Online or target network for one policy.
 
@@ -331,16 +330,15 @@ class PolicyNet:
             "zeros": np.zeros,
             "ones": np.ones,
         }
-        layout = _param_layout(len(vocab), hidden_dim, rgcn_layers, state_parts, ff_dim, scorer_hidden)
-        self._adopt({name: draw[init](shape) for name, init, shape in layout})
+        self._adopt(np.concatenate([draw[init](shape).ravel() for _, init, shape in self.param_layout]))
 
     @classmethod
-    def _with_params(cls, vocab, config: dict, seed: int, arrays: dict) -> "PolicyNet":
-        """A net of this config whose parameters are the given arrays, named
-        as _param_layout names them, instead of draws from the seed."""
+    def _with_params(cls, vocab, config: dict, seed: int, flat: np.ndarray) -> "PolicyNet":
+        """A net of this config whose parameter vector is flat, laid out as
+        _param_layout lists the parameters, instead of draws from the seed."""
         net = cls.__new__(cls)
         net._configure(vocab, seed=seed, **config)
-        net._adopt(arrays)
+        net._adopt(flat)
         return net
 
     def _configure(self, vocab, hidden_dim: int, rgcn_layers: int, state_parts: int,
@@ -353,16 +351,19 @@ class PolicyNet:
         self.scorer_hidden = scorer_hidden
         self.seed = seed
         self._attn_scale = 1.0 / np.sqrt(hidden_dim)
+        self.param_layout = _param_layout(len(vocab), **self.config())
         self._vec_cache: dict = {}
         self._q_memo: dict = {}
 
-    def _adopt(self, arrays: dict) -> None:
-        """Make the arrays this net's parameters, and resolve each R-GCN
-        layer's self weight, bias and per-relation weights (indexed like
-        RELATIONS) once, for graph_tensor."""
-        self.params: OrderedDict[str, Parameter] = OrderedDict(
-            (name, Parameter(name, values)) for name, values in arrays.items()
-        )
+    def _adopt(self, flat: np.ndarray) -> None:
+        """Make flat this net's parameter vector: each parameter's data is a
+        view of its segment, never rebound, so writing flat writes them all.
+        Resolve each R-GCN layer's self weight, bias and per-relation weights
+        (indexed like RELATIONS) once, for graph_tensor."""
+        self.flat = flat
+        self.params = {
+            name: Tensor(view, requires_grad=True) for name, view in _views(self.param_layout, flat).items()
+        }
         self._rgcn = [
             (
                 self.params[f"rgcn.{layer}.self"],
@@ -376,7 +377,7 @@ class PolicyNet:
 
     def zero_grad(self) -> None:
         for p in self.params.values():
-            p.zero_grad()
+            p.grad = None
 
     def bump_version(self) -> None:
         """Forget every cached row and Q vector: the weights changed."""
@@ -598,27 +599,22 @@ class PolicyNet:
 
 
 def sync_target(online: PolicyNet, target: PolicyNet) -> None:
-    for name, p in online.params.items():
-        np.copyto(target.params[name].data, p.data)
+    np.copyto(target.flat, online.flat)
     target.bump_version()
 
 
 def clone_net(net: PolicyNet) -> PolicyNet:
-    return PolicyNet._with_params(
-        net.vocab, net.config(), net.seed, {name: p.data.copy() for name, p in net.params.items()}
-    )
+    return PolicyNet._with_params(net.vocab, net.config(), net.seed, net.flat.copy())
 
 
 # -- checkpoints --------------------------------------------------------------
 
-def save_checkpoint(net: PolicyNet, path: str | Path, optimizer_state: Optional[dict] = None) -> None:
+def save_checkpoint(net: PolicyNet, path: str | Path, optimizer_state: Optional[AdamState] = None) -> None:
     arrays = {f"param.{name}": p.data for name, p in net.params.items()}
     if optimizer_state is not None:
-        for name, m in optimizer_state["m"].items():
-            arrays[f"adam.m.{name}"] = m
-        for name, v in optimizer_state["v"].items():
-            arrays[f"adam.v.{name}"] = v
-        arrays["adam.t"] = np.array(optimizer_state["t"])
+        for moment, flat in (("m", optimizer_state.m), ("v", optimizer_state.v)):
+            arrays.update((f"adam.{moment}.{name}", x) for name, x in _views(net.param_layout, flat).items())
+        arrays["adam.t"] = np.array(optimizer_state.t)
     meta = {
         "checkpoint_version": CHECKPOINT_VERSION,
         "config": net.config(),
@@ -632,7 +628,22 @@ def save_checkpoint(net: PolicyNet, path: str | Path, optimizer_state: Optional[
         np.savez(fh, **arrays)
 
 
-def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[dict]]:
+def _gather(arrays: dict, prefix: str, layout, path) -> np.ndarray:
+    """The vector whose segments are the arrays <prefix>.<name>, each of which
+    must be a float array of its parameter's exact shape."""
+    flat = np.empty(sum(math.prod(shape) for _, _, shape in layout))
+    for name, view in _views(layout, flat).items():
+        values = arrays.get(f"{prefix}.{name}")
+        if values is None or values.shape != view.shape or not np.issubdtype(values.dtype, np.floating):
+            found = "missing" if values is None else f"{values.dtype} of shape {values.shape}"
+            raise CheckpointError(
+                f"checkpoint {path}: array {prefix}.{name} is {found}, not float of shape {view.shape}"
+            )
+        view[...] = values
+    return flat
+
+
+def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[AdamState]]:
     try:
         with np.load(Path(path)) as bundle:
             arrays = {key: bundle[key] for key in bundle.files}
@@ -651,23 +662,12 @@ def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[dict]]
     except (KeyError, TypeError) as exc:
         # a missing field, or a config PolicyNet does not take
         raise CheckpointError(f"malformed metadata in checkpoint {path}: {exc!r}") from exc
-    params = {}
-    for name, _, shape in layout:
-        values = arrays.get(f"param.{name}")
-        if values is None:
-            raise CheckpointError(f"checkpoint {path} is missing parameter {name}")
-        if values.shape != shape:
-            raise CheckpointError(
-                f"checkpoint {path}: parameter {name} has shape {values.shape}, not {shape}"
-            )
-        params[name] = np.ascontiguousarray(values, dtype=np.float64)
     # the loaded arrays are the parameters: no initialization is drawn
-    net = PolicyNet._with_params(vocab, config, seed, params)
-    optimizer_state = None
-    if "adam.t" in arrays:
-        optimizer_state = {
-            "m": {name: arrays[f"adam.m.{name}"] for name in params},
-            "v": {name: arrays[f"adam.v.{name}"] for name in params},
-            "t": int(arrays["adam.t"]),
-        }
-    return net, optimizer_state
+    net = PolicyNet._with_params(vocab, config, seed, _gather(arrays, "param", layout, path))
+    if "adam.t" not in arrays:
+        return net, None
+    t = arrays["adam.t"]
+    if t.shape != () or not np.issubdtype(t.dtype, np.integer) or t < 0:
+        raise CheckpointError(f"checkpoint {path}: array adam.t is not a non-negative integer")
+    m, v = (_gather(arrays, f"adam.{moment}", layout, path) for moment in ("m", "v"))
+    return net, AdamState(net, m, v, int(t))

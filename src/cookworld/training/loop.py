@@ -91,7 +91,7 @@ class Learner:
         self.buffer = PrioritizedBuffer(capacity)
         self.rng = rng
         self.last_loss: Optional[float] = None
-        self.best_params: Optional[dict[str, np.ndarray]] = None
+        self.best_flat: Optional[np.ndarray] = None
 
     @property
     def updates(self) -> int:
@@ -119,35 +119,36 @@ class Learner:
             sync_target(self.online, self.target)
 
     def snapshot(self) -> None:
-        self.best_params = {k: p.data.copy() for k, p in self.online.params.items()}
+        self.best_flat = self.online.flat.copy()
 
     def restore(self) -> None:
         """Roll the online and target nets back to the last snapshot."""
-        if self.best_params is not None:
-            self._set_params(self.best_params)
+        if self.best_flat is not None:
+            self._set_params(self.best_flat)
 
-    def _set_params(self, values: dict[str, np.ndarray]) -> None:
-        for name, p in self.online.params.items():
-            np.copyto(p.data, values[name])
+    def _set_params(self, flat: np.ndarray) -> None:
+        np.copyto(self.online.flat, flat)
         self.online.bump_version()
         sync_target(self.online, self.target)
 
     def save(self, directory: Path) -> None:
-        save_checkpoint(self.online, directory / f"{self.name}.npz", self.adam.as_dict())
+        save_checkpoint(self.online, directory / f"{self.name}.npz", self.adam)
 
     def load(self, directory: Path, updates: int) -> None:
-        """Resume from `<name>.npz`, which must hold the Adam state of
-        `updates` TD updates."""
+        """Resume from `<name>.npz`, which must hold a net of this
+        learner's config and the Adam state of `updates` TD updates."""
         path = directory / f"{self.name}.npz"
         net, adam = load_checkpoint(path, self.online.vocab)
         if adam is None:
             raise CheckpointError(f"{path} holds no optimizer state to resume")
-        if adam["t"] != updates:
+        if net.config() != self.online.config():
+            raise CheckpointError(f"{path} holds a net of another shape: {net.config()}")
+        if adam.t != updates:
             raise CheckpointError(
-                f"{path} holds {adam['t']} updates, but run_state.json counts {updates}"
+                f"{path} holds {adam.t} updates, but run_state.json counts {updates}"
             )
-        self._set_params({name: p.data for name, p in net.params.items()})
-        self.adam = AdamState.from_dict(self.online, adam)
+        self._set_params(net.flat)
+        self.adam = adam
 
 
 class Trainer:

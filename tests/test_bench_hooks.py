@@ -45,6 +45,9 @@ for learner in tr.learners:
 tr.validate()
 names = [tracer.names[i] for i in tracer.name_id]
 counts = collections.Counter(names)
+# resuming loads each learner's checkpoint from latest/
+resumed = Trainer(cfg, games, val, out_dir=sys.argv[2], resume=True)
+loads = collections.Counter(tracer.names[i] for i in tracer.name_id[len(names):])
 # the span around each encoder pass, by the encoder's name
 parents = collections.Counter(
     name + " < " + (names[p] if p >= 0 else "-")
@@ -52,7 +55,9 @@ parents = collections.Counter(
     if name in ("neural.nets.graph_tensor", "neural.nets.text_tensor")
 )
 print(json.dumps({"spans": counts, "encoder_parents": parents, "val_games": len(val["S1"]),
-                  "updates_meta": tr.updates_meta, "updates_sub": tr.updates_sub}))
+                  "updates_meta": tr.updates_meta, "updates_sub": tr.updates_sub,
+                  "resume_spans": loads, "learners": len(resumed.learners),
+                  "resumed_updates": [resumed.updates_meta, resumed.updates_sub]}))
 """
 
 
@@ -69,6 +74,13 @@ def test_tracer_hooks_fire_on_training(tmp_path):
     assert result["updates_meta"] > 0 and result["updates_sub"] > 0
     # every update of either level goes through the hooked td_update
     assert spans["rl.dqn.td_update"] == result["updates_meta"] + result["updates_sub"]
+    # and makes one Adam step through the hooked apply_update
+    assert spans["neural.optim.apply_update"] == result["updates_meta"] + result["updates_sub"]
+    # nothing is loaded until a second Trainer resumes the run, which loads
+    # each learner's checkpoint once through the hooked load_checkpoint
+    assert "neural.nets.load_checkpoint" not in spans
+    assert result["resume_spans"]["neural.nets.load_checkpoint"] == result["learners"] == 2
+    assert result["resumed_updates"] == [result["updates_meta"], result["updates_sub"]]
     # the first validation writes best/, save_latest writes latest/, and the
     # second, no worse than the first, writes best/ again: sub and meta each
     assert spans["neural.nets.save_checkpoint"] == 6

@@ -320,6 +320,29 @@ def test_malformed_checkpoint_metadata_is_refused(damage, tmp_path, capsys):
     assert err.startswith("error: ") and "sub.npz" in err
 
 
+def test_train_resume_refuses_a_checkpoint_without_an_adam_moment(tmp_path, capsys):
+    games = tmp_path / "games"
+    out = tmp_path / "run"
+    run_cli("gen", "--levels", "S1", "--train", "1", "--val", "1", "--test", "1",
+            "--seed", "3", "--out", games)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "episodes": 1, "warmup_episodes": 1, "val_freq": 1, "variant": "GATA",
+        "hidden_dim": 8, "ff_dim": 8, "scorer_hidden": 8, "seed": 1,
+    }))
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path) == 0
+    path = out / "latest" / "sub.npz"
+    with np.load(path) as bundle:
+        arrays = dict(bundle)
+    del arrays["adam.m.word_emb"]
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
+                   "--resume") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sub.npz" in err and "adam.m.word_emb" in err
+
+
 def test_train_resume_refuses_a_changed_config(tmp_path, capsys):
     games = tmp_path / "games"
     out = tmp_path / "run"

@@ -116,9 +116,7 @@ def test_single_triplet_one_layer_hand_computed(vocab):
     w_on = net.params["rgcn.0.rel.on"].data
     w_self = net.params["rgcn.0.self"].data
     bias = net.params["rgcn.0.bias"].data[0]
-    e_on = net.params["rel_emb"].data[list(net_relations().index("on"))] if False else (
-        net.params["rel_emb"].data[net_relations().index("on")]
-    )
+    e_on = net.params["rel_emb"].data[net_relations().index("on")]
 
     h_knife = emb[vocab.id_of("knife")]
     h_table = emb[vocab.id_of("table")]
@@ -653,11 +651,14 @@ def test_checkpoint_round_trip(tmp_path, vocab):
     net = tiny_net(vocab, seed=12, parts=2)
     state = AdamState(net)
     state.t = 7
-    save_checkpoint(net, tmp_path / "net.npz", state.as_dict())
+    state.m[:] = np.arange(len(state.m))
+    state.v[:] = 0.5
+    save_checkpoint(net, tmp_path / "net.npz", state)
     loaded, opt = load_checkpoint(tmp_path / "net.npz", vocab)
     for k, p in net.params.items():
         assert np.array_equal(p.data, loaded.params[k].data)
-    assert opt["t"] == 7
+    assert opt.t == 7
+    assert np.array_equal(opt.m, state.m) and np.array_equal(opt.v, state.v)
     assert loaded.state_parts == 2
 
 

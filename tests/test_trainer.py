@@ -233,15 +233,15 @@ def test_validation_rollback_restores_snapshots(s1_games, s1_val):
     for _ in range(5):
         tr.run_episode()
     tr.validate()  # establishes the snapshot (>= 0.0 always refreshes)
-    snap = {k: v.copy() for k, v in tr.sub.best_params.items()}
+    snap = tr.sub.best_flat.copy()
     tr.best_val = 2.0  # force every later validation to be "worse"
     for p in tr.sub.online.params.values():
         p.data += 0.125
     tr.sub.online.bump_version()
     tr.validate()  # patience 1
     tr.validate()  # patience 2 > P=1 -> rollback
-    for k, p in tr.sub.online.params.items():
-        assert np.array_equal(p.data, snap[k])
+    assert np.array_equal(tr.sub.online.flat, snap)
+    assert np.array_equal(tr.sub.target.flat, snap)
 
 
 def test_walkthrough_validation_is_one(s1_val):
