@@ -12,8 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -255,16 +253,14 @@ def cmd_inspect(args) -> int:
 
 
 def _inspect_checkpoint(path: Path) -> int:
-    bundle = np.load(path)
-    meta = json.loads(bytes(bundle["meta"]).decode())
-    print(f"checkpoint version {meta['checkpoint_version']}, config {meta['config']}")
-    total = 0
-    for name in sorted(k for k in bundle.files if k.startswith("param.")):
-        shape = bundle[name].shape
-        count = int(np.prod(shape))
-        total += count
-        print(f"  {name[6:]:24s} {str(shape):16s} {count}")
-    print(f"total parameters: {total}")
+    from .engine.vocab import default_vocabulary
+    from .neural.nets import load_checkpoint
+
+    net, _ = load_checkpoint(path, default_vocabulary())
+    print(f"checkpoint config {net.config()}")
+    for name, p in net.params.items():
+        print(f"  {name:24s} {str(p.data.shape):16s} {p.data.size}")
+    print(f"total parameters: {sum(p.data.size for p in net.params.values())}")
     return EXIT_OK
 
 

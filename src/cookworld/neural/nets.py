@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import AdamState
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class EmptyTextError(ValueError):
@@ -275,7 +275,16 @@ def _layout_for(obs: KGObservation, vocab) -> _GraphLayout:
 def _param_layout(vocab_size: int, hidden_dim: int, rgcn_layers: int, state_parts: int,
                   ff_dim: int, scorer_hidden: int) -> list[tuple[str, str, tuple[int, int]]]:
     """Every parameter of a PolicyNet as (name, initializer, shape), in the
-    order the seeded initialization draws them."""
+    order the seeded initialization draws them. Each setting must be an int
+    (not a bool) in its range, or ValueError names it."""
+    for name, value, low, high in (
+        ("hidden_dim", hidden_dim, 1, None), ("rgcn_layers", rgcn_layers, 0, None),
+        ("state_parts", state_parts, 1, 2), ("ff_dim", ff_dim, 1, None),
+        ("scorer_hidden", scorer_hidden, 1, None),
+    ):
+        if type(value) is not int or value < low or (high is not None and value > high):
+            most = "" if high is None else f" and at most {high}"
+            raise ValueError(f"{name} must be an int of at least {low}{most}, got {value!r}")
     d, ff, hid = hidden_dim, ff_dim, scorer_hidden
     layout = [("word_emb", "emb", (vocab_size, d)), ("rel_emb", "emb", (len(RELATIONS), d))]
     for layer in range(rgcn_layers):
@@ -291,6 +300,10 @@ def _param_layout(vocab_size: int, hidden_dim: int, rgcn_layers: int, state_part
         ("scorer.w1", "glorot", (in_dim, hid)), ("scorer.b1", "zeros", (1, hid)),
         ("scorer.w2", "glorot", (hid, 1)), ("scorer.b2", "zeros", (1, 1)),
     ]
+
+
+def _layout_size(layout) -> int:
+    return sum(math.prod(shape) for _, _, shape in layout)
 
 
 def _views(layout, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -327,10 +340,13 @@ class PolicyNet:
         draw = {
             "emb": lambda shape: rng.uniform(-emb, emb, size=shape),
             "glorot": lambda shape: _glorot(rng, shape),
-            "zeros": np.zeros,
-            "ones": np.ones,
+            "zeros": lambda shape: 0.0,
+            "ones": lambda shape: 1.0,
         }
-        self._adopt(np.concatenate([draw[init](shape).ravel() for _, init, shape in self.param_layout]))
+        # drawn straight into flat's views, so no second copy of the parameters exists
+        self._adopt(np.empty(_layout_size(self.param_layout)))
+        for (_, init, shape), p in zip(self.param_layout, self.params.values()):
+            p.data[...] = draw[init](shape)
 
     @classmethod
     def _with_params(cls, vocab, config: dict, seed: int, flat: np.ndarray) -> "PolicyNet":
@@ -343,6 +359,8 @@ class PolicyNet:
 
     def _configure(self, vocab, hidden_dim: int, rgcn_layers: int, state_parts: int,
                    ff_dim: int, scorer_hidden: int, seed: int) -> None:
+        self.param_layout = _param_layout(len(vocab), hidden_dim, rgcn_layers, state_parts, ff_dim,
+                                          scorer_hidden)
         self.vocab = vocab
         self.d = hidden_dim
         self.rgcn_layers = rgcn_layers
@@ -351,7 +369,6 @@ class PolicyNet:
         self.scorer_hidden = scorer_hidden
         self.seed = seed
         self._attn_scale = 1.0 / np.sqrt(hidden_dim)
-        self.param_layout = _param_layout(len(vocab), **self.config())
         self._vec_cache: dict = {}
         self._q_memo: dict = {}
 
@@ -608,13 +625,15 @@ def clone_net(net: PolicyNet) -> PolicyNet:
 
 
 # -- checkpoints --------------------------------------------------------------
+# A checkpoint is one .npz: `param`, the net's flat vector; `meta`, JSON bytes
+# of the version, config, seed and vocabulary; and with Adam state, the moment
+# vectors `adam.m` and `adam.v` and the step count `adam.t`.
 
 def save_checkpoint(net: PolicyNet, path: str | Path, optimizer_state: Optional[AdamState] = None) -> None:
-    arrays = {f"param.{name}": p.data for name, p in net.params.items()}
+    arrays = {"param": net.flat}
     if optimizer_state is not None:
-        for moment, flat in (("m", optimizer_state.m), ("v", optimizer_state.v)):
-            arrays.update((f"adam.{moment}.{name}", x) for name, x in _views(net.param_layout, flat).items())
-        arrays["adam.t"] = np.array(optimizer_state.t)
+        arrays.update({"adam.m": optimizer_state.m, "adam.v": optimizer_state.v,
+                       "adam.t": np.array(optimizer_state.t)})
     meta = {
         "checkpoint_version": CHECKPOINT_VERSION,
         "config": net.config(),
@@ -628,22 +647,9 @@ def save_checkpoint(net: PolicyNet, path: str | Path, optimizer_state: Optional[
         np.savez(fh, **arrays)
 
 
-def _gather(arrays: dict, prefix: str, layout, path) -> np.ndarray:
-    """The vector whose segments are the arrays <prefix>.<name>, each of which
-    must be a float array of its parameter's exact shape."""
-    flat = np.empty(sum(math.prod(shape) for _, _, shape in layout))
-    for name, view in _views(layout, flat).items():
-        values = arrays.get(f"{prefix}.{name}")
-        if values is None or values.shape != view.shape or not np.issubdtype(values.dtype, np.floating):
-            found = "missing" if values is None else f"{values.dtype} of shape {values.shape}"
-            raise CheckpointError(
-                f"checkpoint {path}: array {prefix}.{name} is {found}, not float of shape {view.shape}"
-            )
-        view[...] = values
-    return flat
-
-
 def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[AdamState]]:
+    """The net a checkpoint holds, and its Adam state if it has one. The
+    loaded vectors become the net's and the optimizer's own, uncopied."""
     try:
         with np.load(Path(path)) as bundle:
             arrays = {key: bundle[key] for key in bundle.files}
@@ -653,21 +659,27 @@ def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[AdamSt
     if not isinstance(meta, dict) or meta.get("checkpoint_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version in {path}")
     try:
-        if meta["vocab_tokens"] != list(vocab.tokens):
-            raise VocabularyMismatchError(
-                f"checkpoint {path} was trained with a different vocabulary"
-            )
-        config, seed = meta["config"], meta["seed"]
-        layout = _param_layout(len(vocab), **config)
-    except (KeyError, TypeError) as exc:
-        # a missing field, or a config PolicyNet does not take
+        tokens, config, seed = meta["vocab_tokens"], meta["config"], meta["seed"]
+        size = _layout_size(_param_layout(len(vocab), **config))
+    except (KeyError, TypeError, ValueError) as exc:
+        # a missing field, a setting PolicyNet does not take, or a bad value
         raise CheckpointError(f"malformed metadata in checkpoint {path}: {exc!r}") from exc
-    # the loaded arrays are the parameters: no initialization is drawn
-    net = PolicyNet._with_params(vocab, config, seed, _gather(arrays, "param", layout, path))
+    if tokens != list(vocab.tokens):
+        raise VocabularyMismatchError(f"checkpoint {path} was trained with a different vocabulary")
+
+    def vector(name: str) -> np.ndarray:
+        values = arrays.get(name)
+        if values is None or values.dtype != np.float64 or values.shape != (size,):
+            found = "missing" if values is None else f"{values.dtype} of shape {values.shape}"
+            raise CheckpointError(
+                f"checkpoint {path}: array {name} is {found}, not float64 of shape ({size},)"
+            )
+        return values
+
+    net = PolicyNet._with_params(vocab, config, seed, vector("param"))
     if "adam.t" not in arrays:
         return net, None
     t = arrays["adam.t"]
     if t.shape != () or not np.issubdtype(t.dtype, np.integer) or t < 0:
         raise CheckpointError(f"checkpoint {path}: array adam.t is not a non-negative integer")
-    m, v = (_gather(arrays, f"adam.{moment}", layout, path) for moment in ("m", "v"))
-    return net, AdamState(net, m, v, int(t))
+    return net, AdamState(net, vector("adam.m"), vector("adam.v"), int(t))

@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..neural.nets import _param_layout
+
 VARIANTS = ("GATA", "GC-GATA", "H-KGA", "H-KGA-HalfJoint", "H-KGA-Ind")
 
 
@@ -85,10 +87,14 @@ class TrainConfig:
         for name in (
             "step_limit_train", "step_limit_eval", "val_freq", "update_freq_meta", "update_freq_sub",
             "target_sync_every", "batch_size", "buffer_capacity_meta", "buffer_capacity_sub",
-            "hidden_dim",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # the net's settings pass the check that checkpoint metadata passes
+        try:
+            _param_layout(1, self.hidden_dim, self.rgcn_layers, 1, self.ff_dim, self.scorer_hidden)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.lambda_count < 0:
             raise ConfigError(f"lambda_count must be at least 0, got {self.lambda_count}")
 

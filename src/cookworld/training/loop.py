@@ -494,23 +494,43 @@ class Trainer:
         state_path = directory / "run_state.json"
         if not state_path.exists():
             return
-        run_state = json.loads(state_path.read_text())
-        self.episode = run_state["episode"]
-        self.k = run_state["k"]
-        self.best_val = run_state["best_val"]
-        self.patience_count = run_state["patience_count"]
-        for level, history in run_state["scheduler_history"].items():
+        try:
+            run_state = json.loads(state_path.read_text())
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise CheckpointError(f"{state_path} is not valid JSON: {exc}") from exc
+
+        def field(kinds: tuple, *keys: str):
+            """run_state[keys[0]][keys[1]]..., which must exist and be of one of the types kinds."""
+            value = run_state
+            for key in keys:
+                value = value.get(key) if isinstance(value, dict) else None
+            if type(value) not in kinds:
+                raise CheckpointError(f"{state_path}: field {'.'.join(keys)} is missing or malformed")
+            return value
+
+        def restore_rng(rng: np.random.Generator, name: str) -> None:
+            state = field((dict,), "rng", name)
+            try:
+                rng.bit_generator.state = state
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"{state_path}: field rng.{name} is malformed") from exc
+
+        self.episode = field((int,), "episode")
+        self.k = field((int,), "k")
+        self.best_val = field((int, float), "best_val")
+        self.patience_count = field((int,), "patience_count")
+        for level in self.scheduler.levels:
+            history = field((list,), "scheduler_history", level)
+            if any(type(value) not in (int, float) for value in history):
+                raise CheckpointError(f"{state_path}: field scheduler_history.{level} is malformed")
             for value in history:
                 self.scheduler.update(level, value)
-        rng_states = run_state["rng"]
-        self.rng_level.bit_generator.state = rng_states["level"]
-        self.rng_game.bit_generator.state = rng_states["game"]
-        self.rng_meta.bit_generator.state = rng_states["meta"]
-        self.rng_sub.bit_generator.state = rng_states["sub"]
+        for name in ("level", "game", "meta", "sub"):
+            restore_rng(getattr(self, f"rng_{name}"), name)
         for learner in self.learners:
             # the checkpoint first: it refuses a run of another variant
-            learner.load(directory, run_state[f"updates_{learner.name}"])
-            learner.rng.bit_generator.state = rng_states[f"buf_{learner.name}"]
+            learner.load(directory, field((int,), f"updates_{learner.name}"))
+            restore_rng(learner.rng, f"buf_{learner.name}")
 
 
 # -- evaluation ---------------------------------------------------------------------

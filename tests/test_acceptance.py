@@ -477,3 +477,19 @@ def test_criterion_runtime_dependencies_numpy_only():
         not foreign,
         ", ".join(foreign) or f"({len(paths)} source files import stdlib and numpy only)",
     )
+
+
+def test_only_the_nets_module_reads_and_writes_npz():
+    """The checkpoint format lives behind neural/nets.py: no other source
+    file calls numpy's .npz reader or writer."""
+    import ast
+
+    src = Path(__file__).parent.parent / "src" / "cookworld"
+    callers = sorted(
+        str(path.relative_to(src))
+        for path in src.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy") and node.attr in ("load", "savez", "savez_compressed")
+    )
+    assert set(callers) == {"neural/nets.py"}, callers

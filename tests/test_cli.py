@@ -294,6 +294,16 @@ BAD_CHECKPOINT_META = {
     "meta without seed": lambda meta: {k: v for k, v in meta.items() if k != "seed"},
     "unknown config key": lambda meta: dict(meta, config=dict(meta["config"], depth=3)),
     "meta a list": lambda meta: [meta],
+    "version 1": lambda meta: dict(meta, checkpoint_version=1),
+    "hidden_dim a string": lambda meta: dict(meta, config=dict(meta["config"], hidden_dim="8")),
+    "hidden_dim a float": lambda meta: dict(meta, config=dict(meta["config"], hidden_dim=8.0)),
+    "ff_dim a bool": lambda meta: dict(meta, config=dict(meta["config"], ff_dim=True)),
+    "rgcn_layers negative": lambda meta: dict(meta, config=dict(meta["config"], rgcn_layers=-1)),
+    "ff_dim zero": lambda meta: dict(meta, config=dict(meta["config"], ff_dim=0)),
+    "scorer_hidden zero": lambda meta: dict(meta, config=dict(meta["config"], scorer_hidden=0)),
+    "state_parts three": lambda meta: dict(meta, config=dict(meta["config"], state_parts=3)),
+    # a valid config whose net is smaller than the saved vector
+    "one R-GCN layer fewer": lambda meta: dict(meta, config=dict(meta["config"], rgcn_layers=1)),
 }
 
 
@@ -334,13 +344,56 @@ def test_train_resume_refuses_a_checkpoint_without_an_adam_moment(tmp_path, caps
     path = out / "latest" / "sub.npz"
     with np.load(path) as bundle:
         arrays = dict(bundle)
-    del arrays["adam.m.word_emb"]
+    del arrays["adam.m"]
     np.savez(path, **arrays)
     capsys.readouterr()
     assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
                    "--resume") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "sub.npz" in err and "adam.m.word_emb" in err
+    assert err.startswith("error: ") and "sub.npz" in err and "adam.m" in err
+
+
+def _without_field(*keys):
+    def edit(doc):
+        inner = doc
+        for key in keys[:-1]:
+            inner = inner[key]
+        del inner[keys[-1]]
+        return json.dumps(doc)
+
+    return edit
+
+
+BAD_RUN_STATES = {
+    "without k": ("k", _without_field("k")),
+    "without rng.sub": ("rng.sub", _without_field("rng", "sub")),
+    "a JSON list": ("episode", lambda doc: json.dumps([doc])),
+    "truncated": ("not valid JSON", lambda doc: json.dumps(doc)[:40]),
+    "k a string": ("k", lambda doc: json.dumps(dict(doc, k="7"))),
+    "rng.sub not a state": ("rng.sub", lambda doc: json.dumps(dict(doc, rng=dict(doc["rng"], sub={})))),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RUN_STATES))
+def test_train_resume_refuses_a_malformed_run_state(case, tmp_path, capsys):
+    games = tmp_path / "games"
+    out = tmp_path / "run"
+    run_cli("gen", "--levels", "S1", "--train", "1", "--val", "1", "--test", "1",
+            "--seed", "3", "--out", games)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "episodes": 1, "warmup_episodes": 1, "val_freq": 1, "variant": "GATA",
+        "hidden_dim": 8, "ff_dim": 8, "scorer_hidden": 8, "seed": 1,
+    }))
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path) == 0
+    field, edit = BAD_RUN_STATES[case]
+    state_path = out / "latest" / "run_state.json"
+    state_path.write_text(edit(json.loads(state_path.read_text())))
+    capsys.readouterr()
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
+                   "--resume") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "run_state.json" in err and field in err
 
 
 def test_train_resume_refuses_a_changed_config(tmp_path, capsys):
@@ -395,6 +448,7 @@ def test_train_invalid_variant_exit_code(tmp_path, capsys):
     {"lambda_count": -1}, {"hidden_dim": 0},
     {"grad_clip": 5.0},  # a field that no longer exists, as in an older config.json
     {"episodes": "2"}, {"hidden_dim": 2.5}, {"bebold": "no"}, {"lr": True},
+    {"rgcn_layers": -1}, {"ff_dim": 0}, {"scorer_hidden": 0},
 ])
 def test_train_bad_config_is_usage_error(doc, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -527,7 +581,13 @@ def test_inspect_checkpoint(tmp_path, capsys):
     net = PolicyNet(default_vocabulary(), hidden_dim=8, ff_dim=8, scorer_hidden=8, seed=0)
     save_checkpoint(net, tmp_path / "net.npz")
     assert run_cli("inspect", tmp_path / "net.npz") == 0
-    assert "total parameters" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == f"total parameters: {net.flat.size}"
+    assert "scorer.w1" in out
+    # a file whose vector's length disagrees with its config
+    _edit_meta(lambda meta: dict(meta, config=dict(meta["config"], ff_dim=16)))(tmp_path / "net.npz")
+    assert run_cli("inspect", tmp_path / "net.npz") == 3
+    assert "param" in capsys.readouterr().err
 
 
 def test_inspect_trace(capsys):

@@ -220,7 +220,7 @@ def test_clones_and_snapshots_own_their_vectors(vocab):
     assert not np.shares_memory(twin.flat, learner.online.flat)
 
 
-# -- checkpoints validate the Adam arrays ------------------------------------------------
+# -- checkpoints hold and validate the vectors -------------------------------------------
 
 def _without(key):
     def damage(arrays):
@@ -234,20 +234,22 @@ def _replaced(key, value):
     return damage
 
 
-BAD_ADAM_ARRAYS = {
-    "missing moment": ("adam.m.word_emb", _without("adam.m.word_emb")),
-    "moment of shape (1,)": ("adam.v.word_emb", _replaced("adam.v.word_emb", np.zeros(1))),
-    "moment of the wrong shape": ("adam.m.scorer.b1", _replaced("adam.m.scorer.b1", lambda x: x[0])),
-    "integer moment": ("adam.v.ff.b1", _replaced("adam.v.ff.b1", lambda x: x.astype(np.int64))),
-    "step count a list": ("adam.t", _replaced("adam.t", np.array([1, 2]))),
-    "negative step count": ("adam.t", _replaced("adam.t", np.array(-1))),
-    "float step count": ("adam.t", _replaced("adam.t", np.array(3.0))),
+BAD_VECTORS = {
+    "missing": _without,
+    "one short": lambda key: _replaced(key, lambda x: x[:-1]),
+    "one long": lambda key: _replaced(key, lambda x: np.append(x, 0.0)),
+    "2-D": lambda key: _replaced(key, lambda x: x.reshape(1, -1)),
+    "integer": lambda key: _replaced(key, lambda x: x.astype(np.int64)),
+}
+
+BAD_STEP_COUNTS = {
+    "step count a list": np.array([1, 2]),
+    "negative step count": np.array(-1),
+    "float step count": np.array(3.0),
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_ADAM_ARRAYS))
-def test_checkpoint_with_a_bad_adam_array_is_refused(vocab, tmp_path, case):
-    key, damage = BAD_ADAM_ARRAYS[case]
+def _refused(vocab, tmp_path, key, damage):
     net = tiny_net(vocab, parts=2)
     path = tmp_path / "net.npz"
     save_checkpoint(net, path, AdamState(net, t=3))
@@ -260,7 +262,18 @@ def test_checkpoint_with_a_bad_adam_array_is_refused(vocab, tmp_path, case):
     assert "net.npz" in str(info.value)
 
 
-def test_checkpoint_keeps_one_named_array_per_parameter_and_moment(vocab, tmp_path):
+@pytest.mark.parametrize("key", ["param", "adam.m", "adam.v"])
+@pytest.mark.parametrize("case", list(BAD_VECTORS))
+def test_checkpoint_with_a_bad_vector_is_refused(vocab, tmp_path, case, key):
+    _refused(vocab, tmp_path, key, BAD_VECTORS[case](key))
+
+
+@pytest.mark.parametrize("case", list(BAD_STEP_COUNTS))
+def test_checkpoint_with_a_bad_adam_array_is_refused(vocab, tmp_path, case):
+    _refused(vocab, tmp_path, "adam.t", _replaced("adam.t", BAD_STEP_COUNTS[case]))
+
+
+def test_checkpoint_keeps_one_array_per_vector(vocab, tmp_path):
     net = tiny_net(vocab, parts=2)
     state = AdamState(net, t=4)
     state.m[:] = np.linspace(-1.0, 1.0, state.m.size)
@@ -268,12 +281,31 @@ def test_checkpoint_keeps_one_named_array_per_parameter_and_moment(vocab, tmp_pa
     save_checkpoint(net, tmp_path / "net.npz", state)
     with np.load(tmp_path / "net.npz") as bundle:
         arrays = dict(bundle)
-    names = list(net.params)
-    assert set(arrays) == {"meta", "adam.t"} | {
-        f"{prefix}.{name}" for prefix in ("param", "adam.m", "adam.v") for name in names
-    }
+    assert set(arrays) == {"meta", "param", "adam.m", "adam.v", "adam.t"}
     assert int(arrays["adam.t"]) == 4
-    for name, p in net.params.items():
-        assert np.array_equal(arrays[f"param.{name}"], p.data)
-    assert np.array_equal(np.concatenate([arrays[f"adam.m.{n}"].ravel() for n in names]), state.m)
-    assert np.array_equal(np.concatenate([arrays[f"adam.v.{n}"].ravel() for n in names]), state.v)
+    for key, vector in (("param", net.flat), ("adam.m", state.m), ("adam.v", state.v)):
+        assert arrays[key].dtype == np.float64 and np.array_equal(arrays[key], vector), key
+
+
+class _Bundle(dict):
+    """A checkpoint's arrays, read once, served as np.load serves them."""
+
+    files = property(list)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_loaded_vectors_are_adopted_uncopied(vocab, tmp_path, monkeypatch):
+    net = tiny_net(vocab, parts=2)
+    save_checkpoint(net, tmp_path / "net.npz", AdamState(net, t=1))
+    with np.load(tmp_path / "net.npz") as bundle:
+        read = _Bundle(bundle)
+    monkeypatch.setattr(np, "load", lambda path: read)
+    loaded, state = load_checkpoint(tmp_path / "net.npz", vocab)
+    assert loaded.flat is read["param"]
+    assert state.m is read["adam.m"] and state.v is read["adam.v"]
+    assert_tiles_flat(loaded)

@@ -1,6 +1,7 @@
 """Network blocks: hand-computed values, invariances, and gradient checks."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -672,15 +673,16 @@ def test_checkpoint_vocabulary_mismatch(tmp_path, vocab):
         load_checkpoint(tmp_path / "net.npz", other)
 
 
-def test_checkpoint_parameter_of_the_wrong_shape_is_refused(tmp_path, vocab):
+def test_checkpoint_of_version_1_is_refused(tmp_path, vocab):
     from cookworld.neural.nets import CheckpointError
 
-    save_checkpoint(tiny_net(vocab), tmp_path / "net.npz")
-    with np.load(tmp_path / "net.npz") as bundle:
-        arrays = dict(bundle)
-    arrays["param.scorer.b1"] = arrays["param.scorer.b1"][0]  # (1, h) saved as (h,)
-    np.savez(tmp_path / "net.npz", **arrays)
-    with pytest.raises(CheckpointError, match="scorer.b1"):
+    # version 1 kept one array per parameter, named param.<name>
+    net = tiny_net(vocab)
+    meta = {"checkpoint_version": 1, "config": net.config(), "seed": net.seed,
+            "vocab_tokens": list(vocab.tokens)}
+    np.savez(tmp_path / "net.npz", meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             **{f"param.{name}": p.data for name, p in net.params.items()})
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
         load_checkpoint(tmp_path / "net.npz", vocab)
 
 
