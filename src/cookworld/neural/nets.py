@@ -537,6 +537,21 @@ class PolicyNet:
         hidden = ad.add(hidden, ad.gather_rows(ad.matmul(texts, w1(self.state_parts)), cand_rows))
         return ad.affine(ad.relu(hidden), self.params["scorer.w2"], self.params["scorer.b2"])
 
+    def q_tensor(self, states: Sequence[tuple[KGObservation, Optional[str], Sequence[str]]]) -> Tensor:
+        """batch_q_values' scores as one packed pass, (n, 1), taped unless under
+        no_grad: one graph pass over the distinct observations and one text pass
+        over the distinct candidate and instruction texts (see score_tensor)."""
+        conds = [self._instruction(cond, candidates) for _, cond, candidates in states]
+        conds = conds if self.state_parts == 2 else []
+        candidates = [c for _, _, state_candidates in states for c in state_candidates]
+        counts = [len(state_candidates) for _, _, state_candidates in states]
+        graphs, graph_rows = distinct([obs for obs, _, _ in states], key=canonical_hash)
+        texts, text_rows = distinct(candidates + conds)
+        return self.score_tensor(
+            self.graph_tensor(graphs), self.text_tensor(texts), np.repeat(graph_rows, counts),
+            text_rows[:len(candidates)], np.repeat(text_rows[len(candidates):], counts) if conds else None,
+        )
+
     # -- cached inference ----------------------------------------------------
 
     def graph_vector(self, obs: KGObservation) -> np.ndarray:
@@ -592,22 +607,26 @@ class PolicyNet:
         q.flags.writeable = False
         return q
 
-    def _state_q(self, obs: KGObservation, cond: Optional[str], candidates: Sequence[str]) -> np.ndarray:
+    def _instruction(self, cond: Optional[str], candidates: Sequence[str]) -> Optional[str]:
+        """cond on a net that takes an instruction (state_parts 2), else None.
+        Refuses a state without candidates or without the instruction it needs."""
         if not candidates:
             raise EmptyCandidatesError("no candidates to score")
-        cand_part = self.state_parts
-        if cand_part == 2:
-            if cond is None:
-                raise ValueError("this net conditions on an instruction text")
-        else:
-            cond = None
+        if self.state_parts == 1:
+            return None
+        if cond is None:
+            raise ValueError("this net conditions on an instruction text")
+        return cond
+
+    def _state_q(self, obs: KGObservation, cond: Optional[str], candidates: Sequence[str]) -> np.ndarray:
+        cond = self._instruction(cond, candidates)
         key = (canonical_hash(obs), cond, tuple(candidates))
         q = self._q_memo.get(key)
         if q is None:
             state = self._projection(0, obs)
             if cond is not None:
                 state = state + self._projection(1, cond)
-            hidden = state + np.concatenate([self._projection(cand_part, c) for c in candidates])
+            hidden = state + np.concatenate([self._projection(self.state_parts, c) for c in candidates])
             np.maximum(hidden, 0.0, out=hidden)
             q = (hidden @ self.params["scorer.w2"].data + self.params["scorer.b2"].data)[:, 0]
             q.flags.writeable = False

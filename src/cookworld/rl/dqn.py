@@ -6,9 +6,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..kg import canonical_hash
+from ..kg import canonical_hash  # unused here, but perfbench/tracing.py wraps this name
 from ..neural import autodiff as ad
-from ..neural.nets import EmptyCandidatesError, PolicyNet, distinct
+from ..neural.nets import EmptyCandidatesError, PolicyNet
 from ..neural.optim import AdamState, apply_update
 from .replay import PrioritizedBuffer
 
@@ -30,37 +30,19 @@ def double_dqn_target(
     return float(reward) + gamma * float(q_next_target[best])
 
 
-def _q_rows(net: PolicyNet, observations, conds, candidates) -> ad.Tensor:
-    """Q of row i: observations[i], conditioned on conds[i] when the net
-    takes an instruction (conds is empty otherwise), paired with
-    candidates[i]. One graph pass over the distinct observations and one
-    text pass over the distinct texts; the scorer projects each of them
-    once and gathers the rows (see PolicyNet.score_tensor)."""
-    graphs, graph_rows = distinct(observations, key=canonical_hash)
-    texts, text_rows = distinct(list(candidates) + list(conds))
-    n = len(candidates)
-    return net.score_tensor(
-        net.graph_tensor(graphs), net.text_tensor(texts),
-        graph_rows, text_rows[:n], text_rows[n:] if conds else None,
-    )
-
-
 def _next_state_targets(batch, online: PolicyNet, target: PolicyNet, gamma: float) -> np.ndarray:
-    """Double DQN targets for a batch. Every next-state candidate of every
-    non-terminal transition is one row. The online net, whose weights change
-    at every update, scores the rows in one fresh no-grad pass; the target
-    net scores them from its cached scorer rows, which last until the next
-    sync_target."""
+    """Double DQN targets for a batch, from the next states of its
+    non-terminal transitions. The online net, whose weights change at every
+    update, scores them in one fresh no-grad pass; the target net scores
+    them from its memo, which lasts until the next sync_target."""
     targets = np.array([tr.td_reward for tr in batch], dtype=np.float64)
     live = [(i, tr) for i, tr in enumerate(batch) if not tr.done]
     if not live:
         return targets
-    observations = [tr.next_obs for _, tr in live for _ in tr.next_candidates]
-    candidates = [c for _, tr in live for c in tr.next_candidates]
-    conds = [tr.cond_text for _, tr in live for _ in tr.next_candidates] if online.state_parts == 2 else []
+    states = [(tr.next_obs, tr.cond_text, tr.next_candidates) for _, tr in live]
     with ad.no_grad():
-        q_on = _q_rows(online, observations, conds, candidates).data[:, 0]
-    q_tg = target.batch_q_values([(tr.next_obs, tr.cond_text, tr.next_candidates) for _, tr in live])
+        q_on = online.q_tensor(states).data[:, 0]
+    q_tg = target.batch_q_values(states)
     start = 0
     for i, tr in live:
         rows = slice(start, start + len(tr.next_candidates))
@@ -83,13 +65,12 @@ def td_update(
     weights, refresh sampled priorities, and apply one Adam step.
 
     The online net scores the batch's chosen actions on the tape in one
-    packed graph, text and scorer pass (see _q_rows)."""
+    packed pass (see PolicyNet.q_tensor)."""
     batch, indices, weights = buffer.sample(batch_size, rng)
     targets = _next_state_targets(batch, online, target, gamma)
 
     online.zero_grad()
-    conds = [tr.cond_text for tr in batch] if online.state_parts == 2 else []
-    q_rows = _q_rows(online, [tr.obs for tr in batch], conds, [tr.chosen_text for tr in batch])
+    q_rows = online.q_tensor([(tr.obs, tr.cond_text, (tr.chosen_text,)) for tr in batch])
     errors = ad.sub(q_rows, ad.constant(targets[:, None]))
     weighted = ad.mul(ad.mul(errors, errors), ad.constant(weights[:, None]))
     loss = ad.scale(ad.sum_all(weighted), 1.0 / len(batch))

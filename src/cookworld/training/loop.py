@@ -5,6 +5,7 @@ patience rollback, and variant/ablation wiring."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -433,6 +434,7 @@ class Trainer:
 
     def run(self, progress: bool = False) -> dict:
         cfg = self.cfg
+        saved = False  # whether latest/ holds the current episode
         while self.episode < cfg.episodes:
             self.run_episode()
             if self.val_games and self.episode % cfg.val_freq == 0:
@@ -443,9 +445,10 @@ class Trainer:
                         f"patience {self.patience_count})",
                         flush=True,
                     )
-            if self.out_dir is not None and self.episode % cfg.val_freq == 0:
+            saved = self.out_dir is not None and self.episode % cfg.val_freq == 0
+            if saved:
                 self.save_latest()
-        if self.out_dir is not None:
+        if self.out_dir is not None and not saved:
             self.save_latest()
         return {
             "episodes": self.episode,
@@ -500,11 +503,14 @@ class Trainer:
             raise CheckpointError(f"{state_path} is not valid JSON: {exc}") from exc
 
         def field(kinds: tuple, *keys: str):
-            """run_state[keys[0]][keys[1]]..., which must exist and be of one of the types kinds."""
+            """run_state[keys[0]][keys[1]]..., which must exist and be of one of
+            the types kinds; an int, always a count here, must not be negative,
+            and a float must be finite (json reads NaN and Infinity)."""
             value = run_state
             for key in keys:
                 value = value.get(key) if isinstance(value, dict) else None
-            if type(value) not in kinds:
+            if (type(value) not in kinds or type(value) is int and value < 0
+                    or type(value) is float and not math.isfinite(value)):
                 raise CheckpointError(f"{state_path}: field {'.'.join(keys)} is missing or malformed")
             return value
 
@@ -521,7 +527,7 @@ class Trainer:
         self.patience_count = field((int,), "patience_count")
         for level in self.scheduler.levels:
             history = field((list,), "scheduler_history", level)
-            if any(type(value) not in (int, float) for value in history):
+            if any(type(value) not in (int, float) or not math.isfinite(value) for value in history):
                 raise CheckpointError(f"{state_path}: field scheduler_history.{level} is malformed")
             for value in history:
                 self.scheduler.update(level, value)

@@ -5,6 +5,7 @@ pytest's `slow` marker; everything else runs in seconds. Criterion names
 mirror the project contract.
 """
 
+import ast
 import json
 import time
 from pathlib import Path
@@ -479,17 +480,35 @@ def test_criterion_runtime_dependencies_numpy_only():
     )
 
 
-def test_only_the_nets_module_reads_and_writes_npz():
-    """The checkpoint format lives behind neural/nets.py: no other source
-    file calls numpy's .npz reader or writer."""
-    import ast
-
+def source_files_where(match) -> list[str]:
+    """The source files, relative to src/cookworld, with a syntax node that match accepts."""
     src = Path(__file__).parent.parent / "src" / "cookworld"
-    callers = sorted(
+    return sorted(
         str(path.relative_to(src))
         for path in src.rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        if match(node)
+    )
+
+
+def test_only_the_nets_module_reads_and_writes_npz():
+    """The checkpoint format lives behind neural/nets.py: no other source
+    file calls numpy's .npz reader or writer."""
+    callers = source_files_where(
+        lambda node: isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
         and node.value.id in ("np", "numpy") and node.attr in ("load", "savez", "savez_compressed")
+    )
+    assert set(callers) == {"neural/nets.py"}, callers
+
+
+def test_only_the_nets_module_packs_q_passes():
+    """Rows of a packed Q pass are laid out behind neural/nets.py
+    (PolicyNet.q_tensor): no other source file calls distinct or
+    .score_tensor."""
+    callers = source_files_where(
+        lambda node: isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "distinct"
+            or isinstance(node.func, ast.Attribute) and node.func.attr in ("distinct", "score_tensor")
+        )
     )
     assert set(callers) == {"neural/nets.py"}, callers

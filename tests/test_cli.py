@@ -371,6 +371,13 @@ BAD_RUN_STATES = {
     "truncated": ("not valid JSON", lambda doc: json.dumps(doc)[:40]),
     "k a string": ("k", lambda doc: json.dumps(dict(doc, k="7"))),
     "rng.sub not a state": ("rng.sub", lambda doc: json.dumps(dict(doc, rng=dict(doc["rng"], sub={})))),
+    "episode negative": ("episode", lambda doc: json.dumps(dict(doc, episode=-3))),
+    "k negative": ("k", lambda doc: json.dumps(dict(doc, k=-7))),
+    "patience_count negative": ("patience_count", lambda doc: json.dumps(dict(doc, patience_count=-2))),
+    "updates_sub negative": ("updates_sub", lambda doc: json.dumps(dict(doc, updates_sub=-1))),
+    "best_val NaN": ("best_val", lambda doc: json.dumps(dict(doc, best_val=float("nan")))),
+    "scheduler history infinite": ("scheduler_history.", lambda doc: json.dumps(dict(
+        doc, scheduler_history={level: [float("inf")] for level in doc["scheduler_history"]}))),
 }
 
 
@@ -389,11 +396,13 @@ def test_train_resume_refuses_a_malformed_run_state(case, tmp_path, capsys):
     field, edit = BAD_RUN_STATES[case]
     state_path = out / "latest" / "run_state.json"
     state_path.write_text(edit(json.loads(state_path.read_text())))
+    metrics = (out / "metrics.csv").read_bytes()
     capsys.readouterr()
     assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
                    "--resume") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "run_state.json" in err and field in err
+    assert (out / "metrics.csv").read_bytes() == metrics
 
 
 def test_train_resume_refuses_a_changed_config(tmp_path, capsys):

@@ -240,10 +240,8 @@ def test_batched_update_matches_per_transition_reference(warm_trainers, variant,
         return real_apply(net, *args, **kwargs)
 
     # acting (batch-1 q_values) and the learner's batched Q agree on a non-trivial net
-    conds = [tr.cond_text for tr in batch] if online.state_parts == 2 else []
     with ad.no_grad():
-        q_batched = dqn._q_rows(online, [tr.obs for tr in batch], conds,
-                                [tr.chosen_text for tr in batch]).data[:, 0]
+        q_batched = online.q_tensor([(tr.obs, tr.cond_text, (tr.chosen_text,)) for tr in batch]).data[:, 0]
     q_acting = [online.q_values(tr.obs, tr.cond_text, [tr.chosen_text])[0] for tr in batch]
     assert np.allclose(q_batched, q_acting, rtol=0, atol=1e-12)
 
@@ -271,26 +269,21 @@ def test_factorized_scorer_equals_concatenated_form_on_replay(warm_trainers, var
     """The learner's Q rows, scored per input block, equal one first layer
     over [state; candidate] rows on a real replay batch, in values and in
     every parameter gradient."""
-    from cookworld.rl import dqn
-
     learner = getattr(warm_trainers[variant], level)
     net = clone_net(learner.online)
     batch, _, _ = learner.buffer.sample(min(32, len(learner.buffer)), np.random.default_rng(16))
-    # the chosen actions, then every next-state candidate: rows that repeat
+    # the chosen actions, then every next state: rows that repeat
     # observations and texts
-    rows = [(tr.obs, tr.cond_text, tr.chosen_text) for tr in batch]
-    rows += [(tr.next_obs, tr.cond_text, c) for tr in batch if not tr.done for c in tr.next_candidates]
-    assert len(rows) > len(batch)
-    observations = [obs for obs, _, _ in rows]
-    conds = [cond for _, cond, _ in rows] if net.state_parts == 2 else []
-    candidates = [cand for _, _, cand in rows]
+    states = [(tr.obs, tr.cond_text, (tr.chosen_text,)) for tr in batch] + next_states(batch)
+    rows = [(obs, cond, c) for obs, cond, candidates in states for c in candidates]
+    assert len(rows) > len(states)
     weights = ad.constant(np.sin(np.arange(len(rows)))[:, None])
 
     def concatenated():
-        state = net.graph_tensor(observations)
-        if conds:
-            state = ad.concat_cols([state, net.text_tensor(conds)])
-        return concatenated_scores(net, state, net.text_tensor(candidates))
+        state = net.graph_tensor([obs for obs, _, _ in rows])
+        if net.state_parts == 2:
+            state = ad.concat_cols([state, net.text_tensor([cond for _, cond, _ in rows])])
+        return concatenated_scores(net, state, net.text_tensor([c for _, _, c in rows]))
 
     def run(build):
         net.zero_grad()
@@ -298,7 +291,7 @@ def test_factorized_scorer_equals_concatenated_form_on_replay(warm_trainers, var
         ad.sum_all(ad.mul(q, weights)).backward()
         return q.data, {name: p.grad for name, p in net.params.items()}
 
-    got, got_grads = run(lambda: dqn._q_rows(net, observations, conds, candidates))
+    got, got_grads = run(lambda: net.q_tensor(states))
     ref, ref_grads = run(concatenated)
     assert np.allclose(got, ref, rtol=0, atol=1e-12)
     for name, ref_grad in ref_grads.items():
@@ -333,13 +326,10 @@ def test_cached_targets_match_the_batched_pass(warm_trainers, variant, level):
     live = [tr for tr in batch if not tr.done]
     assert live
 
-    # reference: both nets scored by the batched no-grad pass
-    rows = [(tr, c) for tr in live for c in tr.next_candidates]
-    conds = [tr.cond_text for tr, _ in rows] if online.state_parts == 2 else []
-    observations = [tr.next_obs for tr, _ in rows]
+    # reference: both nets scored by the packed no-grad pass
     with ad.no_grad():
-        ref_on = dqn._q_rows(online, observations, conds, [c for _, c in rows]).data[:, 0]
-        ref_tg = dqn._q_rows(target, observations, conds, [c for _, c in rows]).data[:, 0]
+        ref_on = online.q_tensor(next_states(batch)).data[:, 0]
+        ref_tg = target.q_tensor(next_states(batch)).data[:, 0]
     assert np.allclose(target.batch_q_values(next_states(batch)), ref_tg, rtol=0, atol=1e-12)
     expected, start = [], 0
     for tr in batch:

@@ -395,19 +395,24 @@ def test_memoized_q_is_read_only_and_bad_states_still_raise(vocab, parts):
     first = net.q_values(*state)
     assert net._q_memo
     assert net.q_values(*state) is first
-    both = net.batch_q_values([state, (KGObservation([]), cond, ["open fridge"])])
+    states = [state, (KGObservation([]), cond, ["open fridge"])]
+    both = net.batch_q_values(states)
     for q in (first, both):
         assert not q.flags.writeable
         with pytest.raises(ValueError):
             q[0] = 0.0
     assert np.array_equal(both[:2], first)
+    # the packed pass scores the same states as the memo
+    with ad.no_grad():
+        assert np.allclose(net.q_tensor(states).data[:, 0], both, rtol=0, atol=1e-12)
     with pytest.raises(EmptyCandidatesError):
         net.q_values(small_obs(), cond, [])
-    with pytest.raises(EmptyCandidatesError):
-        net.batch_q_values([state, (small_obs(), cond, [])])
-    if parts == 2:
-        with pytest.raises(ValueError, match="instruction"):
-            net.q_values(small_obs(), None, ["open fridge"])
+    for score_states in (net.batch_q_values, net.q_tensor):
+        with pytest.raises(EmptyCandidatesError):
+            score_states([state, (small_obs(), cond, [])])
+        if parts == 2:
+            with pytest.raises(ValueError, match="instruction"):
+                score_states([state, (small_obs(), None, ["open fridge"])])
     assert net.q_values(*state) is first
 
 

@@ -1,5 +1,7 @@
 """Training-loop orchestration: episode structure, variants, determinism."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -208,8 +210,21 @@ def test_resume_after_crash_does_not_repeat_metrics_rows(s1_games, s1_val, tmp_p
     tr.metrics.close()
     resumed = Trainer(cfg, s1_games, s1_val, out_dir=tmp_path, resume=True)
     assert resumed.episode == 4  # the last checkpoint
+    saves = []
+
+    def save_latest(trainer):
+        saves.append(trainer.episode)
+        Trainer.save_latest(trainer)
+
+    resumed.save_latest = partial(save_latest, resumed)
     resumed.run()
     resumed.metrics.close()
+    # latest/ is written once per checkpoint, and a run already at its end writes it once
+    finished = Trainer(cfg, s1_games, s1_val, out_dir=tmp_path, resume=True)
+    finished.save_latest = partial(save_latest, finished)
+    finished.run()
+    finished.metrics.close()
+    assert saves == [8, 8]
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0].startswith("# generated") and lines[1].startswith("episode,")
     rows = [line.split(",") for line in lines[2:]]
