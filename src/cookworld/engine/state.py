@@ -38,7 +38,12 @@ class _Facts(NamedTuple):
 
 @dataclass
 class GameState:
-    """Mutable simulation state. step() copies, so old states stay valid."""
+    """Simulation state. step() returns a new state that shares each
+    container its effect does not write with its parent, and writes only
+    fresh copies, so nothing writes a state's containers after step returns
+    it and old states stay valid. copy() gives a state with containers of
+    its own, free to mutate.
+    """
 
     spec: GameSpec
     player_room: str
@@ -65,15 +70,29 @@ class GameState:
     _episode: dict[int, _Facts] = field(default_factory=dict, compare=False, repr=False)
 
     def copy(self) -> "GameState":
+        """A state with containers of its own, free to mutate, sharing the
+        episode memo but not the observation."""
+        new = self._share()
+        new.locations = dict(self.locations)
+        new.open_flags = dict(self.open_flags)
+        new.cut = dict(self.cut)
+        new.cook = dict(self.cook)
+        new.consumed = set(self.consumed)
+        new.collect_rewarded = set(self.collect_rewarded)
+        return new
+
+    def _share(self) -> "GameState":
+        """A state equal to this one that shares its containers and its
+        episode memo, without the observation."""
         return GameState(
             spec=self.spec,
             player_room=self.player_room,
-            locations=dict(self.locations),
-            open_flags=dict(self.open_flags),
-            cut=dict(self.cut),
-            cook=dict(self.cook),
-            consumed=set(self.consumed),
-            collect_rewarded=set(self.collect_rewarded),
+            locations=self.locations,
+            open_flags=self.open_flags,
+            cut=self.cut,
+            cook=self.cook,
+            consumed=self.consumed,
+            collect_rewarded=self.collect_rewarded,
             steps=self.steps,
             step_limit=self.step_limit,
             score=self.score,
@@ -214,7 +233,9 @@ def observation(
     command from the parent's graph before, this state's graph is the one it
     led to then, the same object. Otherwise it is the parent's graph with the
     touched subjects' edges replaced, kept in the memo for the next time.
-    With no parent, every subject's edges are rendered from nothing.
+    That splice is in canonical order by construction, so it skips the
+    constructor's checks. With no parent, every subject's edges are
+    rendered from nothing, through the checked constructor.
     """
     if state._observation is None:
         if parent is None:
@@ -225,7 +246,7 @@ def observation(
             children = _facts(parent).children
             graph = children.get(command)
             if graph is None:
-                graph = children[command] = KGObservation(
+                graph = children[command] = KGObservation._spliced(
                     _patch(parent._observation.triplets, state, touched)
                 )
             state._observation = graph
@@ -363,11 +384,14 @@ def _prepare(spec: GameSpec, states: dict[str, str], name: str, result: str) -> 
 
 
 def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, bool]:
+    if state.done:
+        raise ValueError("step on a finished game")
     effect = _facts(state).moves.get(action)
     if effect is None:
         raise InadmissibleActionError(f"{action!r} not admissible here")
 
-    new = state.copy()
+    # copy-on-write: each branch replaces a container it writes with a copy
+    new = state._share()
     spec = new.spec
     reward = 0
     verb, *args = effect
@@ -379,28 +403,31 @@ def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, 
         new.player_room = args[0]
         touched = ("player",)
     elif verb in ("open", "close"):
-        new.open_flags[args[0]] = verb == "open"
+        new.open_flags = {**new.open_flags, args[0]: verb == "open"}
     elif verb == "take":
         name = args[0]
-        new.locations[name] = ("in", "player")
+        new.locations = {**new.locations, name: ("in", "player")}
         if name in spec.recipe_ingredients and name not in new.collect_rewarded:
-            new.collect_rewarded.add(name)
+            new.collect_rewarded = new.collect_rewarded | {name}
             reward = 1
     elif verb == "put":
         name, relation, holder = args
-        new.locations[name] = (relation, holder)
+        new.locations = {**new.locations, name: (relation, holder)}
     elif verb == "cook" and new.cook.get(args[0]) in ("fried", "roasted"):
         # re-cooking burns the food and loses the game
-        new.cook[args[0]] = "burned"
+        new.cook = {**new.cook, args[0]: "burned"}
         new.done = True
         new.lost = True
-    elif verb in ("cut", "cook"):
-        name, result = args
-        reward = int(_prepare(spec, new.cut if verb == "cut" else new.cook, name, result))
+    elif verb == "cut":
+        new.cut = dict(new.cut)
+        reward = int(_prepare(spec, new.cut, *args))
+    elif verb == "cook":
+        new.cook = dict(new.cook)
+        reward = int(_prepare(spec, new.cook, *args))
     elif verb == "eat":
         name = args[0]
-        new.locations[name] = None
-        new.consumed.add(name)
+        new.locations = {**new.locations, name: None}
+        new.consumed = new.consumed | {name}
         if name == "meal":
             new.done = True
             reward = 1
@@ -409,10 +436,11 @@ def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, 
             new.lost = True
     elif verb == "prepare":
         if _recipe_ready(new):
+            new.locations = dict(new.locations)
             for ingredient in spec.recipe_ingredients:
                 new.locations[ingredient] = None
             new.locations["meal"] = ("in", "player")
-            new.cook["meal"] = "raw"
+            new.cook = {**new.cook, "meal": "raw"}
             reward = 1
             touched = spec.recipe_ingredients + ("meal",)
         # premature "prepare meal" is a documented admissible no-op

@@ -70,6 +70,9 @@ class Vocabulary:
         # canonical hash, with their node colours once they have joined a
         # batch; they hold token ids, so they live with this map
         self.graph_layouts: OrderedDict = OrderedDict()
+        # each encoded text's token ids, read-only: the texts are the loaded
+        # games' commands, goals and entity names, so the memo stays small
+        self.text_ids: dict[str, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -77,8 +80,12 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self.index.get(token, 0)
 
-    def encode(self, text: str) -> list[int]:
-        return [self.id_of(tok) for tok in text.lower().split()]
+    def encode(self, text: str) -> tuple[int, ...]:
+        """The text's token ids, tokenized on its first encode and kept."""
+        ids = self.text_ids.get(text)
+        if ids is None:
+            ids = self.text_ids[text] = tuple(self.id_of(tok) for tok in text.lower().split())
+        return ids
 
 
 def _all_tokens() -> tuple[str, ...]:

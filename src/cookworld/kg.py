@@ -109,6 +109,17 @@ class KGObservation:
         object.__setattr__(self, "triplets", ordered)
         object.__setattr__(self, "_digest", None)
 
+    @classmethod
+    def _spliced(cls, triplets: list[Triplet]) -> "KGObservation":
+        """A graph from edges already strictly in canonical order, with at
+        most one player location: no check, dedup or sort. Only the
+        engine's splice of a checked parent (engine/state.py) calls it;
+        every other input goes through the checked constructor."""
+        obs = object.__new__(cls)
+        object.__setattr__(obs, "triplets", tuple(triplets))
+        object.__setattr__(obs, "_digest", None)
+        return obs
+
     def __setattr__(self, name: str, value) -> None:  # pragma: no cover - guard
         raise AttributeError("KGObservation is immutable")
 

@@ -157,7 +157,7 @@ class _GraphLayout:
     def __init__(self, obs: KGObservation, vocab):
         nodes = obs.entities()
         index = {name: i for i, name in enumerate(nodes)}
-        token_lists = [vocab.encode(name) or [0] for name in nodes]
+        token_lists = [vocab.encode(name) or (0,) for name in nodes]
         edges = [(REL_INDEX[t.relation], index[t.subject], index[t.object]) for t in obs]
         self.n_nodes = len(nodes)
         self.token_ids = np.array([tid for ids in token_lists for tid in ids], dtype=np.intp)

@@ -11,7 +11,7 @@ import numpy as np
 from ..kg import KGObservation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     """One replay record for either policy level.
 

@@ -512,3 +512,13 @@ def test_only_the_nets_module_packs_q_passes():
         )
     )
     assert set(callers) == {"neural/nets.py"}, callers
+
+
+def test_only_the_engine_builds_trusted_graphs():
+    """KGObservation._spliced skips every check of the constructor, so only
+    the engine's splice of a checked parent (engine/state.py) may call it:
+    no other source file names it."""
+    callers = source_files_where(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "_spliced"
+    )
+    assert set(callers) == {"engine/state.py"}, callers

@@ -452,9 +452,10 @@ def _play_patched(spec, rng, plan=()):
     """One episode, leaning towards the recipe's commands after any planned
     ones, that checks each step's observation, patched from its parent's,
     against the same state rendered from nothing, which touches every
-    subject, and each live state's action table and commands, served from
-    the episode memo, against a table built from nothing. Returns the
-    effects played."""
+    subject, each live state's action table and commands, served from
+    the episode memo, against a table built from nothing, and that step
+    leaves the state it stepped from, whose containers the new state may
+    share, untouched. Returns the effects played."""
     plan = iter(plan)
     state, obs = reset(spec, step_limit=100)
     kinds = set()
@@ -466,7 +467,9 @@ def _play_patched(spec, rng, plan=()):
             recipe_steps if recipe_steps and rng.random() < 0.8 else actions
         )
         assert state._observation is obs  # the parent's graph, for step to patch
+        before = state.signature()
         new, obs, reward, done = step(state, action)
+        assert state.signature() == before, action
         full = observation(new.copy())  # a copy has no graph and no parent
         assert obs.triplets == full.triplets, action
         assert canonical_hash(obs) == canonical_hash(full), action
@@ -560,7 +563,7 @@ def test_step_limit_on_a_memoized_graph_ends_the_game(s1_spec):
     assert done and canonical_hash(obs) in state._episode
     with pytest.raises(ValueError, match="finished game"):
         admissible_actions(state)
-    with pytest.raises(ValueError, match="finished game"):
+    with pytest.raises(ValueError, match="^step on a finished game$"):
         step(state, "close fridge")
 
 
