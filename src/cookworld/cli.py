@@ -81,17 +81,22 @@ def cmd_train(args) -> int:
     val_games = splits.get("val", {})
     cfg.levels = tuple(sorted(train_games))
     config_path = Path(args.out) / "config.json"
+    # the run directory is made, and every file of the run written, in here
     try:
-        if args.resume and config_path.exists():
-            check_resumable(load_config(config_path), cfg)
-        trainer = Trainer(
-            cfg, train_games, val_games, out_dir=args.out, resume=args.resume
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    save_config(cfg, config_path)
-    summary = trainer.run(progress=True)
+        try:
+            if args.resume and config_path.exists():
+                check_resumable(load_config(config_path), cfg)
+            trainer = Trainer(
+                cfg, train_games, val_games, out_dir=args.out, resume=args.resume
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        save_config(cfg, config_path)
+        summary = trainer.run(progress=True)
+    except OSError as exc:
+        print(f"error: cannot use run directory {args.out}: {exc}", file=sys.stderr)
+        return EXIT_IO
     print(
         f"finished: {summary['episodes']} episodes, {summary['steps']} steps, "
         f"best val {summary['best_val']:.3f}"

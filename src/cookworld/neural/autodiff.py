@@ -2,8 +2,9 @@
 
 Only the operations the policy networks need. Gradients accumulate into
 Tensor.grad; every backward formula is covered by finite-difference tests.
-Under no_grad an op computes its result by the same expression and returns
-it bare, building no backward closure and recording no parents.
+Every op computes its result and hands it, with its parents and backward
+formula, to _wrap, the one place that reads the grad mode: under no_grad the
+result comes back bare, recording neither.
 """
 
 from __future__ import annotations
@@ -108,7 +109,10 @@ def _bare(data: np.ndarray) -> Tensor:
 
 
 def _wrap(data, parents, backward) -> Tensor:
-    """An op's result with its parents and backward formula recorded."""
+    """An op's result with its parents and backward formula recorded, or
+    bare under no_grad."""
+    if not _GRAD_ENABLED:
+        return _bare(data)
     return Tensor(data, parents=parents, backward=backward)
 
 
@@ -133,8 +137,6 @@ def _tracked(t: Tensor) -> bool:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         return tuple((t, _sum_to_shape(g, t.data.shape)) for t in (a, b) if _tracked(t))
@@ -144,8 +146,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         return tuple((t, _sum_to_shape(tg, t.data.shape)) for t, tg in ((a, g), (b, -g)) if _tracked(t))
@@ -155,8 +155,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         return tuple(
@@ -168,8 +166,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, factor: float) -> Tensor:
     out = a.data * factor
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         return ((a, g * factor),)
@@ -187,8 +183,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != b.data.ndim:
         raise ValueError("matmul operands need the same number of dimensions")
     out = a.data @ b.data
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         return ((a, g @ _swap_last(b.data)), (b, _swap_last(a.data) @ g))
@@ -201,8 +195,6 @@ def grouped_matmul(x: Tensor, weights: Sequence[Tensor], bounds: Sequence[int]) 
     group of rows; the groups tile x."""
     spans = list(zip(weights, bounds[:-1], bounds[1:]))
     out = np.concatenate([x.data[lo:hi] @ w.data for w, lo, hi in spans])
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         dx = np.concatenate([g[lo:hi] @ w.data.T for w, lo, hi in spans])
@@ -214,8 +206,6 @@ def grouped_matmul(x: Tensor, weights: Sequence[Tensor], bounds: Sequence[int]) 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     out = _swap_last(a.data)
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         return ((a, _swap_last(g)),)
@@ -225,8 +215,6 @@ def transpose(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         return ((a, g.reshape(a.data.shape)),)
@@ -237,8 +225,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     out = a.data * mask
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         return ((a, g * mask),)
@@ -248,14 +234,12 @@ def relu(a: Tensor) -> Tensor:
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     out = np.concatenate([p.data for p in parts], axis=1)
-    if not _GRAD_ENABLED:
-        return _bare(out)
-    widths = [p.data.shape[1] for p in parts]
 
     def backward(g):
         grads = []
         offset = 0
-        for part, width in zip(parts, widths):
+        for part in parts:
+            width = part.data.shape[1]
             grads.append((part, g[:, offset : offset + width]))
             offset += width
         return tuple(grads)
@@ -266,8 +250,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 def row_block(a: Tensor, rows: slice) -> Tensor:
     """A contiguous block of rows of a, a[rows]."""
     out = a.data[rows]
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         full = np.zeros_like(a.data)
@@ -278,9 +260,7 @@ def row_block(a: Tensor, rows: slice) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = a.data.sum()
-    if not _GRAD_ENABLED:
-        return _bare(np.asarray(out))
+    out = np.asarray(a.data.sum())
 
     def backward(g):
         return ((a, np.full_like(a.data, float(g))),)
@@ -291,8 +271,6 @@ def sum_all(a: Tensor) -> Tensor:
 def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     out = table.data[idx]
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         return ((table, _segment_sum(g, idx, table.data.shape[0])),)
@@ -320,8 +298,6 @@ def segment_sum(x: Tensor, ids, count: int) -> Tensor:
     Ids need not be sorted; an empty segment gives a zero row."""
     ids = np.asarray(ids, dtype=np.intp)
     out = _segment_sum(x.data, ids, count)
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         return ((x, g[ids]),)
@@ -334,8 +310,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     out = exp / exp.sum(axis=-1, keepdims=True)
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
@@ -353,8 +327,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
     out = xhat * gain.data + bias.data
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         dxhat = g * gain.data
@@ -373,8 +345,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias as one tape node."""
     out = x.data @ weight.data + bias.data
-    if not _GRAD_ENABLED:
-        return _bare(out)
 
     def backward(g):
         return (

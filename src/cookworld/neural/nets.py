@@ -57,8 +57,6 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 
 def distinct(items: Sequence, key=None) -> tuple[list, np.ndarray]:
     """The distinct items in first-seen order, and each item's row among them."""
-    if len(items) == 1:
-        return [items[0]], np.zeros(1, dtype=np.intp)
     rows: dict = {}
     unique: list = []
     index = np.empty(len(items), dtype=np.intp)
@@ -415,15 +413,14 @@ class PolicyNet:
     def graph_tensor(self, observations: Sequence[KGObservation]) -> Tensor:
         """Mean-pooled R-GCN encodings of the observations, one row each.
 
-        The distinct observations are packed into one node list, and each
-        layer computes one row per node class (see _encoder_pass): nodes whose
+        The observations are packed into one node list, and each layer
+        computes one row per node class (see _encoder_pass): nodes whose
         computation trees agree share a row. Per layer, each relation
         averages its source rows into the rows it targets and projects only
         those averages by its own weight; one segment sum scatters every
         relation's messages into the rows. The pool gathers each node's
         final row."""
-        unique, rows = distinct(observations, key=canonical_hash)
-        layouts = [_layout_for(obs, self.vocab) for obs in unique]
+        layouts = [_layout_for(obs, self.vocab) for obs in observations]
         if not any(x.n_nodes for x in layouts):
             return ad.constant(np.zeros((len(observations), self.d)))
         plan = _encoder_pass(layouts, self.rgcn_layers)
@@ -451,25 +448,23 @@ class PolicyNet:
             h = ad.relu(total)
         if plan.node_rows is not None:
             h = ad.gather_rows(h, plan.node_rows)
-        pooled = ad.mul(
-            ad.segment_sum(h, plan.graph_ids, len(unique)), ad.constant(plan.graph_scale)
+        return ad.mul(
+            ad.segment_sum(h, plan.graph_ids, len(layouts)), ad.constant(plan.graph_scale)
         )
-        return pooled if len(unique) == len(observations) else ad.gather_rows(pooled, rows)
 
     def text_tensor(self, texts: Sequence[str]) -> Tensor:
         """Single-block transformer encodings of the texts, mean-pooled over
         each text's tokens, one row each.
 
-        The distinct texts are padded to the longest; attention runs within
-        each text, with padded keys masked out, and the pool drops padding.
-        A single text needs no padding: its positions are the shared table's
+        The texts are padded to the longest; attention runs within each
+        text, with padded keys masked out, and the pool drops padding. A
+        single text needs no padding: its positions are the shared table's
         rows themselves, and every token weighs 1 / length in the pool."""
-        unique, rows = distinct(texts)
-        encoded = [self.vocab.encode(text) for text in unique]
-        for text, ids in zip(unique, encoded):
+        encoded = [self.vocab.encode(text) for text in texts]
+        for text, ids in zip(texts, encoded):
             if not ids:
                 raise EmptyTextError(f"cannot encode empty text {text!r}")
-        b, d = len(unique), self.d
+        b, d = len(texts), self.d
         if b == 1:
             width = len(encoded[0])
             token_ids = np.array(encoded[0], dtype=np.intp)
@@ -507,8 +502,7 @@ class PolicyNet:
             self.params["ff.b2"],
         )
         h2 = ad.layer_norm(ad.add(h1, ff), self.params["ln2.gain"], self.params["ln2.bias"])
-        pooled = ad.segment_sum(ad.mul(h2, ad.constant(weights)), segments, b)
-        return pooled if b == len(texts) else ad.gather_rows(pooled, rows)
+        return ad.segment_sum(ad.mul(h2, ad.constant(weights)), segments, b)
 
     def _w1_rows(self, part: int) -> slice:
         """The rows of scorer.w1 that multiply input part `part` of
@@ -538,9 +532,11 @@ class PolicyNet:
         return ad.affine(ad.relu(hidden), self.params["scorer.w2"], self.params["scorer.b2"])
 
     def q_tensor(self, states: Sequence[tuple[KGObservation, Optional[str], Sequence[str]]]) -> Tensor:
-        """batch_q_values' scores as one packed pass, (n, 1), taped unless under
-        no_grad: one graph pass over the distinct observations and one text pass
-        over the distinct candidate and instruction texts (see score_tensor)."""
+        """Q for every candidate of every (obs, cond_text, candidates) state,
+        laid end to end, as one packed pass, (n, 1), taped unless under
+        no_grad: the one place a pass is deduplicated, into one graph pass over
+        the distinct observations and one text pass over the distinct
+        candidate and instruction texts (see score_tensor)."""
         conds = [self._instruction(cond, candidates) for _, cond, candidates in states]
         conds = conds if self.state_parts == 2 else []
         candidates = [c for _, _, state_candidates in states for c in state_candidates]
@@ -582,31 +578,6 @@ class PolicyNet:
             self._vec_cache[key] = row
         return row
 
-    def q_values(
-        self, obs: KGObservation, cond_text: Optional[str], candidates: Sequence[str]
-    ) -> np.ndarray:
-        """Q for every candidate text, no gradients recorded."""
-        return self.batch_q_values([(obs, cond_text, candidates)])
-
-    def batch_q_values(
-        self, states: Sequence[tuple[KGObservation, Optional[str], Sequence[str]]]
-    ) -> np.ndarray:
-        """Q for every candidate of every (obs, cond_text, candidates) state,
-        laid end to end, read-only; no gradients recorded.
-
-        Each state's Q is memoized until the weights change (bump_version
-        empties the memo with the vector cache). A miss is score_tensor's
-        formula on cached rows, in plain numpy, over that state alone: the
-        state's row broadcast over its candidates' rows, one relu and one
-        product with the output layer. So a state's Q never depends on which
-        states it was scored with."""
-        qs = [self._state_q(obs, cond, candidates) for obs, cond, candidates in states]
-        if len(qs) == 1:
-            return qs[0]
-        q = np.concatenate(qs)
-        q.flags.writeable = False
-        return q
-
     def _instruction(self, cond: Optional[str], candidates: Sequence[str]) -> Optional[str]:
         """cond on a net that takes an instruction (state_parts 2), else None.
         Refuses a state without candidates or without the instruction it needs."""
@@ -618,8 +589,18 @@ class PolicyNet:
             raise ValueError("this net conditions on an instruction text")
         return cond
 
-    def _state_q(self, obs: KGObservation, cond: Optional[str], candidates: Sequence[str]) -> np.ndarray:
-        cond = self._instruction(cond, candidates)
+    def q_values(
+        self, obs: KGObservation, cond_text: Optional[str], candidates: Sequence[str]
+    ) -> np.ndarray:
+        """Q for every candidate text, read-only; no gradients recorded.
+
+        A state's Q is memoized until the weights change (bump_version
+        empties the memo with the vector cache). A miss is score_tensor's
+        formula on cached rows, in plain numpy, over that state alone: the
+        state's row broadcast over its candidates' rows, one relu and one
+        product with the output layer. So a state's Q never depends on which
+        states were scored before it."""
+        cond = self._instruction(cond_text, candidates)
         key = (canonical_hash(obs), cond, tuple(candidates))
         q = self._q_memo.get(key)
         if q is None:

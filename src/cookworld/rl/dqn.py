@@ -42,11 +42,10 @@ def _next_state_targets(batch, online: PolicyNet, target: PolicyNet, gamma: floa
     states = [(tr.next_obs, tr.cond_text, tr.next_candidates) for _, tr in live]
     with ad.no_grad():
         q_on = online.q_tensor(states).data[:, 0]
-    q_tg = target.batch_q_values(states)
     start = 0
-    for i, tr in live:
+    for (i, tr), state in zip(live, states):
         rows = slice(start, start + len(tr.next_candidates))
-        targets[i] = double_dqn_target(tr.td_reward, False, q_on[rows], q_tg[rows], gamma)
+        targets[i] = double_dqn_target(tr.td_reward, False, q_on[rows], target.q_values(*state), gamma)
         start = rows.stop
     return targets
 

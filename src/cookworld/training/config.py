@@ -83,10 +83,12 @@ class TrainConfig:
             raise ConfigError("bebold_count_order must be 'printed' or 'swapped'")
         if not self.levels:
             raise ConfigError("at least one training level required")
-        # a zero count, cadence or width crashes a run after it starts
+        # a zero count, cadence or width crashes a run after it starts, and
+        # a run of no episodes trains nothing yet writes latest/
         for name in (
-            "step_limit_train", "step_limit_eval", "val_freq", "update_freq_meta", "update_freq_sub",
-            "target_sync_every", "batch_size", "buffer_capacity_meta", "buffer_capacity_sub",
+            "episodes", "step_limit_train", "step_limit_eval", "val_freq", "update_freq_meta",
+            "update_freq_sub", "target_sync_every", "batch_size", "buffer_capacity_meta",
+            "buffer_capacity_sub",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -95,8 +97,9 @@ class TrainConfig:
             _param_layout(1, self.hidden_dim, self.rgcn_layers, 1, self.ff_dim, self.scorer_hidden)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.lambda_count < 0:
-            raise ConfigError(f"lambda_count must be at least 0, got {self.lambda_count}")
+        for name in ("warmup_episodes", "patience", "lambda_count"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)}")
 
 
 def config_from_dict(doc: dict) -> TrainConfig:

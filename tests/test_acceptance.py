@@ -480,15 +480,30 @@ def test_criterion_runtime_dependencies_numpy_only():
     )
 
 
-def source_files_where(match) -> list[str]:
-    """The source files, relative to src/cookworld, with a syntax node that match accepts."""
+def source_defs_where(match) -> set[str]:
+    """Where the source has a syntax node that match accepts, as
+    "file:qualified.def" (file relative to src/cookworld; "<module>" for a
+    node outside every def and class)."""
     src = Path(__file__).parent.parent / "src" / "cookworld"
-    return sorted(
-        str(path.relative_to(src))
-        for path in src.rglob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if match(node)
-    )
+    sites = set()
+
+    def visit(node, where: str, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, where, scope + (child.name,))
+                continue
+            if match(child):
+                sites.add(f"{where}:{'.'.join(scope) or '<module>'}")
+            visit(child, where, scope)
+
+    for path in src.rglob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), str(path.relative_to(src)), ())
+    return sites
+
+
+def source_files_where(match) -> set[str]:
+    """The source files, relative to src/cookworld, with a syntax node that match accepts."""
+    return {site.partition(":")[0] for site in source_defs_where(match)}
 
 
 def test_only_the_nets_module_reads_and_writes_npz():
@@ -512,6 +527,29 @@ def test_only_the_nets_module_packs_q_passes():
         )
     )
     assert set(callers) == {"neural/nets.py"}, callers
+
+
+def test_only_q_tensor_deduplicates_a_pass():
+    """A packed pass is deduplicated once, by PolicyNet.q_tensor: the
+    encoders encode exactly the items they are given."""
+    callers = source_defs_where(
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "distinct"
+    )
+    assert callers == {"neural/nets.py:PolicyNet.q_tensor"}, callers
+
+
+def test_only_wrap_and_the_mode_switches_read_the_grad_mode():
+    """No autodiff op checks the grad mode itself: _wrap decides whether an
+    op's result records its graph, so only it, no_grad and grad_enabled read
+    _GRAD_ENABLED."""
+    readers = source_defs_where(
+        lambda node: isinstance(node, ast.Name) and node.id == "_GRAD_ENABLED"
+        and isinstance(node.ctx, ast.Load)
+    )
+    assert readers == {
+        "neural/autodiff.py:no_grad", "neural/autodiff.py:grad_enabled", "neural/autodiff.py:_wrap",
+    }, readers
 
 
 def test_only_the_engine_builds_trusted_graphs():

@@ -54,7 +54,13 @@ parents = collections.Counter(
     for name, p in zip(names, tracer.parent)
     if name in ("neural.nets.graph_tensor", "neural.nets.text_tensor")
 )
+# the target net's scoring of each next state inside an update
+target_passes = sum(
+    1 for name, p in zip(names, tracer.parent)
+    if name == "neural.nets.q_values" and p >= 0 and names[p] == "rl.dqn.td_update"
+)
 print(json.dumps({"spans": counts, "encoder_parents": parents, "val_games": len(val["S1"]),
+                  "target_passes": target_passes,
                   "updates_meta": tr.updates_meta, "updates_sub": tr.updates_sub,
                   "resume_spans": loads, "learners": len(resumed.learners),
                   "resumed_updates": [resumed.updates_meta, resumed.updates_sub]}))
@@ -92,6 +98,9 @@ def test_tracer_hooks_fire_on_training(tmp_path):
     # pass outside an update is a cache miss under graph_vector or
     # text_vector, so the benchmark's hit ratios stay computable
     assert spans["neural.nets.q_values"] > 0
+    # the Double DQN target pass scores each next state through the same
+    # hooked q_values, under the update, so rl.dqn.target_pass reads it
+    assert result["target_passes"] > 0
     parents = result["encoder_parents"]
     assert parents["neural.nets.graph_tensor < neural.nets.graph_vector"] > 0
     assert parents["neural.nets.text_tensor < neural.nets.text_vector"] > 0

@@ -458,6 +458,7 @@ def test_train_invalid_variant_exit_code(tmp_path, capsys):
     {"grad_clip": 5.0},  # a field that no longer exists, as in an older config.json
     {"episodes": "2"}, {"hidden_dim": 2.5}, {"bebold": "no"}, {"lr": True},
     {"rgcn_layers": -1}, {"ff_dim": 0}, {"scorer_hidden": 0},
+    {"episodes": 0}, {"episodes": -3}, {"warmup_episodes": -1}, {"patience": -2},
 ])
 def test_train_bad_config_is_usage_error(doc, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -467,6 +468,28 @@ def test_train_bad_config_is_usage_error(doc, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and next(iter(doc)) in err
+
+
+def test_train_episodes_flag_below_one_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run_cli("train", "--games", tmp_path / "games", "--out", out, "--episodes", "-3") == 2
+    assert "episodes must be at least 1, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+def test_train_out_that_cannot_be_a_run_directory_is_io_error(where, tmp_path, capsys):
+    games = tmp_path / "games"
+    run_cli("gen", "--levels", "S1", "--train", "1", "--val", "1", "--test", "1",
+            "--seed", "3", "--out", games)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "a file" else blocker / "run"
+    capsys.readouterr()
+    assert run_cli("train", "--games", games, "--out", out, "--episodes", "1") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_eval_walkthrough_oracle_all_ones(tmp_path, capsys):

@@ -316,6 +316,11 @@ def next_states(batch):
     return [(tr.next_obs, tr.cond_text, tr.next_candidates) for tr in batch if not tr.done]
 
 
+def memoized_q(net, states):
+    """Each state's memoized Q (PolicyNet.q_values), laid end to end."""
+    return np.concatenate([net.q_values(*state) for state in states])
+
+
 @pytest.mark.parametrize("variant, level", LEARNERS)
 def test_cached_targets_match_the_batched_pass(warm_trainers, variant, level):
     from cookworld.rl import dqn
@@ -330,7 +335,7 @@ def test_cached_targets_match_the_batched_pass(warm_trainers, variant, level):
     with ad.no_grad():
         ref_on = online.q_tensor(next_states(batch)).data[:, 0]
         ref_tg = target.q_tensor(next_states(batch)).data[:, 0]
-    assert np.allclose(target.batch_q_values(next_states(batch)), ref_tg, rtol=0, atol=1e-12)
+    assert np.allclose(memoized_q(target, next_states(batch)), ref_tg, rtol=0, atol=1e-12)
     expected, start = [], 0
     for tr in batch:
         if tr.done:
@@ -361,7 +366,7 @@ def test_memoized_q_equals_a_cold_one_state_pass(warm_trainers, variant, level):
     states = next_states(batch) + [(tr.obs, tr.cond_text, [tr.chosen_text]) for tr in batch]
     assert len(states) > len(batch)
     for net in (online, target):
-        batched = net.batch_q_values(states)  # fills the memo in one call
+        batched = memoized_q(net, states)  # fills the memo
         hits = [net.q_values(*state) for state in states]
         assert all(net.q_values(*state) is hit for state, hit in zip(states, hits))
         cold_net = clone_net(net)
@@ -385,7 +390,7 @@ def test_target_cache_lives_as_long_as_the_target_weights(warm_trainers, variant
     assert states
 
     def filled_cache(net=target) -> np.ndarray:
-        q = net.batch_q_values(states)
+        q = memoized_q(net, states)
         assert net._vec_cache and net._q_memo
         return q
 
@@ -394,7 +399,7 @@ def test_target_cache_lives_as_long_as_the_target_weights(warm_trainers, variant
 
     def fresh_q() -> np.ndarray:
         """Q of a net built anew on the online weights, its cache cold."""
-        return clone_net(online).batch_q_values(states)
+        return memoized_q(clone_net(online), states)
 
     # the warm learners made no update yet, so their target equals the
     # online net, and restoring the pre-step snapshot restores `before`
@@ -416,7 +421,7 @@ def test_target_cache_lives_as_long_as_the_target_weights(warm_trainers, variant
     assert all(target._vec_cache[key] is vec for key, vec in cached.items())
     assert memo.keys() == target._q_memo.keys()
     assert all(target._q_memo[key] is q for key, q in memo.items())
-    assert np.array_equal(target.batch_q_values(states), before)
+    assert np.array_equal(memoized_q(target, states), before)
 
     # a sync empties it, and the targets then come from the new weights
     sync_target(online, target)

@@ -319,9 +319,15 @@ def test_counts_and_cadences_must_be_positive():
                   "buffer_capacity_meta", "buffer_capacity_sub", "hidden_dim"):
         with pytest.raises(ConfigError, match=field):
             config_from_dict({field: 0})
-    with pytest.raises(ConfigError, match="lambda_count"):
-        config_from_dict({"lambda_count": -1})
-    config_from_dict({"lambda_count": 0})
+    # a run of no episodes, or of fewer than none, trains nothing
+    for episodes in (0, -3):
+        with pytest.raises(ConfigError, match="episodes must be at least 1"):
+            config_from_dict({"episodes": episodes})
+    # these may be 0, never negative
+    for field in ("warmup_episodes", "patience", "lambda_count"):
+        with pytest.raises(ConfigError, match=f"{field} must be at least 0"):
+            config_from_dict({field: -2})
+        config_from_dict({field: 0})
 
 
 def test_config_values_must_have_their_field_type():
