@@ -6,9 +6,10 @@ import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..kg import DIRECTIONS, OPPOSITE_DIRECTION, Triplet, is_entity_token
+from ..records import read_record
 
 FORMAT_VERSION = 1
 
@@ -233,8 +234,9 @@ def expected_max_score(recipe: Sequence[RecipeEntry]) -> int:
 
 def validate_spec(spec: GameSpec) -> None:
     names = [named.name for named in (*spec.rooms, *spec.doors, *spec.objects)]
-    # the fields that refer to a node are looked up in the dicts and sets
-    # below, where a JSON list is unhashable, so they are checked first
+    # the fields that refer to a node are checked first: a spec built in
+    # code (a read one has only strings there) may hold an unhashable value
+    # where the checks below look a name up in a dict or set
     names.append(spec.start_room)
     names += [f for room in spec.rooms for ex in room.exits for f in (ex.to, ex.door) if f is not None]
     names += [room for door in spec.doors for room in (door.room_a, door.room_b)]
@@ -361,81 +363,11 @@ def validate_spec(spec: GameSpec) -> None:
 # ---------------------------------------------------------------------------
 # serialization
 
-def spec_from_dict(doc: Mapping) -> GameSpec:
-    def need(mapping: Mapping, key: str, where: str):
-        if key not in mapping:
-            raise SpecParseError(f"missing field {key!r} in {where}")
-        return mapping[key]
-
-    def need_int(key: str) -> int:
-        value = need(doc, key, "document")
-        try:
-            return int(value)
-        except (TypeError, ValueError) as exc:
-            raise SpecParseError(f"field {key!r} must be an integer, got {value!r}") from exc
-
-    if not isinstance(doc, Mapping):
-        raise SpecParseError("top level must be an object")
-    version = need(doc, "format_version", "document")
-    if version != FORMAT_VERSION:
-        raise SpecParseError(f"unsupported format_version {version!r}")
-    try:
-        rooms = tuple(
-            RoomSpec(
-                name=need(r, "name", "room"),
-                exits=tuple(
-                    Exit(
-                        direction=need(e, "direction", "exit"),
-                        to=need(e, "to", "exit"),
-                        door=e.get("door"),
-                    )
-                    for e in r.get("exits", [])
-                ),
-            )
-            for r in need(doc, "rooms", "document")
-        )
-        doors = tuple(
-            DoorSpec(
-                name=need(d, "name", "door"),
-                room_a=need(d, "room_a", "door"),
-                direction_from_a=need(d, "direction_from_a", "door"),
-                room_b=need(d, "room_b", "door"),
-                open=bool(need(d, "open", "door")),
-            )
-            for d in doc.get("doors", [])
-        )
-        objects = tuple(
-            ObjectSpec(
-                name=need(o, "name", "object"),
-                kind=need(o, "kind", "object"),
-                holder=need(o, "holder", "object"),
-                holder_relation=need(o, "holder_relation", "object"),
-                cut_state=o.get("cut_state", "none"),
-                cook_state=o.get("cook_state", "none"),
-                edible=bool(o.get("edible", False)),
-            )
-            for o in need(doc, "objects", "document")
-        )
-        recipe = tuple(
-            RecipeEntry(
-                ingredient=need(e, "ingredient", "recipe entry"),
-                cut=e.get("cut", "none"),
-                cook=e.get("cook", "none"),
-            )
-            for e in need(doc, "recipe", "document")
-        )
-    except TypeError as exc:
-        raise SpecParseError(f"malformed collection: {exc}") from exc
-    spec = GameSpec(
-        level=need(doc, "level", "document"),
-        seed=need_int("seed"),
-        start_room=need(doc, "start_room", "document"),
-        rooms=rooms,
-        doors=doors,
-        objects=objects,
-        recipe=recipe,
-        max_score=need_int("max_score"),
-    )
+def spec_from_dict(doc) -> GameSpec:
+    """The game a JSON document holds, read by the field types of GameSpec."""
+    if isinstance(doc, dict) and doc.get("format_version") != FORMAT_VERSION:
+        raise SpecParseError(f"unsupported format_version {doc.get('format_version')!r}")
+    spec = read_record(GameSpec, doc, SpecParseError)
     validate_spec(spec)
     return spec
 

@@ -8,18 +8,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..neural.nets import _param_layout
+from ..records import check_fields, read_record
 
 VARIANTS = ("GATA", "GC-GATA", "H-KGA", "H-KGA-HalfJoint", "H-KGA-Ind")
 
 
 class ConfigError(ValueError):
     pass
-
-
-# the types each field's annotation accepts: an int serves as a float, and
-# a bool, whose type is not int, as no number
-_ACCEPTS = {"str": (str,), "bool": (bool,), "int": (int,), "float": (int, float),
-            "tuple[str, ...]": (tuple,)}
 
 
 @dataclass
@@ -70,11 +65,7 @@ class TrainConfig:
     levels: tuple[str, ...] = ("S1", "S2", "S3", "S4")
 
     def validate(self) -> None:
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            items = value if type(value) is tuple else ()
-            if type(value) not in _ACCEPTS[field.type] or any(type(v) is not str for v in items):
-                raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
+        check_fields(self, ConfigError)
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"unknown variant {self.variant!r}; valid variants: {', '.join(VARIANTS)}"
@@ -102,17 +93,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)}")
 
 
-def config_from_dict(doc: dict) -> TrainConfig:
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    kwargs = dict(doc)
-    if "levels" in kwargs:
-        if not isinstance(kwargs["levels"], list):
-            raise ConfigError(f"levels must be a list of strings, got {kwargs['levels']!r}")
-        kwargs["levels"] = tuple(kwargs["levels"])
-    cfg = TrainConfig(**kwargs)
+def config_from_dict(doc) -> TrainConfig:
+    """The config a JSON document holds, read by the field types of TrainConfig."""
+    cfg = read_record(TrainConfig, doc, ConfigError)
     cfg.validate()
     return cfg
 
@@ -120,7 +103,7 @@ def config_from_dict(doc: dict) -> TrainConfig:
 def load_config(path: str | Path) -> TrainConfig:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
     return config_from_dict(doc)
 

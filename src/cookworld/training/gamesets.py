@@ -3,13 +3,30 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..engine.generate import generate_game
 from ..engine.spec import LEVELS, GameSpec, UNSEEN_LEVELS, load_game, save_game
+from ..records import read_record
 
 MANIFEST_NAME = "manifest.json"
 SPLITS = ("train", "val", "test-seen", "test-unseen")
+
+
+@dataclass(frozen=True)
+class ManifestEntry:
+    file: str  # relative to the game directory
+    level: str
+    split: str
+    seed: int
+
+
+@dataclass(frozen=True)
+class Manifest:
+    format_version: int
+    master_seed: int
+    games: tuple[ManifestEntry, ...]
 
 
 def split_seed(master_seed: int, split: str, level: str, index: int) -> int:
@@ -28,7 +45,7 @@ def generate_game_dir(
     levels: list[str],
     counts: dict[str, int],
     master_seed: int,
-) -> list[dict]:
+) -> list[ManifestEntry]:
     """Write one spec file per game plus a manifest describing the split."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -47,10 +64,8 @@ def generate_game_dir(
                 spec = generate_game(level, seed)
                 filename = f"{level}_{split}_{index:03d}.json"
                 save_game(spec, out / filename)
-                entries.append(
-                    {"file": filename, "level": level, "split": split, "seed": seed}
-                )
-    manifest = {"format_version": 1, "master_seed": master_seed, "games": entries}
+                entries.append(ManifestEntry(filename, level, split, seed))
+    manifest = asdict(Manifest(1, master_seed, tuple(entries)))
     (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return entries
 
@@ -63,14 +78,13 @@ def load_game_dir(path: str | Path) -> dict[str, dict[str, list[GameSpec]]]:
     if not manifest_path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {root}")
     try:
-        entries = [(e["file"], e["split"], e["level"])
-                   for e in json.loads(manifest_path.read_text())["games"]]
-    except (ValueError, LookupError, TypeError) as exc:
-        raise ValueError(f"malformed {manifest_path}: {exc!r}") from exc
+        manifest = read_record(Manifest, json.loads(manifest_path.read_text()), ValueError)
+    except ValueError as exc:  # not UTF-8, not JSON, or not a manifest
+        raise ValueError(f"malformed {manifest_path}: {exc}") from exc
     out: dict[str, dict[str, list[GameSpec]]] = {}
-    for file, split, level in entries:
-        spec = load_game(root / file)
-        if spec.level != level:
-            raise ValueError(f"{manifest_path} lists {file} as {level}, but it is a {spec.level} game")
-        out.setdefault(split, {}).setdefault(level, []).append(spec)
+    for entry in manifest.games:
+        spec = load_game(root / entry.file)
+        if spec.level != entry.level:
+            raise ValueError(f"{manifest_path} lists {entry.file} as {entry.level}, but it is a {spec.level} game")
+        out.setdefault(entry.split, {}).setdefault(entry.level, []).append(spec)
     return out

@@ -125,19 +125,17 @@ class Learner:
     def restore(self) -> None:
         """Roll the online and target nets back to the last snapshot."""
         if self.best_flat is not None:
-            self._set_params(self.best_flat)
-
-    def _set_params(self, flat: np.ndarray) -> None:
-        np.copyto(self.online.flat, flat)
-        self.online.bump_version()
-        sync_target(self.online, self.target)
+            np.copyto(self.online.flat, self.best_flat)
+            self.online.bump_version()
+            sync_target(self.online, self.target)
 
     def save(self, directory: Path) -> None:
         save_checkpoint(self.online, directory / f"{self.name}.npz", self.adam)
 
     def load(self, directory: Path, updates: int) -> None:
         """Resume from `<name>.npz`, which must hold a net of this
-        learner's config and the Adam state of `updates` TD updates."""
+        learner's config and the Adam state of `updates` TD updates. The
+        loaded net and Adam state become the learner's own."""
         path = directory / f"{self.name}.npz"
         net, adam = load_checkpoint(path, self.online.vocab)
         if adam is None:
@@ -148,8 +146,8 @@ class Learner:
             raise CheckpointError(
                 f"{path} holds {adam.t} updates, but run_state.json counts {updates}"
             )
-        self._set_params(net.flat)
-        self.adam = adam
+        self.online, self.adam = net, adam
+        sync_target(self.online, self.target)
 
 
 class Trainer:
@@ -206,6 +204,9 @@ class Trainer:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             if resume:
                 self._load_run_state()
+                if self.episode > cfg.episodes:
+                    raise ValueError(f"cannot resume: latest/ holds {self.episode} episodes, "
+                                     f"more than the {cfg.episodes} episodes of the run")
             self.metrics = MetricsWriter(
                 self.out_dir / "metrics.csv", cfg.levels, resume_from=self.episode if resume else None
             )

@@ -560,3 +560,15 @@ def test_only_the_engine_builds_trusted_graphs():
         lambda node: isinstance(node, ast.Attribute) and node.attr == "_spliced"
     )
     assert set(callers) == {"engine/state.py"}, callers
+
+
+def test_only_the_records_module_reads_type_hints():
+    """JSON values are typed by one rule, in records.py: no other source
+    file resolves type hints (get_type_hints, __annotations__) or reads a
+    dataclass field's .type."""
+    readers = source_defs_where(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in ("get_type_hints", "__annotations__", "type")
+        or isinstance(node, ast.Name) and node.id == "get_type_hints"
+    )
+    assert readers == {"records.py:_hints"}, readers

@@ -126,21 +126,38 @@ def _edit_oven(**fields):
     return edit
 
 
-# (damage to the S1 golden spec, the invariant the error names)
+# (damage to the S1 golden spec, what the error names: the invariant broken,
+# or the field that is not of its type)
 BAD_SPECS = {
     "wrong max score": (lambda doc: doc.update(max_score=99), "max-score-formula"),
-    "number as a name": (_edit_oven(name=7), "entity-token"),
+    "number as a name": (_edit_oven(name=7), "objects[4].name must be a string, got 7"),
     "capitalised name": (_edit_oven(name="Oven"), "entity-token"),
     "padded name": (_edit_oven(name=" oven"), "entity-token"),
     "fixture held by the player": (
         _edit_oven(holder="player", holder_relation="in"),
         "fixture-in-room",
     ),
-    "list as level": (lambda doc: doc.update(level=["S1"]), "known-level"),
-    "list as start room": (lambda doc: doc.update(start_room=["kitchen"]), "entity-token"),
-    "list as holder": (_edit_oven(holder=["kitchen"]), "entity-token"),
+    "list as level": (lambda doc: doc.update(level=["S1"]), "level must be a string, got ['S1']"),
+    "list as start room": (lambda doc: doc.update(start_room=["kitchen"]),
+                           "start_room must be a string, got ['kitchen']"),
+    "list as holder": (_edit_oven(holder=["kitchen"]),
+                       "objects[4].holder must be a string, got ['kitchen']"),
     "list as ingredient": (lambda doc: doc["recipe"][0].update(ingredient=["cilantro"]),
-                           "entity-token"),
+                           "recipe[0].ingredient must be a string, got ['cilantro']"),
+    "string as open flag": (
+        lambda doc: doc["doors"].append({"name": "door", "room_a": "kitchen", "direction_from_a": "north",
+                                         "room_b": "kitchen", "open": "false"}),
+        "doors[0].open must be a boolean, got 'false'",
+    ),
+    "string as edible flag": (lambda doc: doc["objects"][7].update(edible="no"),
+                              "objects[7].edible must be a boolean, got 'no'"),
+    "fractional seed": (lambda doc: doc.update(seed=3.9), "seed must be an integer, got 3.9"),
+    "boolean seed": (lambda doc: doc.update(seed=True), "seed must be an integer, got True"),
+    "string max score": (lambda doc: doc.update(max_score="4"), "max_score must be an integer, got '4'"),
+    "boolean format version": (lambda doc: doc.update(format_version=True),
+                               "format_version must be an integer, got True"),
+    "unknown key": (_edit_oven(colour="white"), "objects[4].colour is not a field"),
+    "no doors": (lambda doc: doc.pop("doors"), "the document lacks field doors"),
 }
 
 
@@ -152,13 +169,13 @@ def test_spec_breaking_an_invariant_is_io_error(command, tmp_path, monkeypatch, 
         argv = ["play", spec]
     else:
         argv = ["replay-trace", "--spec", spec, "--trace", FIXTURES / "s1_game1.trace.json"]
-    for damage, (edit, invariant) in BAD_SPECS.items():
+    for damage, (edit, expected) in BAD_SPECS.items():
         doc = json.loads((FIXTURES / "s1_game1.spec.json").read_text())
         edit(doc)
         spec.write_text(json.dumps(doc))
         assert run_cli(*argv) == 3, damage
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"broken.spec.json: {invariant}" in err, damage
+        assert err.startswith("error: ") and f"broken.spec.json: {expected}" in err, damage
 
 
 def test_unknown_flag_rejected():
@@ -230,6 +247,28 @@ def test_train_resume_continues_not_duplicating(tmp_path):
     episodes = [int(r.split(",")[0]) for r in train_rows]
     assert episodes == sorted(set(episodes))  # no duplicated episode rows
     assert max(episodes) == 7
+
+
+def test_train_resume_to_fewer_episodes_refused(tmp_path, capsys):
+    games = tmp_path / "games"
+    out = tmp_path / "run"
+    run_cli("gen", "--levels", "S1", "--train", "2", "--val", "1", "--test", "1",
+            "--seed", "3", "--out", games)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "episodes": 4, "warmup_episodes": 1, "val_freq": 2, "batch_size": 4,
+        "hidden_dim": 8, "ff_dim": 8, "scorer_hidden": 8, "seed": 1,
+    }))
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path) == 0
+    capsys.readouterr()
+    kept = {path: path.read_bytes() for path in [out / "config.json", out / "metrics.csv",
+                                                 *(out / "latest").iterdir()]}
+    assert run_cli("train", "--games", games, "--out", out, "--config", cfg_path,
+                   "--episodes", "2", "--resume") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4 episodes" in err and "2 episodes" in err
+    assert {path: path.read_bytes() for path in kept} == kept
+    assert sorted((out / "latest").iterdir()) == sorted(p for p in kept if p.parent.name == "latest")
 
 
 def test_train_resume_without_meta_checkpoint_refused(tmp_path, capsys):
@@ -459,6 +498,7 @@ def test_train_invalid_variant_exit_code(tmp_path, capsys):
     {"episodes": "2"}, {"hidden_dim": 2.5}, {"bebold": "no"}, {"lr": True},
     {"rgcn_layers": -1}, {"ff_dim": 0}, {"scorer_hidden": 0},
     {"episodes": 0}, {"episodes": -3}, {"warmup_episodes": -1}, {"patience": -2},
+    [], None, 5,  # a document that is not an object
 ])
 def test_train_bad_config_is_usage_error(doc, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -467,7 +507,18 @@ def test_train_bad_config_is_usage_error(doc, tmp_path, capsys):
                    "--config", cfg_path)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and next(iter(doc)) in err
+    named = next(iter(doc)) if isinstance(doc, dict) else "the document must be an object"
+    assert err.startswith("error: ") and named in err
+
+
+def test_train_config_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"episodes": "\xff"}')
+    code = run_cli("train", "--games", tmp_path / "games", "--out", tmp_path / "r",
+                   "--config", cfg_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load config ") and "cfg.json" in err
 
 
 def test_train_episodes_flag_below_one_is_usage_error(tmp_path, capsys):
@@ -521,21 +572,32 @@ def test_eval_malformed_pseudo_checkpoint_is_io_error(body, tmp_path, capsys):
     assert err.startswith("error: ") and "oracle.json" in err
 
 
-@pytest.mark.parametrize("damage", ["malformed spec", "manifest without games", "level mismatch"])
+# (damage to a manifest's first entry, the field the error names)
+BAD_ENTRIES = {
+    "number as file": ({"file": 3}, "games[0].file must be a string, got 3"),
+    "list as split": ({"split": ["train"]}, "games[0].split must be a string, got ['train']"),
+}
+
+
+@pytest.mark.parametrize("damage", ["malformed spec", "manifest without games", "level mismatch",
+                                    *BAD_ENTRIES])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_bad_game_dir_is_io_error(command, damage, tmp_path, capsys):
     games = tmp_path / "games"
     run_cli("gen", "--levels", "S1", "--train", "1", "--val", "1", "--test", "1",
             "--seed", "3", "--out", games)
+    manifest = json.loads((games / "manifest.json").read_text())
     if damage == "malformed spec":
         (games / "S1_test-seen_000.json").write_text("{")
         (games / "S1_train_000.json").write_text("{")
     elif damage == "manifest without games":
         (games / "manifest.json").write_text(json.dumps({"format_version": 1}))
-    else:
-        manifest = json.loads((games / "manifest.json").read_text())
+    elif damage == "level mismatch":
         for entry in manifest["games"]:
             entry["level"] = "S2"
+        (games / "manifest.json").write_text(json.dumps(manifest))
+    else:
+        manifest["games"][0].update(BAD_ENTRIES[damage][0])
         (games / "manifest.json").write_text(json.dumps(manifest))
     pseudo = tmp_path / "oracle.json"
     pseudo.write_text(json.dumps({"kind": "walkthrough_oracle"}))
@@ -550,6 +612,8 @@ def test_bad_game_dir_is_io_error(command, damage, tmp_path, capsys):
         assert "S1_train_000.json: invalid JSON" in err  # the first broken file
     else:
         assert "manifest.json" in err
+    if damage in BAD_ENTRIES:
+        assert f"manifest.json: {BAD_ENTRIES[damage][1]}" in err
 
 
 def test_play_session_transcript_replays(tmp_path, monkeypatch, capsys, s1_spec):

@@ -442,6 +442,8 @@ def test_target_cache_lives_as_long_as_the_target_weights(warm_trainers, variant
     sync_target(online, target)
     filled_cache()
     learner.load(tmp_path, learner.updates)
+    assert learner.online is not online  # the loaded net becomes the learner's own
+    online = learner.online
     assert emptied(online, target)
     assert np.array_equal(filled_cache(), before)
     assert np.array_equal(before, fresh_q())
