@@ -37,15 +37,6 @@ class Goal:
             return f"{self.requirement} {self.ingredient}"
         return EAT_MEAL_TEXT
 
-    @classmethod
-    def from_text(cls, text: str) -> "Goal":
-        if text == EAT_MEAL_TEXT:
-            return cls("EatMeal")
-        head, _, rest = text.partition(" ")
-        if head == "find":
-            return cls("Find", ingredient=rest)
-        return cls("Prepare", ingredient=rest, requirement=head)
-
 
 FIND = "Find"
 PREPARE = "Prepare"

@@ -2,56 +2,50 @@
 
 Only the operations the policy networks need. Gradients accumulate into
 Tensor.grad; every backward formula is covered by finite-difference tests.
-Every op computes its result and hands it, with its parents and backward
-formula, to _wrap, the one place that reads the grad mode: under no_grad the
-result comes back bare, recording neither.
+
+Ops record only inside ad.tape(), which the trainer's td_update alone
+opens: each op computes its result and hands it to _wrap with its
+module-level backward formula and what that formula reads, and _wrap
+appends one entry to the open tape, a Wengert list in creation order.
+Outside a tape every result comes back bare and nothing is recorded.
+Tensor.backward walks the tape in reverse from its own entry.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-_GRAD_ENABLED = True
+_TAPE: Optional[list] = None
 
 
 @contextlib.contextmanager
-def no_grad():
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+def tape():
+    """Record every op run in the block on a fresh tape, so that backward()
+    can be called on its results while the block lasts."""
+    global _TAPE
+    previous, _TAPE = _TAPE, []
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+        _TAPE = previous
 
 
 class DetachedGraphError(RuntimeError):
-    """backward() was called on a tensor with no recorded graph."""
+    """backward() was called on a tensor that is not on the open tape."""
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_entry")
 
-    def __init__(
-        self,
-        data,
-        requires_grad: bool = False,
-        parents: Sequence["Tensor"] = (),
-        backward: Optional[Callable[[np.ndarray], None]] = None,
-    ):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._parents = tuple(parents)
-        self._backward = backward
+        self._entry: Optional[int] = None  # index of the tape entry that made it
 
     @property
     def shape(self):
@@ -64,56 +58,44 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        if not self._parents and self._backward is None:
-            raise DetachedGraphError("tensor has no recorded computation graph")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                stack.append((parent, False))
+        """Walk the open tape in reverse from this tensor's entry. A taped
+        result's consumers all come after it, so its gradient is complete,
+        summed in reverse creation order of its consumers, when the walk
+        reaches it; a leaf sums its gradients into .grad in the same order."""
+        entries, at = _TAPE, self._entry
+        if entries is None or at is None or at >= len(entries) or entries[at][0] is not self:
+            raise DetachedGraphError("tensor is not on the open tape")
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
+        for i in range(at, -1, -1):
+            out, formula, args = entries[i]
+            g = grads.pop(id(out), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backward is None:
-                continue
-            for parent, pg in node._backward(g):
+            for parent, pg in formula(g, *args):
                 # never add in place: an op may hand one array to two parents
-                key = id(parent)
-                grads[key] = grads[key] + pg if key in grads else pg
+                if parent.requires_grad:
+                    parent.grad = pg if parent.grad is None else parent.grad + pg
+                else:
+                    key = id(parent)
+                    grads[key] = grads[key] + pg if key in grads else pg
 
 
-def _bare(data: np.ndarray) -> Tensor:
-    """An op's result under no_grad: the float64 array it computed, with no
-    recorded graph. Built without __init__'s conversions, which a result
-    computed from float64 tensors does not need."""
-    t = object.__new__(Tensor)
-    t.data = data
-    t.grad = None
-    t.requires_grad = False
-    t._parents = ()
-    t._backward = None
-    return t
-
-
-def _wrap(data, parents, backward) -> Tensor:
-    """An op's result with its parents and backward formula recorded, or
-    bare under no_grad."""
-    if not _GRAD_ENABLED:
-        return _bare(data)
-    return Tensor(data, parents=parents, backward=backward)
+def _wrap(data: np.ndarray, formula, *args) -> Tensor:
+    """An op's result: the float64 array it computed, recorded on the open
+    tape with its backward formula and the operands and arrays that
+    formula(g, *args) reads, or bare outside a tape. Built without
+    __init__'s conversions, which a result computed from float64 tensors
+    does not need."""
+    out = object.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    if _TAPE is None:
+        out._entry = None
+    else:
+        out._entry = len(_TAPE)
+        _TAPE.append((out, formula, args))
+    return out
 
 
 def constant(data) -> Tensor:
@@ -132,49 +114,53 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _tracked(t: Tensor) -> bool:
     """Whether a gradient into t is used: a leaf that wants one, or a recorded op."""
-    return t.requires_grad or t._backward is not None
+    return t.requires_grad or t._entry is not None
+
+
+# Each op's backward formula takes the gradient g of its result and the
+# arguments the op handed to _wrap, and returns (operand, gradient) pairs.
+
+
+def _add_grad(g, a, b):
+    return tuple((t, _sum_to_shape(g, t.data.shape)) for t in (a, b) if _tracked(t))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
+    return _wrap(a.data + b.data, _add_grad, a, b)
 
-    def backward(g):
-        return tuple((t, _sum_to_shape(g, t.data.shape)) for t in (a, b) if _tracked(t))
 
-    return _wrap(out, (a, b), backward)
+def _sub_grad(g, a, b):
+    return tuple((t, _sum_to_shape(tg, t.data.shape)) for t, tg in ((a, g), (b, -g)) if _tracked(t))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
+    return _wrap(a.data - b.data, _sub_grad, a, b)
 
-    def backward(g):
-        return tuple((t, _sum_to_shape(tg, t.data.shape)) for t, tg in ((a, g), (b, -g)) if _tracked(t))
 
-    return _wrap(out, (a, b), backward)
+def _mul_grad(g, a, b):
+    return tuple(
+        (t, _sum_to_shape(g * other.data, t.data.shape)) for t, other in ((a, b), (b, a)) if _tracked(t)
+    )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    return _wrap(a.data * b.data, _mul_grad, a, b)
 
-    def backward(g):
-        return tuple(
-            (t, _sum_to_shape(g * other.data, t.data.shape)) for t, other in ((a, b), (b, a)) if _tracked(t)
-        )
 
-    return _wrap(out, (a, b), backward)
+def _scale_grad(g, a, factor):
+    return ((a, g * factor),)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
-    out = a.data * factor
-
-    def backward(g):
-        return ((a, g * factor),)
-
-    return _wrap(out, (a,), backward)
+    return _wrap(a.data * factor, _scale_grad, a, factor)
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
+
+
+def _matmul_grad(g, a, b):
+    return ((a, g @ _swap_last(b.data)), (b, _swap_last(a.data) @ g))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -182,12 +168,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     of two 3-D tensors."""
     if a.data.ndim != b.data.ndim:
         raise ValueError("matmul operands need the same number of dimensions")
-    out = a.data @ b.data
+    return _wrap(a.data @ b.data, _matmul_grad, a, b)
 
-    def backward(g):
-        return ((a, g @ _swap_last(b.data)), (b, _swap_last(a.data) @ g))
 
-    return _wrap(out, (a, b), backward)
+def _grouped_matmul_grad(g, x, spans):
+    dx = np.concatenate([g[lo:hi] @ w.data.T for w, lo, hi in spans])
+    return ((x, dx),) + tuple((w, x.data[lo:hi].T @ g[lo:hi]) for w, lo, hi in spans)
 
 
 def grouped_matmul(x: Tensor, weights: Sequence[Tensor], bounds: Sequence[int]) -> Tensor:
@@ -195,87 +181,61 @@ def grouped_matmul(x: Tensor, weights: Sequence[Tensor], bounds: Sequence[int]) 
     group of rows; the groups tile x."""
     spans = list(zip(weights, bounds[:-1], bounds[1:]))
     out = np.concatenate([x.data[lo:hi] @ w.data for w, lo, hi in spans])
+    return _wrap(out, _grouped_matmul_grad, x, spans)
 
-    def backward(g):
-        dx = np.concatenate([g[lo:hi] @ w.data.T for w, lo, hi in spans])
-        return ((x, dx),) + tuple((w, x.data[lo:hi].T @ g[lo:hi]) for w, lo, hi in spans)
 
-    return _wrap(out, (x, *weights), backward)
+def _transpose_grad(g, a):
+    return ((a, _swap_last(g)),)
 
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
-    out = _swap_last(a.data)
+    return _wrap(_swap_last(a.data), _transpose_grad, a)
 
-    def backward(g):
-        return ((a, _swap_last(g)),)
 
-    return _wrap(out, (a,), backward)
+def _reshape_grad(g, a):
+    return ((a, g.reshape(a.data.shape)),)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = a.data.reshape(shape)
+    return _wrap(a.data.reshape(shape), _reshape_grad, a)
 
-    def backward(g):
-        return ((a, g.reshape(a.data.shape)),)
 
-    return _wrap(out, (a,), backward)
+def _relu_grad(g, a, mask):
+    return ((a, g * mask),)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    out = a.data * mask
-
-    def backward(g):
-        return ((a, g * mask),)
-
-    return _wrap(out, (a,), backward)
+    return _wrap(a.data * mask, _relu_grad, a, mask)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    out = np.concatenate([p.data for p in parts], axis=1)
-
-    def backward(g):
-        grads = []
-        offset = 0
-        for part in parts:
-            width = part.data.shape[1]
-            grads.append((part, g[:, offset : offset + width]))
-            offset += width
-        return tuple(grads)
-
-    return _wrap(out, tuple(parts), backward)
+def _row_block_grad(g, a, rows):
+    full = np.zeros_like(a.data)
+    full[rows] = g
+    return ((a, full),)
 
 
 def row_block(a: Tensor, rows: slice) -> Tensor:
     """A contiguous block of rows of a, a[rows]."""
-    out = a.data[rows]
+    return _wrap(a.data[rows], _row_block_grad, a, rows)
 
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[rows] = g
-        return ((a, full),)
 
-    return _wrap(out, (a,), backward)
+def _sum_all_grad(g, a):
+    return ((a, np.full_like(a.data, float(g))),)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
+    return _wrap(np.asarray(a.data.sum()), _sum_all_grad, a)
 
-    def backward(g):
-        return ((a, np.full_like(a.data, float(g))),)
 
-    return _wrap(out, (a,), backward)
+def _gather_rows_grad(g, table, idx):
+    return ((table, _segment_sum(g, idx, table.data.shape[0])),)
 
 
 def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
-    out = table.data[idx]
-
-    def backward(g):
-        return ((table, _segment_sum(g, idx, table.data.shape[0])),)
-
-    return _wrap(out, (table,), backward)
+    return _wrap(table.data[idx], _gather_rows_grad, table, idx)
 
 
 def _segment_sum(x: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
@@ -293,16 +253,20 @@ def _segment_sum(x: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
     return sums.reshape((count,) + x.shape[1:])
 
 
+def _segment_sum_grad(g, x, ids):
+    return ((x, g[ids]),)
+
+
 def segment_sum(x: Tensor, ids, count: int) -> Tensor:
     """Row i of the (count, ...) result sums the rows of x whose id is i.
     Ids need not be sorted; an empty segment gives a zero row."""
     ids = np.asarray(ids, dtype=np.intp)
-    out = _segment_sum(x.data, ids, count)
+    return _wrap(_segment_sum(x.data, ids, count), _segment_sum_grad, x, ids)
 
-    def backward(g):
-        return ((x, g[ids]),)
 
-    return _wrap(out, (x,), backward)
+def _softmax_rows_grad(g, a, out):
+    inner = (g * out).sum(axis=-1, keepdims=True)
+    return ((a, out * (g - inner)),)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -310,12 +274,19 @@ def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     out = exp / exp.sum(axis=-1, keepdims=True)
+    return _wrap(out, _softmax_rows_grad, a, out)
 
-    def backward(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return ((a, out * (g - inner)),)
 
-    return _wrap(out, (a,), backward)
+def _layer_norm_grad(g, x, gain, bias, inv, xhat):
+    dxhat = g * gain.data
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+    )
+    dgain = _sum_to_shape(g * xhat, gain.data.shape)
+    dbias = _sum_to_shape(g, bias.data.shape)
+    return ((x, dx), (gain, dgain), (bias, dbias))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -326,31 +297,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = np.add.reduce(centred * centred, axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
-    out = xhat * gain.data + bias.data
+    return _wrap(xhat * gain.data + bias.data, _layer_norm_grad, x, gain, bias, inv, xhat)
 
-    def backward(g):
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-        )
-        dgain = _sum_to_shape(g * xhat, gain.data.shape)
-        dbias = _sum_to_shape(g, bias.data.shape)
-        return ((x, dx), (gain, dgain), (bias, dbias))
 
-    return _wrap(out, (x, gain, bias), backward)
+def _affine_grad(g, x, weight, bias):
+    return (
+        (x, g @ weight.data.T),
+        (weight, x.data.T @ g),
+        (bias, _sum_to_shape(g, bias.data.shape)),
+    )
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias as one tape node."""
-    out = x.data @ weight.data + bias.data
-
-    def backward(g):
-        return (
-            (x, g @ weight.data.T),
-            (weight, x.data.T @ g),
-            (bias, _sum_to_shape(g, bias.data.shape)),
-        )
-
-    return _wrap(out, (x, weight, bias), backward)
+    return _wrap(x.data @ weight.data + bias.data, _affine_grad, x, weight, bias)

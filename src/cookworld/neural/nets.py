@@ -484,9 +484,12 @@ class PolicyNet:
             weights = (valid / lengths[:, None]).reshape(-1, 1)
             segments = np.repeat(np.arange(b), width)
         x = ad.add(ad.gather_rows(self.params["word_emb"], token_ids), ad.constant(positions))
-        q = ad.reshape(ad.matmul(x, self.params["attn.wq"]), (b, width, d))
-        k = ad.reshape(ad.matmul(x, self.params["attn.wk"]), (b, width, d))
+        # v, k, q in this order: backward sums x's gradients in reverse
+        # creation order of its consumers, so x gets them as (residual, q,
+        # k, v), the order the golden training runs were pinned with
         v = ad.reshape(ad.matmul(x, self.params["attn.wv"]), (b, width, d))
+        k = ad.reshape(ad.matmul(x, self.params["attn.wk"]), (b, width, d))
+        q = ad.reshape(ad.matmul(x, self.params["attn.wq"]), (b, width, d))
         scores = ad.scale(ad.matmul(q, ad.transpose(k)), self._attn_scale)
         if mask is not None:
             scores = ad.add(scores, ad.constant(mask))
@@ -533,8 +536,8 @@ class PolicyNet:
 
     def q_tensor(self, states: Sequence[tuple[KGObservation, Optional[str], Sequence[str]]]) -> Tensor:
         """Q for every candidate of every (obs, cond_text, candidates) state,
-        laid end to end, as one packed pass, (n, 1), taped unless under
-        no_grad: the one place a pass is deduplicated, into one graph pass over
+        laid end to end, as one packed pass, (n, 1), taped inside ad.tape():
+        the one place a pass is deduplicated, into one graph pass over
         the distinct observations and one text pass over the distinct
         candidate and instruction texts (see score_tensor)."""
         conds = [self._instruction(cond, candidates) for _, cond, candidates in states]
@@ -551,14 +554,12 @@ class PolicyNet:
     # -- cached inference ----------------------------------------------------
 
     def graph_vector(self, obs: KGObservation) -> np.ndarray:
-        """One observation's graph encoding, (1, d), no gradients recorded."""
-        with ad.no_grad():
-            return self.graph_tensor([obs]).data
+        """One observation's graph encoding, (1, d)."""
+        return self.graph_tensor([obs]).data
 
     def text_vector(self, text: str) -> np.ndarray:
-        """One text's encoding, (1, d), no gradients recorded."""
-        with ad.no_grad():
-            return self.text_tensor([text]).data
+        """One text's encoding, (1, d)."""
+        return self.text_tensor([text]).data
 
     def _projection(self, part: int, item) -> np.ndarray:
         """An item's first-layer scorer row for input part `part` (see

@@ -33,15 +33,15 @@ def double_dqn_target(
 def _next_state_targets(batch, online: PolicyNet, target: PolicyNet, gamma: float) -> np.ndarray:
     """Double DQN targets for a batch, from the next states of its
     non-terminal transitions. The online net, whose weights change at every
-    update, scores them in one fresh no-grad pass; the target net scores
-    them from its memo, which lasts until the next sync_target."""
+    update, scores them in one fresh pass, run before td_update opens its
+    tape and so recording nothing; the target net scores them from its
+    memo, which lasts until the next sync_target."""
     targets = np.array([tr.td_reward for tr in batch], dtype=np.float64)
     live = [(i, tr) for i, tr in enumerate(batch) if not tr.done]
     if not live:
         return targets
     states = [(tr.next_obs, tr.cond_text, tr.next_candidates) for _, tr in live]
-    with ad.no_grad():
-        q_on = online.q_tensor(states).data[:, 0]
+    q_on = online.q_tensor(states).data[:, 0]
     start = 0
     for (i, tr), state in zip(live, states):
         rows = slice(start, start + len(tr.next_candidates))
@@ -63,20 +63,21 @@ def td_update(
     """Sample, regress Q(s, a) onto the Double DQN target with importance
     weights, refresh sampled priorities, and apply one Adam step.
 
-    The online net scores the batch's chosen actions on the tape in one
-    packed pass (see PolicyNet.q_tensor)."""
+    The one place the program records a tape: the online net scores the
+    batch's chosen actions on it in one packed pass (see
+    PolicyNet.q_tensor), and the loss is taken back through it."""
     batch, indices, weights = buffer.sample(batch_size, rng)
     targets = _next_state_targets(batch, online, target, gamma)
 
     online.zero_grad()
-    q_rows = online.q_tensor([(tr.obs, tr.cond_text, (tr.chosen_text,)) for tr in batch])
-    errors = ad.sub(q_rows, ad.constant(targets[:, None]))
-    weighted = ad.mul(ad.mul(errors, errors), ad.constant(weights[:, None]))
-    loss = ad.scale(ad.sum_all(weighted), 1.0 / len(batch))
-    loss_value = loss.item()
-    loss.backward()
+    with ad.tape():
+        q_rows = online.q_tensor([(tr.obs, tr.cond_text, (tr.chosen_text,)) for tr in batch])
+        errors = ad.sub(q_rows, ad.constant(targets[:, None]))
+        weighted = ad.mul(ad.mul(errors, errors), ad.constant(weights[:, None]))
+        loss = ad.scale(ad.sum_all(weighted), 1.0 / len(batch))
+        loss.backward()
     apply_update(online, adam, lr=lr)
 
     td_errors = np.abs(q_rows.data[:, 0] - targets)
     buffer.update_priorities(indices, td_errors)
-    return loss_value
+    return loss.item()

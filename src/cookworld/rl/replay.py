@@ -101,11 +101,6 @@ class PrioritizedBuffer:
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def probabilities(self) -> np.ndarray:
-        """Exact sampling distribution over stored entries (for tests)."""
-        live = self.priorities[: self.size]
-        return live / live.sum()
-
     def sample(self, batch_size: int, rng: np.random.Generator):
         if self.size < batch_size:
             raise UnderfullBufferError(f"buffer holds {self.size} < batch {batch_size}")

@@ -79,6 +79,9 @@ def load_game_dir(path: str | Path) -> dict[str, dict[str, list[GameSpec]]]:
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {root}")
     try:
         manifest = read_record(Manifest, json.loads(manifest_path.read_text()), ValueError)
+        for i, entry in enumerate(manifest.games):
+            if entry.split not in SPLITS:
+                raise ValueError(f"games[{i}].split must be one of {', '.join(SPLITS)}, got {entry.split!r}")
     except ValueError as exc:  # not UTF-8, not JSON, or not a manifest
         raise ValueError(f"malformed {manifest_path}: {exc}") from exc
     out: dict[str, dict[str, list[GameSpec]]] = {}

@@ -252,9 +252,10 @@ def test_criterion_gradient_checks():
         }
         for block, build in builds.items():
             net.zero_grad()
-            out = build()
-            loss = ad.sum_all(ad.mul(out, out))
-            loss.backward()
+            with ad.tape():
+                out = build()
+                loss = ad.sum_all(ad.mul(out, out))
+                loss.backward()
             names = [n for n, p in net.params.items() if p.grad is not None]
             for _ in range(4):
                 name = names[int(rng.integers(0, len(names)))]
@@ -297,7 +298,8 @@ def test_criterion_per_and_gating():
     buf = PrioritizedBuffer(8, alpha=0.6)
     for p in priorities:
         buf.push(_Rec(0.0), priority=p)
-    expected = buf.probabilities()
+    live = buf.priorities[: len(buf)]  # each entry's priority ** alpha
+    expected = live / live.sum()
     rng = np.random.default_rng(2024)
     counts = np.zeros(8)
     draws = 100_000
@@ -539,17 +541,47 @@ def test_only_q_tensor_deduplicates_a_pass():
     assert callers == {"neural/nets.py:PolicyNet.q_tensor"}, callers
 
 
-def test_only_wrap_and_the_mode_switches_read_the_grad_mode():
-    """No autodiff op checks the grad mode itself: _wrap decides whether an
-    op's result records its graph, so only it, no_grad and grad_enabled read
-    _GRAD_ENABLED."""
-    readers = source_defs_where(
-        lambda node: isinstance(node, ast.Name) and node.id == "_GRAD_ENABLED"
-        and isinstance(node.ctx, ast.Load)
+def test_only_wrap_tape_and_backward_read_the_tape():
+    """No autodiff op checks for a tape itself: _wrap decides whether an
+    op's result is recorded, Tensor.backward walks the tape, and only
+    tape() opens and closes one."""
+    def uses(ctx):
+        return source_defs_where(
+            lambda node: isinstance(node, ast.Name) and node.id == "_TAPE" and isinstance(node.ctx, ctx)
+        )
+
+    assert uses(ast.Load) == {
+        "neural/autodiff.py:_wrap", "neural/autodiff.py:tape", "neural/autodiff.py:Tensor.backward",
+    }, uses(ast.Load)
+    assert uses(ast.Store) == {"neural/autodiff.py:<module>", "neural/autodiff.py:tape"}, uses(ast.Store)
+
+
+def test_only_td_update_opens_a_tape():
+    """The program trains in one place: every other pass (acting,
+    validation, eval, the next-state targets) runs outside a tape and
+    records nothing."""
+    openers = source_defs_where(
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "tape"
     )
-    assert readers == {
-        "neural/autodiff.py:no_grad", "neural/autodiff.py:grad_enabled", "neural/autodiff.py:_wrap",
-    }, readers
+    assert openers == {"rl/dqn.py:td_update"}, openers
+
+
+def test_autodiff_defines_no_nested_function():
+    """Every backward formula is a module-level function over the gradient
+    and what its op handed to _wrap: no op builds a closure per call. A
+    node inside a nested def sits in a scope below a function, or two below
+    a class; a lambda is a nested function too."""
+    path = Path(__file__).parent.parent / "src" / "cookworld" / "neural" / "autodiff.py"
+    classes = {node.name for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)}
+    scopes = [
+        site.partition(":")[2].split(".") for site in source_defs_where(lambda node: True)
+        if site.startswith("neural/autodiff.py:")
+    ]
+    nested = [scope for scope in scopes if len(scope) > (2 if scope[0] in classes else 1)]
+    assert not nested, nested
+    lambdas = source_defs_where(lambda node: isinstance(node, ast.Lambda))
+    assert not {site for site in lambdas if site.startswith("neural/autodiff.py:")}, lambdas
 
 
 def test_only_the_engine_builds_trusted_graphs():

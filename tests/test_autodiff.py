@@ -26,8 +26,8 @@ def finite_diff(fn, arrays, h=1e-6):
 
 
 def check_op(build, shapes, seed=0, tol=1e-6):
-    """build's gradients against central differences, and its result under
-    no_grad against the taped one: the same bits, with no graph recorded."""
+    """build's gradients against central differences, and its result outside
+    a tape against the taped one: the same bits, with no graph recorded."""
     rng = np.random.default_rng(seed)
     arrays = [rng.standard_normal(s) for s in shapes]
 
@@ -37,16 +37,16 @@ def check_op(build, shapes, seed=0, tol=1e-6):
         return float((out.data * np.cos(np.arange(out.data.size)).reshape(out.data.shape)).sum())
 
     tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
-    out = build(*tensors)
-    with ad.no_grad():
-        bare = build(*[ad.Tensor(a, requires_grad=True) for a in arrays])
-    assert bare.data.dtype == out.data.dtype and bare.data.shape == out.data.shape, build.__name__
-    assert bare.data.tobytes() == out.data.tobytes(), build.__name__
-    with pytest.raises(ad.DetachedGraphError):
-        bare.backward()
-    weight = np.cos(np.arange(out.data.size)).reshape(out.data.shape)
-    loss = ad.sum_all(ad.mul(out, ad.constant(weight)))
-    loss.backward()
+    bare = build(*[ad.Tensor(a, requires_grad=True) for a in arrays])
+    with ad.tape():
+        out = build(*tensors)
+        assert bare.data.dtype == out.data.dtype and bare.data.shape == out.data.shape, build.__name__
+        assert bare.data.tobytes() == out.data.tobytes(), build.__name__
+        with pytest.raises(ad.DetachedGraphError):
+            bare.backward()
+        weight = np.cos(np.arange(out.data.size)).reshape(out.data.shape)
+        loss = ad.sum_all(ad.mul(out, ad.constant(weight)))
+        loss.backward()
     numeric = finite_diff(scalar, arrays)
     for t, num in zip(tensors, numeric):
         analytic = t.grad if t.grad is not None else np.zeros_like(num)
@@ -103,10 +103,6 @@ def test_reshape():
 
 def test_relu():
     check_op(lambda a: ad.relu(a), [(4, 4)], seed=3)
-
-
-def test_concat_cols():
-    check_op(lambda a, b: ad.concat_cols([a, b]), [(3, 2), (3, 4)])
 
 
 def test_row_block():
@@ -206,9 +202,34 @@ def test_affine():
 
 def test_shared_parent_accumulates():
     x = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-    out = ad.sum_all(ad.mul(x, x))  # d/dx x^2 = 2x through two paths
-    out.backward()
+    with ad.tape():
+        out = ad.sum_all(ad.mul(x, x))  # d/dx x^2 = 2x through two paths
+        out.backward()
     assert np.allclose(x.grad, [[2.0, 4.0]])
+
+
+def test_gradients_sum_in_reverse_creation_order_of_consumers():
+    """A result's gradient is complete when the reverse walk reaches it: its
+    consumers' contributions, summed in reverse order of their creation.
+    Here the four sums round differently in creation order."""
+    leaf = ad.Tensor(np.ones((1, 3)), requires_grad=True)
+    factors = (1.0, 1e16, 3.0, -1e16)
+    with ad.tape():
+        x = ad.add(leaf, ad.constant(np.zeros((1, 3))))  # a taped result, as text_tensor's x
+        consumers = [ad.scale(x, f) for f in factors]
+        total = consumers[0]
+        for consumer in consumers[1:]:
+            total = ad.add(total, consumer)
+        ad.sum_all(total).backward()
+
+    def summed(order):
+        grad = None
+        for f in order:
+            grad = np.full((1, 3), f) if grad is None else grad + np.full((1, 3), f)
+        return grad.tobytes()
+
+    assert summed(factors) != summed(factors[::-1])
+    assert leaf.grad.tobytes() == summed(factors[::-1])
 
 
 def test_residual_over_one_row_keeps_each_gradient():
@@ -219,25 +240,38 @@ def test_residual_over_one_row_keeps_each_gradient():
 
 def test_zero_loss_zero_gradients():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-    loss = ad.scale(ad.sum_all(x), 0.0)
-    loss.backward()
+    with ad.tape():
+        loss = ad.scale(ad.sum_all(x), 0.0)
+        loss.backward()
     assert np.allclose(x.grad, 0.0)
 
 
 def test_detached_graph_error():
     plain = ad.Tensor(np.ones((2, 2)))
-    with pytest.raises(ad.DetachedGraphError):
-        plain.backward()
-    with ad.no_grad():
-        x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-        out = ad.sum_all(ad.mul(x, x))
-    with pytest.raises(ad.DetachedGraphError):
-        out.backward()
-
-
-def test_no_grad_blocks_recording():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-    with ad.no_grad():
-        out = ad.relu(x)
-    assert out._parents == ()
-    assert ad.grad_enabled()
+    untaped = ad.sum_all(ad.mul(x, x))
+    with ad.tape():
+        first = ad.sum_all(ad.mul(x, x))
+    for tensor in (plain, untaped, first):
+        with pytest.raises(ad.DetachedGraphError):
+            tensor.backward()
+    # a result of a closed tape is not on the next one, whichever entry it had
+    with ad.tape():
+        second = ad.sum_all(ad.mul(x, x))
+        with pytest.raises(ad.DetachedGraphError):
+            first.backward()
+        second.backward()
+    assert np.array_equal(x.grad, [[2.0, 2.0], [2.0, 2.0]])
+
+
+def test_ops_outside_a_tape_record_nothing():
+    x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    assert ad.relu(x)._entry is None and ad._TAPE is None
+    with ad.tape():
+        taped = ad.relu(x)
+        entries = ad._TAPE
+        with ad.tape():  # a nested tape is a fresh one
+            assert ad._TAPE == []
+        again = ad.relu(x)
+    assert [entry[0] for entry in entries] == [taped, again]
+    assert ad.relu(x)._entry is None and ad._TAPE is None

@@ -576,6 +576,8 @@ def test_eval_malformed_pseudo_checkpoint_is_io_error(body, tmp_path, capsys):
 BAD_ENTRIES = {
     "number as file": ({"file": 3}, "games[0].file must be a string, got 3"),
     "list as split": ({"split": ["train"]}, "games[0].split must be a string, got ['train']"),
+    "unknown split": ({"split": "training"},
+                      "games[0].split must be one of train, val, test-seen, test-unseen, got 'training'"),
 }
 
 

@@ -13,6 +13,7 @@ from cookworld.neural.nets import EmptyCandidatesError, PolicyNet, clone_net, sy
 from cookworld.neural.optim import AdamState, apply_update
 from cookworld.rl.dqn import double_dqn_target, td_update
 from cookworld.rl.replay import PrioritizedBuffer, Transition
+from conftest import concatenated_scores
 
 
 def test_terminal_target_is_reward():
@@ -177,39 +178,32 @@ def warm_trainers(tmp_path_factory):
     return trainers
 
 
-def concatenated_scores(net, state, cand):
-    """The scorer as one first layer over [state; candidate] rows: the form
-    PolicyNet.score_tensor factorizes per input block."""
-    p = net.params
-    hidden = ad.relu(ad.affine(ad.concat_cols([state, cand]), p["scorer.w1"], p["scorer.b1"]))
-    return ad.affine(hidden, p["scorer.w2"], p["scorer.b2"])
-
-
 def per_transition_reference(batch, weights, online, target, gamma):
     """Loss, parameter gradients and TD errors of one update, built from
     batch-1 encoder calls, one transition at a time."""
     online.zero_grad()
     loss = None
     errors = []
-    for tr, w in zip(batch, weights):
-        if tr.done:
-            y = tr.td_reward
-        else:
-            candidates = list(tr.next_candidates)
-            y = double_dqn_target(
-                tr.td_reward, False,
-                online.q_values(tr.next_obs, tr.cond_text, candidates),
-                target.q_values(tr.next_obs, tr.cond_text, candidates), gamma,
-            )
-        state = online.graph_tensor([tr.obs])
-        if online.state_parts == 2:
-            state = ad.concat_cols([state, online.text_tensor([tr.cond_text])])
-        q = concatenated_scores(online, state, online.text_tensor([tr.chosen_text]))
-        err = ad.sub(q, ad.constant([[y]]))
-        term = ad.scale(ad.mul(err, err), w / len(batch))
-        loss = term if loss is None else ad.add(loss, term)
-        errors.append(abs(float(err.data[0, 0])))
-    loss.backward()
+    with ad.tape():
+        for tr, w in zip(batch, weights):
+            if tr.done:
+                y = tr.td_reward
+            else:
+                candidates = list(tr.next_candidates)
+                y = double_dqn_target(
+                    tr.td_reward, False,
+                    online.q_values(tr.next_obs, tr.cond_text, candidates),
+                    target.q_values(tr.next_obs, tr.cond_text, candidates), gamma,
+                )
+            state = [online.graph_tensor([tr.obs])]
+            if online.state_parts == 2:
+                state.append(online.text_tensor([tr.cond_text]))
+            q = concatenated_scores(online, *state, online.text_tensor([tr.chosen_text]))
+            err = ad.sub(q, ad.constant([[y]]))
+            term = ad.scale(ad.mul(err, err), w / len(batch))
+            loss = term if loss is None else ad.add(loss, term)
+            errors.append(abs(float(err.data[0, 0])))
+        loss.backward()
     grads = {name: p.grad for name, p in online.params.items()}
     return float(loss.data[0, 0]), grads, np.array(errors)
 
@@ -240,8 +234,7 @@ def test_batched_update_matches_per_transition_reference(warm_trainers, variant,
         return real_apply(net, *args, **kwargs)
 
     # acting (batch-1 q_values) and the learner's batched Q agree on a non-trivial net
-    with ad.no_grad():
-        q_batched = online.q_tensor([(tr.obs, tr.cond_text, (tr.chosen_text,)) for tr in batch]).data[:, 0]
+    q_batched = online.q_tensor([(tr.obs, tr.cond_text, (tr.chosen_text,)) for tr in batch]).data[:, 0]
     q_acting = [online.q_values(tr.obs, tr.cond_text, [tr.chosen_text])[0] for tr in batch]
     assert np.allclose(q_batched, q_acting, rtol=0, atol=1e-12)
 
@@ -280,15 +273,16 @@ def test_factorized_scorer_equals_concatenated_form_on_replay(warm_trainers, var
     weights = ad.constant(np.sin(np.arange(len(rows)))[:, None])
 
     def concatenated():
-        state = net.graph_tensor([obs for obs, _, _ in rows])
+        state = [net.graph_tensor([obs for obs, _, _ in rows])]
         if net.state_parts == 2:
-            state = ad.concat_cols([state, net.text_tensor([cond for _, cond, _ in rows])])
-        return concatenated_scores(net, state, net.text_tensor([c for _, _, c in rows]))
+            state.append(net.text_tensor([cond for _, cond, _ in rows]))
+        return concatenated_scores(net, *state, net.text_tensor([c for _, _, c in rows]))
 
     def run(build):
         net.zero_grad()
-        q = build()
-        ad.sum_all(ad.mul(q, weights)).backward()
+        with ad.tape():
+            q = build()
+            ad.sum_all(ad.mul(q, weights)).backward()
         return q.data, {name: p.grad for name, p in net.params.items()}
 
     got, got_grads = run(lambda: net.q_tensor(states))
@@ -331,10 +325,9 @@ def test_cached_targets_match_the_batched_pass(warm_trainers, variant, level):
     live = [tr for tr in batch if not tr.done]
     assert live
 
-    # reference: both nets scored by the packed no-grad pass
-    with ad.no_grad():
-        ref_on = online.q_tensor(next_states(batch)).data[:, 0]
-        ref_tg = target.q_tensor(next_states(batch)).data[:, 0]
+    # reference: both nets scored by the packed untaped pass
+    ref_on = online.q_tensor(next_states(batch)).data[:, 0]
+    ref_tg = target.q_tensor(next_states(batch)).data[:, 0]
     assert np.allclose(memoized_q(target, next_states(batch)), ref_tg, rtol=0, atol=1e-12)
     expected, start = [], 0
     for tr in batch:

@@ -88,12 +88,13 @@ def backward_q(net, step):
     other step the loss is large enough for the clip to trigger."""
     net.zero_grad()
     conds = ["find cilantro"] if net.state_parts == 2 else []
-    q = net.score_tensor(
-        net.graph_tensor([OBSERVATIONS[step % 2]]),
-        net.text_tensor(["open fridge", "take knife"] + conds),
-        np.zeros(2, dtype=np.intp), np.arange(2), np.full(2, 2) if conds else None,
-    )
-    ad.scale(ad.sum_all(ad.mul(q, q)), 1e4 if step % 2 else 1e-2).backward()
+    with ad.tape():
+        q = net.score_tensor(
+            net.graph_tensor([OBSERVATIONS[step % 2]]),
+            net.text_tensor(["open fridge", "take knife"] + conds),
+            np.zeros(2, dtype=np.intp), np.arange(2), np.full(2, 2) if conds else None,
+        )
+        ad.scale(ad.sum_all(ad.mul(q, q)), 1e4 if step % 2 else 1e-2).backward()
     if step % 5 == 0:
         net.params["ff.w1"].grad = None
     return {name: p.grad for name, p in net.params.items()}

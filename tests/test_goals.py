@@ -27,13 +27,21 @@ def test_goal_text_rendering():
     assert Goal("EatMeal").text == EAT_MEAL_TEXT
 
 
-def test_goal_text_round_trip():
-    for g in (
+def test_goal_text_round_trip(s1_trace, s4_trace):
+    """A goal's text names it within its goal set, so a stored instruction
+    text stands for one goal: on constructed goals and on every goal set of
+    the golden traces."""
+    sets = [GoalSet([
         Goal("Find", ingredient="red hot pepper"),
+        Goal("Prepare", ingredient="red hot pepper", requirement="fried"),
         Goal("Prepare", ingredient="cilantro", requirement="fried"),
         Goal("EatMeal"),
-    ):
-        assert Goal.from_text(g.text) == g
+    ])]
+    sets += [generate_goal_set(row.obs) for trace in (s1_trace, s4_trace) for row in trace]
+    for goals in sets:
+        by_text = {g.text: g for g in goals}
+        assert len(by_text) == len(goals)
+        assert all(by_text[g.text] == g for g in goals)
 
 
 def test_goal_set_ordering():
@@ -63,9 +71,9 @@ def test_goal_set_from_s4_step0(s4_trace):
 
 
 def test_goal_rewards_on_s1_trace(s1_trace):
-    find = Goal.from_text("find cilantro")
-    diced = Goal.from_text("diced cilantro")
-    meal = Goal.from_text(EAT_MEAL_TEXT)
+    find = Goal("Find", ingredient="cilantro")
+    diced = Goal("Prepare", ingredient="cilantro", requirement="diced")
+    meal = Goal("EatMeal")
     assert goal_reward(obs_at(s1_trace, 3), find) == R_MAX
     assert goal_reward(obs_at(s1_trace, 4), diced) == R_MIN
     assert goal_reward(obs_at(s1_trace, 5), diced) == R_MAX
@@ -74,7 +82,7 @@ def test_goal_rewards_on_s1_trace(s1_trace):
 
 
 def test_custom_reward_bounds(s1_trace):
-    find = Goal.from_text("find cilantro")
+    find = Goal("Find", ingredient="cilantro")
     assert goal_reward(obs_at(s1_trace, 3), find, r_min=-1.0, r_max=2.5) == 2.5
     assert goal_reward(obs_at(s1_trace, 0), find, r_min=-1.0, r_max=2.5) == -1.0
 
@@ -85,7 +93,7 @@ def test_malformed_observation_raises():
 
 
 def test_goal_terminated_contract(s1_trace):
-    find = Goal.from_text("find cilantro")
+    find = Goal("Find", ingredient="cilantro")
     accomplished = obs_at(s1_trace, 3)
     pending = obs_at(s1_trace, 0)
     assert goal_terminated(accomplished, find, False)

@@ -21,6 +21,7 @@ from cookworld.neural.nets import (
     sync_target,
 )
 from cookworld.neural.optim import AdamState, apply_update
+from conftest import concatenated_scores
 
 
 @pytest.fixture(scope="module")
@@ -46,18 +47,9 @@ def score(net, state, candidates):
     rows = np.zeros(n, dtype=np.intp) if len(state) == 1 else np.arange(len(state))
     texts = np.concatenate([cand, state[:, net.d:].reshape(-1, net.d)])
     conds = n + rows if net.state_parts == 2 else None
-    with ad.no_grad():
-        return net.score_tensor(
-            ad.constant(state[:, : net.d]), ad.constant(texts), rows, np.arange(n), conds
-        ).data[:, 0]
-
-
-def concatenated_scores(net, state, cand):
-    """The scorer as one first layer over [state; candidate] rows: the form
-    score_tensor factorizes per input block."""
-    p = net.params
-    hidden = ad.relu(ad.affine(ad.concat_cols([state, cand]), p["scorer.w1"], p["scorer.b1"]))
-    return ad.affine(hidden, p["scorer.w2"], p["scorer.b2"])
+    return net.score_tensor(
+        ad.constant(state[:, : net.d]), ad.constant(texts), rows, np.arange(n), conds
+    ).data[:, 0]
 
 
 def small_obs():
@@ -98,13 +90,12 @@ def test_graph_layout_follows_the_vocabulary(vocab):
     small_vocab = Vocabulary(("counter", "on", "parsley", "player"))
     small = tiny_net(small_vocab, seed=2)
     full = tiny_net(vocab, seed=2)
-    with ad.no_grad():
-        small_first = small.graph_tensor([obs]).data
-        full_second = full.graph_tensor([obs]).data
-        small_vocab.graph_layouts.clear()
-        vocab.graph_layouts.clear()
-        assert np.array_equal(full_second, full.graph_tensor([obs]).data)
-        assert np.array_equal(small_first, small.graph_tensor([obs]).data)
+    small_first = small.graph_tensor([obs]).data
+    full_second = full.graph_tensor([obs]).data
+    small_vocab.graph_layouts.clear()
+    vocab.graph_layouts.clear()
+    assert np.array_equal(full_second, full.graph_tensor([obs]).data)
+    assert np.array_equal(small_first, small.graph_tensor([obs]).data)
 
 
 def test_single_triplet_one_layer_hand_computed(vocab):
@@ -153,9 +144,8 @@ def test_graph_batch_equals_each_alone(vocab, s1_spec, s4_spec):
     net = tiny_net(vocab, seed=21, parts=1)
     found = game_observations(s1_spec, s4_spec)
     batch = found + [found[3], found[0], found[1]]  # duplicates, and the empty one twice
-    with ad.no_grad():
-        packed = net.graph_tensor(batch).data
-        alone = np.concatenate([net.graph_tensor([obs]).data for obs in batch])
+    packed = net.graph_tensor(batch).data
+    alone = np.concatenate([net.graph_tensor([obs]).data for obs in batch])
     assert packed.shape == (len(batch), 8)
     # not bit-equal: numpy computes a one-row matrix product (a relation
     # with one target row in an observation alone) by gemv, which rounds
@@ -169,11 +159,13 @@ def test_graph_batch_gradients_equal_each_alone(vocab, s1_spec, s4_spec):
     batch = game_observations(s1_spec, s4_spec)
     weights = np.cos(np.arange(len(batch) * 8)).reshape(len(batch), 8)
     net.zero_grad()
-    ad.sum_all(ad.mul(net.graph_tensor(batch), ad.constant(weights))).backward()
+    with ad.tape():
+        ad.sum_all(ad.mul(net.graph_tensor(batch), ad.constant(weights))).backward()
     packed = {name: p.grad for name, p in net.params.items()}
     net.zero_grad()
     for obs, w in zip(batch, weights):
-        ad.sum_all(ad.mul(net.graph_tensor([obs]), ad.constant(w[None]))).backward()
+        with ad.tape():
+            ad.sum_all(ad.mul(net.graph_tensor([obs]), ad.constant(w[None]))).backward()
     for name, p in net.params.items():
         assert (p.grad is None) == (packed[name] is None), name
         if p.grad is not None:
@@ -225,9 +217,8 @@ def test_node_classes_separate_nodes_that_differ(vocab, case):
     net = tiny_net(vocab, seed=26, layers=2, d=16)
     plan = _encoder_pass([_layout_for(obs, vocab) for obs in (first, second)], 2)
     assert (len(plan.token_scale), *(n for _, _, n in plan.layers)) == counts
-    with ad.no_grad():
-        packed = net.graph_tensor([first, second]).data
-        alone = np.concatenate([net.graph_tensor([obs]).data for obs in (first, second)])
+    packed = net.graph_tensor([first, second]).data
+    alone = np.concatenate([net.graph_tensor([obs]).data for obs in (first, second)])
     assert np.allclose(packed, alone, rtol=0, atol=1e-12)
     assert not np.allclose(alone[0], alone[1])
 
@@ -238,14 +229,16 @@ def test_text_batch_equals_each_alone(vocab):
              "dice red apple with knife", "find cilantro"]
     weights = np.sin(np.arange(len(texts) * 8)).reshape(len(texts), 8)
     net.zero_grad()
-    packed = net.text_tensor(texts)
-    ad.sum_all(ad.mul(packed, ad.constant(weights))).backward()
+    with ad.tape():
+        packed = net.text_tensor(texts)
+        ad.sum_all(ad.mul(packed, ad.constant(weights))).backward()
     packed_grads = {name: p.grad for name, p in net.params.items()}
     net.zero_grad()
     alone = []
     for text, w in zip(texts, weights):
-        row = net.text_tensor([text])
-        ad.sum_all(ad.mul(row, ad.constant(w[None]))).backward()
+        with ad.tape():
+            row = net.text_tensor([text])
+            ad.sum_all(ad.mul(row, ad.constant(w[None]))).backward()
         alone.append(row.data)
     assert np.allclose(packed.data, np.concatenate(alone), rtol=0, atol=1e-12)
     for name, p in net.params.items():
@@ -403,8 +396,7 @@ def test_memoized_q_is_read_only_and_bad_states_still_raise(vocab, parts):
             q[0] = 0.0
     assert qs[0] is first
     # the packed pass scores the same states as the memo
-    with ad.no_grad():
-        assert np.allclose(net.q_tensor(states).data[:, 0], np.concatenate(qs), rtol=0, atol=1e-12)
+    assert np.allclose(net.q_tensor(states).data[:, 0], np.concatenate(qs), rtol=0, atol=1e-12)
     with pytest.raises(EmptyCandidatesError):
         net.q_values(small_obs(), cond, [])
 
@@ -465,15 +457,16 @@ def test_factorized_scorer_equals_concatenated_form(vocab, s1_spec, s4_spec, par
 
     def concatenated():
         encoded = net.text_tensor(texts)
-        state = ad.gather_rows(net.graph_tensor(observations), graph_rows)
+        state = [ad.gather_rows(net.graph_tensor(observations), graph_rows)]
         if parts == 2:
-            state = ad.concat_cols([state, ad.gather_rows(encoded, cond_rows)])
-        return concatenated_scores(net, state, ad.gather_rows(encoded, cand_rows))
+            state.append(ad.gather_rows(encoded, cond_rows))
+        return concatenated_scores(net, *state, ad.gather_rows(encoded, cand_rows))
 
     def run(build):
         net.zero_grad()
-        q = build()
-        ad.sum_all(ad.mul(q, weights)).backward()
+        with ad.tape():
+            q = build()
+            ad.sum_all(ad.mul(q, weights)).backward()
         return q.data, {name: p.grad for name, p in net.params.items()}
 
     got, got_grads = run(factorized)
@@ -496,11 +489,11 @@ def test_factorized_scorer_equals_concatenated_form(vocab, s1_spec, s4_spec, par
 
 def _loss_through(net, build):
     net.zero_grad()
-    out = build()
-    loss = ad.sum_all(ad.mul(out, out))
-    value = loss.item()
-    loss.backward()
-    return value
+    with ad.tape():
+        out = build()
+        loss = ad.sum_all(ad.mul(out, out))
+        loss.backward()
+    return loss.item()
 
 
 def _max_rel_error(net, build, rng, trials=6, h=1e-4):
@@ -566,7 +559,8 @@ def test_gradient_check_through_shared_nodes(vocab, s1_spec, s4_spec):
         return ad.sum_all(ad.mul(out, out))
 
     net.zero_grad()
-    loss().backward()
+    with ad.tape():
+        loss().backward()
     h = 1e-5
     checked = 0
     for name, p in net.params.items():

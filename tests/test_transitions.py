@@ -7,7 +7,7 @@ import pytest
 
 from cookworld.engine.generate import generate_game
 from cookworld.engine.state import admissible_actions
-from cookworld.goals import Goal, goal_reward
+from cookworld.goals import generate_goal_set, goal_reward
 from cookworld.rl.replay import Transition
 from cookworld.training import loop
 from cookworld.training.config import TrainConfig
@@ -72,11 +72,15 @@ def test_sub_adapters(monkeypatch):
     sub = flushed["sub"]
     assert len(sub) == len(steps) == len(bonuses) == rec.steps > 0
     assert any(b > 0 for b in bonuses)
-    for trn, (action, state, next_obs, _, done), b in zip(sub, steps, bonuses):
+    goals = {}  # each span's goal, chosen from the goal set of its first observation
+    for span in rec.goal_spans:
+        goal = {g.text: g for g in generate_goal_set(sub[span.start].obs)}[span.goal]
+        goals.update((i, goal) for i in range(span.start, span.end))
+    for i, (trn, (action, state, next_obs, _, done), b) in enumerate(zip(sub, steps, bonuses)):
         assert isinstance(trn, Transition) and trn.level == "S1"
         assert trn.chosen_text == action
         assert trn.next_obs is next_obs
-        goal = Goal.from_text(trn.cond_text)
+        goal = goals[i]
         assert trn.gate_reward == goal_reward(next_obs, goal, cfg.r_min, cfg.r_max)
         assert trn.td_reward == pytest.approx(trn.gate_reward + cfg.lambda_count * b)
         expected = () if done else tuple(admissible_actions(state))
