@@ -88,7 +88,7 @@ class DoorSpec:
 class ObjectSpec:
     name: str
     kind: str
-    holder: str  # room, furniture, or "player"
+    holder: str  # room, fixture, or "player"
     holder_relation: str  # at | in | on
     cut_state: str = "none"
     cook_state: str = "none"
@@ -167,9 +167,9 @@ class GameSpec:
 
     @cached_property
     def holder_rooms(self) -> dict[str, str]:
-        """Each room, mapped to itself, and each fixture that stands in a
-        room, mapped to that room: the room of whatever is on or in it. No
-        action moves such a fixture."""
+        """Each room, mapped to itself, and each fixture, mapped to the room
+        it stands in: the room of whatever it holds. No action moves a
+        fixture, and only these and the player hold objects."""
         rooms = {o.name: o.holder for o in self.fixtures if o.holder in self._rooms_by_name}
         rooms.update((room.name, room.name) for room in self.rooms)
         return rooms
@@ -311,6 +311,8 @@ def validate_spec(spec: GameSpec) -> None:
             raise InvariantViolation("holder-relation", obj.name)
         if obj.holder in objects:
             holder_obj = objects[obj.holder]
+            if holder_obj.portable:  # no action could take what it holds
+                raise InvariantViolation("holder-is-fixture", f"{obj.name} {obj.holder_relation} {obj.holder}")
             if obj.holder_relation == "on" and holder_obj.name not in SUPPORTER_NAMES:
                 raise InvariantViolation("holder-supports", f"{obj.name} on {obj.holder}")
             if obj.holder_relation == "in" and holder_obj.name not in CONTAINER_NAMES:

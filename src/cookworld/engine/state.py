@@ -59,11 +59,13 @@ class GameState:
     score: int = 0
     done: bool = False
     lost: bool = False
-    # this state's observation, rendered by the first observation call; not
-    # part of the state's identity, and copy() starts without it
+    # this state's graph (from step, or rendered by the first observation
+    # call) and its memo entry (kept by the first _facts call): not part of
+    # the state's identity, and copy() starts without both
     _observation: Optional[KGObservation] = field(
         default=None, init=False, compare=False, repr=False
     )
+    _entry: Optional[_Facts] = field(default=None, init=False, compare=False, repr=False)
     # the episode memo, graph digest -> _Facts: reset starts one, and every
     # state that copy() and step derive from that reset shares it, so it
     # lives as long as the episode's last state. Not part of the identity.
@@ -71,7 +73,7 @@ class GameState:
 
     def copy(self) -> "GameState":
         """A state with containers of its own, free to mutate, sharing the
-        episode memo but not the observation."""
+        episode memo but not the observation or its entry."""
         new = self._share()
         new.locations = dict(self.locations)
         new.open_flags = dict(self.open_flags)
@@ -83,7 +85,7 @@ class GameState:
 
     def _share(self) -> "GameState":
         """A state equal to this one that shares its containers and its
-        episode memo, without the observation."""
+        episode memo, without the observation or its entry."""
         return GameState(
             spec=self.spec,
             player_room=self.player_room,
@@ -117,26 +119,17 @@ class GameState:
         )
 
     def room_of(self, name: str) -> Optional[str]:
-        """Room an object resolves to through its holder chain, if any.
+        """The room an object is in, None once it left the world.
 
-        A room or a fixture standing in one ends the chain in one lookup.
+        Only a room, a fixture standing in one or the player holds an object
+        (validate_spec's holder-is-fixture), so this is one lookup.
         """
-        rooms = self.spec.holder_rooms
-        seen = set()
-        current = name
-        while current not in seen:
-            seen.add(current)
-            loc = self.locations.get(current)
-            if loc is None:
-                return None
-            holder = loc[1]
-            if holder == "player":
-                return self.player_room
-            room = rooms.get(holder)
-            if room is not None:
-                return room
-            current = holder
-        return None
+        loc = self.locations.get(name)
+        if loc is None:
+            return None
+        if loc[1] == "player":
+            return self.player_room
+        return self.spec.holder_rooms[loc[1]]
 
 
 def reset(spec: GameSpec, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[GameState, KGObservation]:
@@ -220,36 +213,15 @@ def _patch(
     return triplets
 
 
-def observation(
-    state: GameState,
-    parent: Optional[GameState] = None,
-    command: str = "",
-    touched: tuple[str, ...] = (),
-) -> KGObservation:
-    """The state's knowledge graph, rendered by the first call.
-
-    step() names the state it copied (`parent`), the command it played and
-    the subjects whose edges its effect touched. If the episode played that
-    command from the parent's graph before, this state's graph is the one it
-    led to then, the same object. Otherwise it is the parent's graph with the
-    touched subjects' edges replaced, kept in the memo for the next time.
-    That splice is in canonical order by construction, so it skips the
-    constructor's checks. With no parent, every subject's edges are
-    rendered from nothing, through the checked constructor.
-    """
+def observation(state: GameState) -> KGObservation:
+    """The state's knowledge graph. step hands each state it returns its
+    graph; a state without one (after reset, or a copy()) has every
+    subject's edges rendered from nothing by the first call, through the
+    checked constructor."""
     if state._observation is None:
-        if parent is None:
-            spec = state.spec
-            touched = (*spec.static_triplets_of, "player", *spec.openable_names, *_portables(state))
-            state._observation = KGObservation(_patch((), state, touched))
-        else:
-            children = _facts(parent).children
-            graph = children.get(command)
-            if graph is None:
-                graph = children[command] = KGObservation._spliced(
-                    _patch(parent._observation.triplets, state, touched)
-                )
-            state._observation = graph
+        spec = state.spec
+        touched = (*spec.static_triplets_of, "player", *spec.openable_names, *_portables(state))
+        state._observation = KGObservation(_patch((), state, touched))
     return state._observation
 
 
@@ -267,7 +239,8 @@ def _recipe_ready(state: GameState) -> bool:
 
 def _facts(state: GameState) -> _Facts:
     """A live state's action table, its sorted commands and the next graphs
-    its episode has reached from its graph, built on the graph's first visit.
+    its episode has reached from its graph: the graph's episode memo entry,
+    built on the graph's first visit and looked up by the state's first call.
 
     A state's graph fixes all three. _build_moves reads the player's room,
     the open flags of doors and containers, each portable's holder and its
@@ -281,14 +254,17 @@ def _facts(state: GameState) -> _Facts:
     """
     if state.done:
         raise ValueError("admissible_actions on a finished game")
-    graph = state._observation
-    if graph is None:  # a copy() that nothing rendered yet
-        graph = observation(state)
-    key = canonical_hash(graph)
-    facts = state._episode.get(key)
+    facts = state._entry
     if facts is None:
-        moves = _build_moves(state)
-        facts = state._episode[key] = _Facts(moves, tuple(sorted(map(sys.intern, moves))), {})
+        graph = state._observation
+        if graph is None:  # a copy() that nothing rendered yet
+            graph = observation(state)
+        key = canonical_hash(graph)
+        facts = state._episode.get(key)
+        if facts is None:
+            moves = _build_moves(state)
+            facts = state._episode[key] = _Facts(moves, tuple(sorted(map(sys.intern, moves))), {})
+        state._entry = facts
     return facts
 
 
@@ -386,7 +362,8 @@ def _prepare(spec: GameSpec, states: dict[str, str], name: str, result: str) -> 
 def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, bool]:
     if state.done:
         raise ValueError("step on a finished game")
-    effect = _facts(state).moves.get(action)
+    facts = _facts(state)
+    effect = facts.moves.get(action)
     if effect is None:
         raise InadmissibleActionError(f"{action!r} not admissible here")
 
@@ -450,4 +427,12 @@ def step(state: GameState, action: str) -> tuple[GameState, KGObservation, int, 
     new.score += reward
     if new.steps >= new.step_limit and not new.done:
         new.done = True
-    return new, observation(new, state, action, touched), reward, new.done
+    # the graph this command led to before, or the parent's with the touched
+    # runs re-rendered: canonical by construction, so it skips the checks
+    graph = facts.children.get(action)
+    if graph is None:
+        graph = facts.children[action] = KGObservation._spliced(
+            _patch(state._observation.triplets, new, touched)
+        )
+    new._observation = graph
+    return new, graph, reward, new.done

@@ -1,15 +1,16 @@
 """Dataclass records read from JSON by their field type hints.
 
 One rule types every value: a bool is never an int, an int serves as a
-float, null fills an Optional, a list becomes the hinted tuple and an
-object the hinted record. A record refuses unknown keys and needs every
-field without a default. Each class's hints are resolved once.
+float and a float is finite, null fills an Optional, a list becomes the
+hinted tuple and an object the hinted record. A record refuses unknown
+keys and needs every field without a default; hints resolve once per class.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 
@@ -20,7 +21,7 @@ def admits(hint, value) -> bool:
     """Whether value is of hint as a read builds it (a tuple for a tuple hint)."""
     if typing.get_origin(hint) is tuple:
         return type(value) is tuple and all(admits(typing.get_args(hint)[0], v) for v in value)
-    return type(value) in _kind(hint)[0]
+    return _fits(_kind(hint)[0], value)
 
 
 def check_fields(record, error: type[Exception]) -> None:
@@ -36,6 +37,11 @@ def read_record(cls, doc, error: type[Exception]):
     that does not fit raises error naming its field path, such as
     objects[4].name."""
     return _reader(cls)(doc, "", error)
+
+
+def _fits(accepted: tuple[type, ...], value) -> bool:
+    # JSON cannot write NaN or an infinity back
+    return type(value) in accepted and (type(value) is not float or math.isfinite(value))
 
 
 @functools.cache
@@ -87,7 +93,7 @@ def _reader(hint):
     accepted, name = _kind(hint)
 
     def read_plain(value, path, error):
-        if type(value) not in accepted:
+        if not _fits(accepted, value):
             raise error(f"{path} must be {name}, got {value!r}")
         return value
 

@@ -88,7 +88,7 @@ class TrainConfig:
             _param_layout(1, self.hidden_dim, self.rgcn_layers, 1, self.ff_dim, self.scorer_hidden)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for name in ("warmup_episodes", "patience", "lambda_count"):
+        for name in ("warmup_episodes", "patience", "lambda_count", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)}")
 

@@ -9,11 +9,10 @@ import numpy as np
 
 class LevelScheduler:
     """Tracks a moving average of normalized score per level and samples
-    levels with probability proportional to exp(beta - v_level)."""
+    levels with probability proportional to exp(-v_level)."""
 
-    def __init__(self, levels: tuple[str, ...], beta: float = 1.0, window: int = 20):
+    def __init__(self, levels: tuple[str, ...], window: int = 20):
         self.levels = tuple(levels)
-        self.beta = beta
         self._history = {level: deque(maxlen=window) for level in self.levels}
 
     def performance(self, level: str) -> float:
@@ -26,9 +25,7 @@ class LevelScheduler:
         self._history[level].append(float(normalized_score))
 
     def probabilities(self) -> np.ndarray:
-        return softmax_probabilities(
-            [self.performance(level) for level in self.levels], self.beta
-        )
+        return softmax_probabilities([self.performance(level) for level in self.levels])
 
     def sample(self, rng: np.random.Generator) -> str:
         """One level, by inverse CDF over probabilities() with one rng.random() draw."""
@@ -41,8 +38,11 @@ class LevelScheduler:
         return self.levels[-1]
 
 
-def softmax_probabilities(performance: list[float], beta: float) -> np.ndarray:
-    logits = beta - np.asarray(performance, dtype=np.float64)
+def softmax_probabilities(performance: list[float]) -> np.ndarray:
+    # softmax is shift-invariant, so the 1 changes no probability in exact
+    # arithmetic; it stays because it changes their rounding, and so can
+    # change which level a draw picks
+    logits = 1.0 - np.asarray(performance, dtype=np.float64)
     logits -= logits.max()
     exp = np.exp(logits)
     return exp / exp.sum()

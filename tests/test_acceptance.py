@@ -204,14 +204,14 @@ def test_criterion_equation_units():
     ok &= abs(compose_sub_reward(1.0, 0.5, 0.1) - 1.05) < 1e-12
 
     # level-sampling softmax
-    p = softmax_probabilities([1.0, 0.0], beta=1.0)
+    p = softmax_probabilities([1.0, 0.0])
     z = np.exp(0.0) + np.exp(1.0)
     ok &= abs(p[0] - np.exp(0.0) / z) < 1e-12 * abs(p[0])
     ok &= abs(p[1] - np.exp(1.0) / z) < 1e-12 * abs(p[1])
     rng = np.random.default_rng(1)
     for _ in range(200):
         v = sorted(rng.uniform(0, 1, size=int(rng.integers(2, 7))))
-        probs = softmax_probabilities(list(v), beta=float(rng.uniform(0, 2)))
+        probs = softmax_probabilities(list(v))
         ok &= abs(probs.sum() - 1.0) < 1e-12
         ok &= all(x >= y - 1e-15 for x, y in zip(probs, probs[1:]))
     report("equation-units", bool(ok))
@@ -592,6 +592,24 @@ def test_only_the_engine_builds_trusted_graphs():
         lambda node: isinstance(node, ast.Attribute) and node.attr == "_spliced"
     )
     assert set(callers) == {"engine/state.py"}, callers
+
+
+def test_each_game_state_looks_its_facts_up_once():
+    """A state's graph is digested and looked up in the episode memo once,
+    by _facts, which keeps the entry on the state; observation() only
+    renders a state from nothing, so no caller names a parent for it."""
+    digests = source_defs_where(
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "canonical_hash"
+    )
+    assert {site for site in digests if site.startswith("engine/state.py:")} == {
+        "engine/state.py:_facts"
+    }, digests
+    renders = source_defs_where(
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "observation" and len(node.args) + len(node.keywords) > 1
+    )
+    assert not renders, renders
 
 
 def test_only_the_records_module_reads_type_hints():

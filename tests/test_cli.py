@@ -137,6 +137,10 @@ BAD_SPECS = {
         _edit_oven(holder="player", holder_relation="in"),
         "fixture-in-room",
     ),
+    "ingredient at the cookbook": (
+        lambda doc: doc["objects"][7].update(holder="cookbook", holder_relation="at"),
+        "holder-is-fixture: cilantro at cookbook",
+    ),
     "list as level": (lambda doc: doc.update(level=["S1"]), "level must be a string, got ['S1']"),
     "list as start room": (lambda doc: doc.update(start_room=["kitchen"]),
                            "start_room must be a string, got ['kitchen']"),
@@ -499,6 +503,8 @@ def test_train_invalid_variant_exit_code(tmp_path, capsys):
     {"rgcn_layers": -1}, {"ff_dim": 0}, {"scorer_hidden": 0},
     {"episodes": 0}, {"episodes": -3}, {"warmup_episodes": -1}, {"patience": -2},
     [], None, 5,  # a document that is not an object
+    {"seed": -1},
+    {"lr": float("nan")}, {"lr": float("inf")}, {"tau": float("-inf")},  # json.dumps writes these
 ])
 def test_train_bad_config_is_usage_error(doc, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -525,6 +531,13 @@ def test_train_episodes_flag_below_one_is_usage_error(tmp_path, capsys):
     out = tmp_path / "r"
     assert run_cli("train", "--games", tmp_path / "games", "--out", out, "--episodes", "-3") == 2
     assert "episodes must be at least 1, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_seed_flag_below_zero_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run_cli("train", "--games", tmp_path / "games", "--out", out, "--seed", "-1") == 2
+    assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

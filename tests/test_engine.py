@@ -46,6 +46,21 @@ def test_golden_replay_s4(s4_spec, s4_trace):
     assert result.steps_checked == 22  # 21 action steps + final observation
 
 
+def test_each_state_looks_its_facts_up_once(s4_spec, s4_trace, monkeypatch):
+    # admissible_actions and step share the state's one memo lookup, and
+    # step hands the child its graph without looking the parent up again
+    digests = []
+    real = canonical_hash
+
+    def counting(graph):
+        digests.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr("cookworld.engine.state.canonical_hash", counting)
+    assert replay_trace(s4_spec, s4_trace, strict=True).ok
+    assert len(digests) == sum(st.action is not None for st in s4_trace) == 21
+
+
 def test_reset_s1_observation(s1_spec):
     _, obs = reset(s1_spec)
     assert len(obs) == 13

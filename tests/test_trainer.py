@@ -1,5 +1,7 @@
 """Training-loop orchestration: episode structure, variants, determinism."""
 
+import dataclasses
+import json
 from functools import partial
 
 import numpy as np
@@ -324,7 +326,7 @@ def test_counts_and_cadences_must_be_positive():
         with pytest.raises(ConfigError, match="episodes must be at least 1"):
             config_from_dict({"episodes": episodes})
     # these may be 0, never negative
-    for field in ("warmup_episodes", "patience", "lambda_count"):
+    for field in ("warmup_episodes", "patience", "lambda_count", "seed"):
         with pytest.raises(ConfigError, match=f"{field} must be at least 0"):
             config_from_dict({field: -2})
         config_from_dict({field: 0})
@@ -335,6 +337,14 @@ def test_config_values_must_have_their_field_type():
                 {"gamma": False}, {"variant": None}):
         with pytest.raises(ConfigError, match=next(iter(doc))):
             config_from_dict(doc)
+    # JSON reads NaN and Infinity as floats, which a config must not hold:
+    # save_config could not write them back as JSON
+    for bad in ("NaN", "Infinity", "-Infinity", "1e400"):
+        doc = json.loads(f'{{"lr": {bad}}}')
+        with pytest.raises(ConfigError, match=r"^lr must be a number, got "):
+            config_from_dict(doc)
+        with pytest.raises(ConfigError, match=r"^lr must be a number, got "):
+            dataclasses.replace(TrainConfig(), lr=doc["lr"]).validate()
     cfg = config_from_dict({"levels": ["S1", "S4"], "tau": 1, "bebold": False})
     assert cfg.levels == ("S1", "S4") and cfg.tau == 1 and cfg.bebold is False
 
