@@ -42,7 +42,7 @@ class GameState:
     container its effect does not write with its parent, and writes only
     fresh copies, so nothing writes a state's containers after step returns
     it and old states stay valid. copy() gives a state with containers of
-    its own, free to mutate.
+    its own, which may be mutated until it is first looked at (see copy).
     """
 
     spec: GameSpec
@@ -72,8 +72,9 @@ class GameState:
     _episode: dict[int, _Facts] = field(default_factory=dict, compare=False, repr=False)
 
     def copy(self) -> "GameState":
-        """A state with containers of its own, free to mutate, sharing the
-        episode memo but not the observation or its entry."""
+        """A state with containers of its own, sharing the episode memo. Mutate
+        it before its first observation or admissible_actions call, which keeps
+        its graph and memo entry; change a state already looked at in a fresh copy()."""
         new = self._share()
         new.locations = dict(self.locations)
         new.open_flags = dict(self.open_flags)

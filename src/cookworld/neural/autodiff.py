@@ -47,10 +47,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._entry: Optional[int] = None  # index of the tape entry that made it
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
@@ -103,9 +99,7 @@ def constant(data) -> Tensor:
 
 
 def _sum_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Undo numpy broadcasting in the backward pass."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+    """Undo numpy broadcasting of a length-1 axis in the backward pass."""
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -155,19 +149,15 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _wrap(a.data * factor, _scale_grad, a, factor)
 
 
-def _swap_last(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2)
-
-
 def _matmul_grad(g, a, b):
-    return ((a, g @ _swap_last(b.data)), (b, _swap_last(a.data) @ g))
+    grads = ((a, g @ b.data.T),) if _tracked(a) else ()
+    return (grads + ((b, a.data.T @ g),)) if _tracked(b) else grads
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors, or batched over the leading axis
-    of two 3-D tensors."""
-    if a.data.ndim != b.data.ndim:
-        raise ValueError("matmul operands need the same number of dimensions")
+    """Matrix product of two 2-D tensors."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError("matmul takes two 2-D tensors")
     return _wrap(a.data @ b.data, _matmul_grad, a, b)
 
 
@@ -182,23 +172,6 @@ def grouped_matmul(x: Tensor, weights: Sequence[Tensor], bounds: Sequence[int]) 
     spans = list(zip(weights, bounds[:-1], bounds[1:]))
     out = np.concatenate([x.data[lo:hi] @ w.data for w, lo, hi in spans])
     return _wrap(out, _grouped_matmul_grad, x, spans)
-
-
-def _transpose_grad(g, a):
-    return ((a, _swap_last(g)),)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    return _wrap(_swap_last(a.data), _transpose_grad, a)
-
-
-def _reshape_grad(g, a):
-    return ((a, g.reshape(a.data.shape)),)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _wrap(a.data.reshape(shape), _reshape_grad, a)
 
 
 def _relu_grad(g, a, mask):
@@ -264,17 +237,37 @@ def segment_sum(x: Tensor, ids, count: int) -> Tensor:
     return _wrap(_segment_sum(x.data, ids, count), _segment_sum_grad, x, ids)
 
 
-def _softmax_rows_grad(g, a, out):
-    inner = (g * out).sum(axis=-1, keepdims=True)
-    return ((a, out * (g - inner)),)
+def _blocks(x: np.ndarray, lo: int, hi: int, w: int) -> np.ndarray:
+    """Rows lo:hi of x as (hi-lo)//w sequences of w rows, a view."""
+    return x[lo:hi].reshape((hi - lo) // w, w, x.shape[1])
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the last axis; -inf entries get weight 0."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    out = exp / exp.sum(axis=-1, keepdims=True)
-    return _wrap(out, _softmax_rows_grad, a, out)
+def _attention_grad(g, q, k, v, spans, factor, probs):
+    dq, dk, dv = (np.empty_like(g) for _ in range(3))
+    for (lo, hi, w), p in zip(spans, probs):
+        go, qb, kb, vb = (_blocks(x, lo, hi, w) for x in (g, q.data, k.data, v.data))
+        ds = go @ np.swapaxes(vb, -1, -2)
+        ds = p * (ds - (ds * p).sum(axis=-1, keepdims=True)) * factor
+        _blocks(dq, lo, hi, w)[...] = ds @ kb
+        _blocks(dk, lo, hi, w)[...] = np.swapaxes(ds, -1, -2) @ qb
+        _blocks(dv, lo, hi, w)[...] = np.swapaxes(p, -1, -2) @ go
+    return tuple((t, tg) for t, tg in ((q, dq), (k, dk), (v, dv)) if _tracked(t))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, spans: Sequence[tuple[int, int, int]],
+              factor: float) -> Tensor:
+    """Self-attention within sequences of packed rows: each span (lo, hi, w)
+    holds (hi-lo)//w sequences of w consecutive rows, and a sequence's rows
+    attend over its own rows alone, softmax(q kᵀ * factor) v. The spans
+    tile the rows in order."""
+    out, probs = np.empty_like(q.data), []
+    for lo, hi, w in spans:
+        qb, kb, vb = (_blocks(x.data, lo, hi, w) for x in (q, k, v))
+        scores = (qb @ np.swapaxes(kb, -1, -2)) * factor
+        exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs.append(exp / exp.sum(axis=-1, keepdims=True))
+        _blocks(out, lo, hi, w)[...] = probs[-1] @ vb
+    return _wrap(out, _attention_grad, q, k, v, spans, factor, probs)
 
 
 def _layer_norm_grad(g, x, gain, bias, inv, xhat):

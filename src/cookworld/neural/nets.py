@@ -125,21 +125,23 @@ class _EncoderPass:
     entry is i. R-GCN layer l maps its input rows to its own output rows:
     layers[l] is (self_rows, groups, n_rows), where output row i starts from
     input row self_rows[i] (row i when None) and groups holds the edges it
-    averages, sources as input rows and targets as output rows. node_rows
-    gives each node its final row (node i's row when None); graph_ids and
-    graph_scale mean-pool the nodes into their observations."""
+    averages, sources as input rows and targets as output rows. pool
+    mean-pools the final rows into the observations: the (observations,
+    final rows) matrix of each observation's node count per row over its
+    node count. Without one, every row is a node of a single observation
+    (own_pass), and graph_ids and graph_scale sum and scale them."""
 
-    __slots__ = ("token_ids", "token_rows", "token_scale", "layers", "node_rows",
-                 "graph_ids", "graph_scale")
+    __slots__ = ("token_ids", "token_rows", "token_scale", "layers", "pool", "graph_ids",
+                 "graph_scale")
 
-    def __init__(self, token_ids, token_rows, n_rows, layers, node_rows, node_counts):
+    def __init__(self, token_ids, token_rows, n_rows, layers, pool=None):
         self.token_ids = token_ids
         self.token_rows = token_rows
         self.token_scale = 1.0 / np.bincount(token_rows, minlength=n_rows)[:, None]
         self.layers = layers
-        self.node_rows = node_rows
-        self.graph_ids = np.repeat(np.arange(len(node_counts)), node_counts)
-        self.graph_scale = 1.0 / np.maximum(node_counts, 1)[:, None]
+        self.pool = pool
+        self.graph_ids = np.zeros(n_rows, dtype=np.intp) if pool is None else None
+        self.graph_scale = np.full((1, 1), 1.0 / max(n_rows, 1)) if pool is None else None
 
 
 class _GraphLayout:
@@ -173,8 +175,7 @@ class _GraphLayout:
         if own is None or len(own.layers) != depth:
             n = self.n_nodes
             own = self._own = _EncoderPass(
-                self.token_ids, self.token_nodes, n, [(None, self.groups, n)] * depth, None,
-                np.array([n]),
+                self.token_ids, self.token_nodes, n, [(None, self.groups, n)] * depth
             )
         return own
 
@@ -246,9 +247,12 @@ def _encoder_pass(layouts: Sequence[_GraphLayout], depth: int) -> _EncoderPass:
             edge_rel[into], classes[layer][edge_src[into]], classes[layer + 1][edge_dst[into]]
         )
         layers.append((classes[layer][reps[layer + 1]], groups, len(reps[layer + 1])))
+    n_final = len(reps[depth])
+    cells = np.repeat(np.arange(len(layouts)) * n_final, counts) + classes[depth]
+    pool = np.bincount(cells, minlength=len(layouts) * n_final).reshape(len(layouts), n_final)
     return _EncoderPass(
         np.concatenate([x.token_ids for x in layouts])[keep], classes[0][token_nodes[keep]],
-        len(reps[0]), layers, classes[depth], counts,
+        len(reps[0]), layers, pool / np.maximum(counts, 1)[:, None],
     )
 
 
@@ -418,8 +422,10 @@ class PolicyNet:
         computation trees agree share a row. Per layer, each relation
         averages its source rows into the rows it targets and projects only
         those averages by its own weight; one segment sum scatters every
-        relation's messages into the rows. The pool gathers each node's
-        final row."""
+        relation's messages into the rows. The pool is one product of a
+        constant matrix, each observation's node count per final row over
+        its node count, with the final rows; an observation alone sums its
+        nodes' rows and scales them by 1 / its node count."""
         layouts = [_layout_for(obs, self.vocab) for obs in observations]
         if not any(x.n_nodes for x in layouts):
             return ad.constant(np.zeros((len(observations), self.d)))
@@ -446,54 +452,52 @@ class PolicyNet:
                 )
                 total = ad.add(total, ad.segment_sum(messages, groups.dst, n_rows))
             h = ad.relu(total)
-        if plan.node_rows is not None:
-            h = ad.gather_rows(h, plan.node_rows)
-        return ad.mul(
-            ad.segment_sum(h, plan.graph_ids, len(layouts)), ad.constant(plan.graph_scale)
-        )
+        if plan.pool is not None:
+            return ad.matmul(ad.constant(plan.pool), h)
+        return ad.mul(ad.segment_sum(h, plan.graph_ids, 1), ad.constant(plan.graph_scale))
 
     def text_tensor(self, texts: Sequence[str]) -> Tensor:
         """Single-block transformer encodings of the texts, mean-pooled over
         each text's tokens, one row each.
 
-        The texts are padded to the longest; attention runs within each
-        text, with padded keys masked out, and the pool drops padding. A
-        single text needs no padding: its positions are the shared table's
-        rows themselves, and every token weighs 1 / length in the pool."""
+        The texts' tokens are packed end to end, the texts stably sorted by
+        length, so every row is a real token: the projections, layer norms
+        and feed-forward block run on those rows alone, and attention runs
+        once per length over that length's texts (ad.attention). The pool
+        weighs each token 1 / its text's length and sums it into its text's
+        row. A single text skips the sort, and its positions are the shared
+        table's rows themselves."""
         encoded = [self.vocab.encode(text) for text in texts]
         for text, ids in zip(texts, encoded):
             if not ids:
                 raise EmptyTextError(f"cannot encode empty text {text!r}")
-        b, d = len(texts), self.d
-        if b == 1:
+        if len(encoded) == 1:
             width = len(encoded[0])
             token_ids = np.array(encoded[0], dtype=np.intp)
-            positions = sinusoidal_positions(width, d)
-            mask = None
+            positions = sinusoidal_positions(width, self.d)
+            spans = [(0, width, width)]
             weights = np.full((width, 1), 1.0 / width)
-            segments = np.zeros(width, dtype=np.intp)
+            text_rows = np.zeros(width, dtype=np.intp)
         else:
             lengths = np.array([len(ids) for ids in encoded])
-            width = int(lengths.max())
-            valid = np.arange(width) < lengths[:, None]  # (b, width)
-            token_ids = np.zeros((b, width), dtype=np.intp)
-            token_ids[valid] = [tid for ids in encoded for tid in ids]
-            token_ids = token_ids.reshape(-1)
-            positions = np.tile(sinusoidal_positions(width, d), (b, 1))
-            mask = None if valid.all() else np.where(valid, 0.0, -np.inf)[:, None, :]
-            weights = (valid / lengths[:, None]).reshape(-1, 1)
-            segments = np.repeat(np.arange(b), width)
+            order = np.argsort(lengths, kind="stable")
+            lengths = lengths[order]
+            starts = np.cumsum(lengths) - lengths
+            token_ids = np.array([tid for i in order for tid in encoded[i]], dtype=np.intp)
+            offsets = np.arange(len(token_ids)) - np.repeat(starts, lengths)
+            positions = sinusoidal_positions(int(lengths[-1]), self.d)[offsets]
+            widths, first, counts = np.unique(lengths, return_index=True, return_counts=True)
+            spans = [(int(starts[f]), int(starts[f] + c * w), int(w)) for w, f, c in zip(widths, first, counts)]
+            weights = np.repeat(1.0 / lengths, lengths)[:, None]
+            text_rows = np.repeat(order, lengths)
         x = ad.add(ad.gather_rows(self.params["word_emb"], token_ids), ad.constant(positions))
         # v, k, q in this order: backward sums x's gradients in reverse
         # creation order of its consumers, so x gets them as (residual, q,
         # k, v), the order the golden training runs were pinned with
-        v = ad.reshape(ad.matmul(x, self.params["attn.wv"]), (b, width, d))
-        k = ad.reshape(ad.matmul(x, self.params["attn.wk"]), (b, width, d))
-        q = ad.reshape(ad.matmul(x, self.params["attn.wq"]), (b, width, d))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), self._attn_scale)
-        if mask is not None:
-            scores = ad.add(scores, ad.constant(mask))
-        attended = ad.reshape(ad.matmul(ad.softmax_rows(scores), v), (b * width, d))
+        v = ad.matmul(x, self.params["attn.wv"])
+        k = ad.matmul(x, self.params["attn.wk"])
+        q = ad.matmul(x, self.params["attn.wq"])
+        attended = ad.attention(q, k, v, spans, self._attn_scale)
         h1 = ad.layer_norm(
             ad.add(x, ad.matmul(attended, self.params["attn.wo"])),
             self.params["ln1.gain"],
@@ -505,7 +509,7 @@ class PolicyNet:
             self.params["ff.b2"],
         )
         h2 = ad.layer_norm(ad.add(h1, ff), self.params["ln2.gain"], self.params["ln2.bias"])
-        return ad.segment_sum(ad.mul(h2, ad.constant(weights)), segments, b)
+        return ad.segment_sum(ad.mul(h2, ad.constant(weights)), text_rows, len(texts))
 
     def _w1_rows(self, part: int) -> slice:
         """The rows of scorer.w1 that multiply input part `part` of

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -462,14 +464,23 @@ class Trainer:
     # -- persistence ------------------------------------------------------------------------
 
     def _save_policies(self, directory: Path) -> None:
-        directory.mkdir(parents=True, exist_ok=True)
+        """Write the checkpoints and run_state.json into `<name>.tmp/`, each
+        file anew, then swap it in by renames: a save cut short leaves the
+        previous checkpoint whole, as `directory` or, between the renames, as
+        `<name>.old/`."""
+        staging, retired = directory.with_suffix(".tmp"), directory.with_suffix(".old")
+        staging.mkdir(parents=True, exist_ok=True)
         for learner in self.learners:
-            learner.save(directory)
-        (directory / "run_state.json").write_text(json.dumps(self._run_state_dict(), indent=2) + "\n")
+            learner.save(staging)
+        (staging / "run_state.json").write_text(json.dumps(self._run_state_dict(), indent=2) + "\n")
+        if directory.exists():
+            shutil.rmtree(retired, ignore_errors=True)  # left by a save cut after its swap
+            os.replace(directory, retired)
+        os.replace(staging, directory)
+        shutil.rmtree(retired, ignore_errors=True)
 
     def save_latest(self) -> None:
-        directory = self.out_dir / "latest"
-        self._save_policies(directory)
+        self._save_policies(self.out_dir / "latest")
 
     def _run_state_dict(self) -> dict:
         rng = {
@@ -494,7 +505,9 @@ class Trainer:
         }
 
     def _load_run_state(self) -> None:
-        directory = self.out_dir / "latest"
+        directory, retired = self.out_dir / "latest", self.out_dir / "latest.old"
+        if not directory.exists() and retired.exists():  # a save cut between its renames
+            os.replace(retired, directory)
         state_path = directory / "run_state.json"
         if not state_path.exists():
             return

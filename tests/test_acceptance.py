@@ -584,6 +584,30 @@ def test_autodiff_defines_no_nested_function():
     assert not {site for site in lambdas if site.startswith("neural/autodiff.py:")}, lambdas
 
 
+def test_every_autodiff_op_has_a_caller_in_src():
+    """Every public function of neural/autodiff.py is called from another
+    source file, as ad.<name>(...) or by its imported name: an op that no
+    program path calls is dead code, however well its test checks it."""
+    src = Path(__file__).parent.parent / "src" / "cookworld"
+    autodiff = src / "neural" / "autodiff.py"
+    ops = {
+        node.name for node in ast.parse(autodiff.read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    called = set()
+    for path in src.rglob("*.py"):
+        if path == autodiff:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "ad":
+                called.add(node.func.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+    assert "attention" in ops and "matmul" in ops
+    assert not ops - called, sorted(ops - called)
+
+
 def test_only_the_engine_builds_trusted_graphs():
     """KGObservation._spliced skips every check of the constructor, so only
     the engine's splice of a checked parent (engine/state.py) may call it:

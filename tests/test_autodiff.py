@@ -73,13 +73,15 @@ def test_matmul():
     check_op(lambda a, b: ad.matmul(a, b), [(3, 4), (4, 2)])
 
 
-def test_matmul_batched():
-    check_op(lambda a, b: ad.matmul(a, b), [(2, 3, 4), (2, 4, 5)])
-
-
 def test_matmul_rejects_mixed_ranks():
     with pytest.raises(ValueError):
         ad.matmul(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((4, 2))))
+
+
+def test_matmul_skips_untracked_operands():
+    g, a, b = np.ones((2, 2)), ad.constant(np.ones((2, 3))), ad.Tensor(np.ones((3, 2)), requires_grad=True)
+    assert [t for t, _ in ad._matmul_grad(g, a, b)] == [b]
+    assert [t for t, _ in ad._matmul_grad(np.ones((3, 3)), b, a)] == [b]
 
 
 def test_grouped_matmul():
@@ -87,18 +89,6 @@ def test_grouped_matmul():
     check_op(
         lambda x, w, v: ad.grouped_matmul(x, [w, v, w], [0, 2, 5, 6]), [(6, 3), (3, 4), (3, 4)]
     )
-
-
-def test_transpose():
-    check_op(lambda a: ad.transpose(a), [(3, 4)])
-
-
-def test_transpose_batched():
-    check_op(lambda a: ad.transpose(a), [(2, 3, 4)])
-
-
-def test_reshape():
-    check_op(lambda a: ad.reshape(a, (2, 3, 2)), [(6, 2)])
 
 
 def test_relu():
@@ -119,20 +109,60 @@ def test_gather_rows():
     check_op(lambda a: ad.gather_rows(a, [0, 2, 2, 1]), [(4, 3)])
 
 
-def test_softmax_rows():
-    check_op(lambda a: ad.softmax_rows(a), [(3, 5)])
+# two sequences of one row, two of three rows, one of four: three lengths at once
+ATTENTION_SPANS = [(0, 2, 1), (2, 8, 3), (8, 12, 4)]
 
 
-def test_softmax_rows_batched():
-    check_op(lambda a: ad.softmax_rows(a), [(2, 3, 4)])
+@pytest.mark.parametrize("spans", [ATTENTION_SPANS, [(0, 5, 5)], [(0, 3, 1)], [(0, 4, 2), (4, 7, 3)]],
+                         ids=["three-lengths", "one-sequence", "length-one", "two-lengths"])
+def test_attention(spans):
+    rows = spans[-1][1]
+    check_op(lambda q, k, v: ad.attention(q, k, v, spans, 0.7), [(rows, 3), (rows, 3), (rows, 3)])
 
 
-def test_softmax_rows_masked_keys():
-    mask = np.zeros((2, 1, 4))
-    mask[0, 0, 3] = mask[1, 0, 1:] = -np.inf  # last key of text 0, all but one of text 1
-    check_op(lambda a: ad.softmax_rows(ad.add(a, ad.constant(mask))), [(2, 3, 4)])
-    out = ad.softmax_rows(ad.constant(mask + np.ones((2, 3, 4))))
-    assert np.array_equal(out.data[1], np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+def test_attention_skips_untracked_operands():
+    rng = np.random.default_rng(4)
+    q, v = (ad.Tensor(rng.standard_normal((7, 2)), requires_grad=True) for _ in range(2))
+    k = ad.constant(rng.standard_normal((7, 2)))
+    with ad.tape():
+        ad.sum_all(ad.attention(q, k, v, [(0, 4, 2), (4, 7, 3)], 0.5)).backward()
+    assert q.grad is not None and v.grad is not None and k.grad is None
+
+
+def reference_attention(q, k, v, factor):
+    """The padded text encoder's attention chain over one text, in numpy:
+    the batched q kᵀ, the scale, the max-shifted softmax, the product with v."""
+    q3, k3, v3 = (x.reshape(1, *x.shape) for x in (q, k, v))
+    scores = q3 @ np.swapaxes(k3, -1, -2)
+    scores = scores * factor
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    return (probs @ v3).reshape(q.shape)
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 9])
+def test_one_span_attention_is_bit_equal_to_the_padded_chain(width):
+    rng = np.random.default_rng(width)
+    q, k, v = (rng.standard_normal((width, 8)) for _ in range(3))
+    out = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), [(0, width, width)], 1 / np.sqrt(8))
+    assert out.data.tobytes() == reference_attention(q, k, v, 1 / np.sqrt(8)).tobytes()
+
+
+def test_packed_attention_equals_padded_masked_attention():
+    """Each sequence of a packed span attends as it would padded to the
+    longest, with the padded keys masked out of the softmax."""
+    rng = np.random.default_rng(5)
+    q, k, v = (rng.standard_normal((12, 3)) for _ in range(3))
+    packed = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), ATTENTION_SPANS, 0.7).data
+    starts, lengths = [0, 1, 2, 5, 8], [1, 1, 3, 3, 4]
+    for start, length in zip(starts, lengths):
+        pad = np.zeros((4, 3))
+        qp, kp, vp = (np.r_[x[start:start + length], pad[length:]] for x in (q, k, v))
+        scores = qp @ kp.T * 0.7 + np.where(np.arange(4) < length, 0.0, -np.inf)
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        expected = (probs / probs.sum(axis=-1, keepdims=True) @ vp)[:length]
+        assert np.allclose(packed[start:start + length], expected, rtol=0, atol=1e-12)
 
 
 def test_segment_sum_sorted():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from cookworld.engine.vocab import default_vocabulary
-from cookworld.kg import KGObservation, Triplet
+from cookworld.kg import KGObservation, Triplet, canonical_hash
 from cookworld.neural import autodiff as ad
-from cookworld.neural.nets import EmptyCandidatesError, PolicyNet, clone_net, sync_target
+from cookworld.neural.nets import EmptyCandidatesError, PolicyNet, clone_net, distinct, sync_target
 from cookworld.neural.optim import AdamState, apply_update
 from cookworld.rl.dqn import double_dqn_target, td_update
 from cookworld.rl.replay import PrioritizedBuffer, Transition
@@ -292,6 +292,40 @@ def test_factorized_scorer_equals_concatenated_form_on_replay(warm_trainers, var
         assert (got_grads[name] is None) == (ref_grad is None), name
         if ref_grad is not None:
             assert np.allclose(got_grads[name], ref_grad, rtol=0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("variant, level", LEARNERS)
+def test_packed_encoders_equal_each_item_alone_on_replay(warm_trainers, variant, level):
+    """On a real replay batch, the packed passes, texts of several lengths
+    and observations whose nodes share classes, equal each text and each
+    observation encoded alone, in values and in every parameter gradient."""
+    learner = getattr(warm_trainers[variant], level)
+    net = clone_net(learner.online)
+    batch, _, _ = learner.buffer.sample(min(32, len(learner.buffer)), np.random.default_rng(18))
+    observations, _ = distinct([tr.obs for tr in batch] + [tr.next_obs for tr in batch], key=canonical_hash)
+    texts, _ = distinct([tr.chosen_text for tr in batch] + [c for tr in batch for c in tr.next_candidates]
+                        + [tr.cond_text for tr in batch if net.state_parts == 2])
+    assert len(observations) > 1
+    assert len({len(net.vocab.encode(text)) for text in texts}) > 1
+    for encode, items in ((net.graph_tensor, observations), (net.text_tensor, texts)):
+        weights = np.cos(np.arange(len(items) * net.d)).reshape(len(items), net.d)
+
+        def run(items, weights):
+            with ad.tape():
+                rows = encode(items)
+                ad.sum_all(ad.mul(rows, ad.constant(weights))).backward()
+            return rows.data
+
+        net.zero_grad()
+        packed = run(items, weights)
+        packed_grads = {name: p.grad for name, p in net.params.items()}
+        net.zero_grad()
+        alone = np.concatenate([run([item], w[None]) for item, w in zip(items, weights)])
+        assert np.allclose(packed, alone, rtol=0, atol=1e-12), encode.__name__
+        for name, p in net.params.items():
+            assert (p.grad is None) == (packed_grads[name] is None), name
+            if p.grad is not None:
+                assert np.allclose(packed_grads[name], p.grad, rtol=0, atol=1e-12), name
 
 
 # -- the target net's cached pass ---------------------------------------------------

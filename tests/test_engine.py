@@ -125,6 +125,26 @@ def test_open_fridge_swaps_state_triplet(s1_spec):
     assert obs1.has("fridge", "open", "is") and not obs1.has("fridge", "closed", "is")
 
 
+def test_a_copy_mutated_before_it_is_looked_at_shows_the_mutation(s1_spec):
+    state, _ = reset(s1_spec)
+    assert "open fridge" in admissible_actions(state)
+    mutated = state.copy()
+    mutated.open_flags["fridge"] = True
+    assert observation(mutated).has("fridge", "open", "is")
+    assert "close fridge" in admissible_actions(mutated)
+    assert "open fridge" not in admissible_actions(mutated)
+    # the source keeps its own containers, graph and actions
+    assert not state.open_flags["fridge"] and "open fridge" in admissible_actions(state)
+    assert observation(state).has("fridge", "closed", "is")
+    # a copy of a state that was looked at starts without its graph and entry
+    looked_at = state.copy()
+    assert "open fridge" in admissible_actions(looked_at)
+    again = looked_at.copy()
+    again.open_flags["fridge"] = True
+    assert "close fridge" in admissible_actions(again)
+    assert observation(again).has("fridge", "open", "is")
+
+
 def test_inadmissible_action_raises(s1_spec):
     state, _ = reset(s1_spec)
     with pytest.raises(InadmissibleActionError):

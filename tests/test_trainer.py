@@ -234,6 +234,54 @@ def test_resume_after_crash_does_not_repeat_metrics_rows(s1_games, s1_val, tmp_p
     assert [(int(r[0]), r[2]) for r in rows if r[1] == "val"] == [(4, "S1"), (4, "all"), (8, "S1"), (8, "all")]
 
 
+def checkpoint_bytes(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_a_save_cut_short_leaves_the_previous_latest_resumable(s1_games, s1_val, tmp_path, monkeypatch):
+    class Crash(Exception):
+        pass
+
+    cfg = small_cfg(variant="H-KGA", episodes=8, val_freq=4, warmup_episodes=1)
+    tr = Trainer(cfg, s1_games, s1_val, out_dir=tmp_path)
+    for _ in range(4):
+        tr.run_episode()
+    tr.save_latest()
+    before = checkpoint_bytes(tmp_path / "latest")
+    assert set(before) == {"meta.npz", "sub.npz", "run_state.json"}
+    tr.run_episode()
+    real_save = loop.Learner.save
+
+    def save_then_crash(learner, directory):
+        if learner.name == "sub":  # the second learner: meta.npz is already written
+            raise Crash
+        real_save(learner, directory)
+
+    monkeypatch.setattr(loop.Learner, "save", save_then_crash)
+    with pytest.raises(Crash):
+        tr.save_latest()
+    monkeypatch.setattr(loop.Learner, "save", real_save)
+    tr.metrics.close()
+    assert checkpoint_bytes(tmp_path / "latest") == before
+    resumed = Trainer(cfg, s1_games, s1_val, out_dir=tmp_path, resume=True)
+    assert resumed.episode == 4
+    resumed.metrics.close()
+
+    # a crash between the swap's two renames: latest/ already retired
+    (tmp_path / "latest").rename(tmp_path / "latest.old")
+    resumed = Trainer(cfg, s1_games, s1_val, out_dir=tmp_path, resume=True)
+    assert resumed.episode == 4
+    assert checkpoint_bytes(tmp_path / "latest") == before
+    # a save cut after its swap leaves the retired copy beside latest/
+    (tmp_path / "latest.old").mkdir()
+    (tmp_path / "latest.old" / "sub.npz").write_bytes(b"stale")
+    resumed.run_episode()
+    resumed.save_latest()
+    resumed.metrics.close()
+    assert sorted(path.name for path in tmp_path.iterdir() if path.is_dir()) == ["latest"]
+    assert json.loads((tmp_path / "latest" / "run_state.json").read_text())["episode"] == 5
+
+
 def test_epsilon_schedule():
     cfg = small_cfg(episodes=100, eps_anneal_fraction=0.2)
     tr = Trainer(cfg, {"S1": games_for("S1", 1)})
