@@ -7,9 +7,10 @@ Exit codes: 0 success, 1 assertion/diff failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 EXIT_OK = 0
@@ -92,8 +93,9 @@ def cmd_train(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        save_config(cfg, config_path)
-        summary = trainer.run(progress=True)
+        with contextlib.closing(trainer.metrics):
+            save_config(cfg, config_path)
+            summary = trainer.run(progress=True)
     except OSError as exc:
         print(f"error: cannot use run directory {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -104,24 +106,24 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class PseudoCheckpoint:
+    """A .json file that eval takes in place of a checkpoint directory."""
+
+    kind: str  # "walkthrough_oracle": play each game's walkthrough
+
+
 def _agent_factory_from_checkpoint(checkpoint: Path, vocab):
     from .neural.nets import load_checkpoint
+    from .records import load_record, read_record
     from .training.agents import WalkthroughAgent, greedy_agents
 
     if checkpoint.is_file() and checkpoint.suffix == ".json":
-        try:
-            doc = json.loads(checkpoint.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON in pseudo-checkpoint {checkpoint}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ValueError(f"pseudo-checkpoint {checkpoint} is not a JSON object")
-        if doc.get("kind") == "walkthrough_oracle":
-            return lambda level, index: WalkthroughAgent()
-        raise ValueError(f"unknown pseudo-checkpoint kind in {checkpoint}")
-    sub_path = checkpoint / "sub.npz"
-    if not sub_path.exists():
-        raise FileNotFoundError(f"no sub.npz under {checkpoint}")
-    sub_net, _ = load_checkpoint(sub_path, vocab)
+        pseudo = load_record(checkpoint, lambda doc: read_record(PseudoCheckpoint, doc, ValueError), ValueError)
+        if pseudo.kind != "walkthrough_oracle":
+            raise ValueError(f"{checkpoint}: unknown pseudo-checkpoint kind {pseudo.kind!r}")
+        return lambda level, index: WalkthroughAgent()
+    sub_net, _ = load_checkpoint(checkpoint / "sub.npz", vocab)
     meta_path = checkpoint / "meta.npz"
     meta_net = load_checkpoint(meta_path, vocab)[0] if meta_path.exists() else None
     return greedy_agents(sub_net, meta_net)
@@ -129,7 +131,7 @@ def _agent_factory_from_checkpoint(checkpoint: Path, vocab):
 
 def cmd_eval(args) -> int:
     from .engine.vocab import default_vocabulary
-    from .neural.nets import CheckpointError, VocabularyMismatchError
+    from .neural.nets import VocabularyMismatchError
     from .training.gamesets import load_game_dir
     from .training.loop import evaluate_agent
 
@@ -139,7 +141,7 @@ def cmd_eval(args) -> int:
     except VocabularyMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (OSError, FileNotFoundError, CheckpointError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -278,34 +280,43 @@ def _inspect_metrics(path: Path) -> int:
 
 
 def _inspect_json(path: Path) -> int:
-    doc = json.loads(path.read_text())
-    if isinstance(doc, dict) and "rooms" in doc and "recipe" in doc:
-        from .engine.spec import load_game
+    from .engine.spec import GameSpec, spec_from_dict
+    from .engine.trace import trace_from_jsonable
+    from .records import load_record
+    from .training.gamesets import Manifest, manifest_from_dict
 
-        spec = load_game(path)
-        print(f"level {spec.level}, seed {spec.seed}, max score {spec.max_score}")
-        print(f"start room: {spec.start_room}")
+    def read(doc):  # the spec, manifest or trace doc holds, told apart by their keys
+        if isinstance(doc, dict) and "rooms" in doc and "recipe" in doc:
+            return spec_from_dict(doc)
+        if isinstance(doc, dict) and "games" in doc:
+            return manifest_from_dict(doc)
+        if isinstance(doc, list) and doc and isinstance(doc[0], dict) and "obs" in doc[0]:
+            return trace_from_jsonable(doc)
+
+    record = load_record(path, read, ValueError)
+    if isinstance(record, GameSpec):
+        print(f"level {record.level}, seed {record.seed}, max score {record.max_score}")
+        print(f"start room: {record.start_room}")
         print("rooms:")
-        for room in spec.rooms:
+        for room in record.rooms:
             exits = ", ".join(
                 f"{e.direction}->{e.to}" + (f" [{e.door}]" if e.door else "")
                 for e in room.exits
             )
             print(f"  {room.name}: {exits or '(no exits)'}")
         print("recipe:")
-        for entry in spec.recipe:
+        for entry in record.recipe:
             print(f"  {entry.ingredient}: cut={entry.cut}, cook={entry.cook}")
-        print(f"objects: {len(spec.objects)}")
+        print(f"objects: {len(record.objects)}")
         return EXIT_OK
-    if isinstance(doc, dict) and "games" in doc:
-        print(f"manifest with {len(doc['games'])} games, master seed {doc.get('master_seed')}")
+    if isinstance(record, Manifest):
+        print(f"manifest with {len(record.games)} games, master seed {record.master_seed}")
         return EXIT_OK
-    if isinstance(doc, list) and doc and "obs" in doc[0]:
-        actions = [row.get("action") for row in doc if row.get("action")]
-        last = next((row for row in reversed(doc) if "score" in row), None)
+    if isinstance(record, list):
+        actions = [st for st in record if st.action is not None]
         print(f"trace with {len(actions)} action steps")
-        if last:
-            print(f"final score {last['score']}, done {last['done']}")
+        if actions:
+            print(f"final score {actions[-1].score}, done {actions[-1].done}")
         return EXIT_OK
     print(f"error: unrecognized JSON document {path}", file=sys.stderr)
     return EXIT_USAGE

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..kg import DIRECTIONS, OPPOSITE_DIRECTION, Triplet, is_entity_token
-from ..records import read_record
+from ..records import load_record, read_record
 
 FORMAT_VERSION = 1
 
@@ -382,24 +382,6 @@ def save_game(spec: GameSpec, path: str | Path) -> None:
     Path(path).write_text(dumps_spec(spec))
 
 
-def loads_spec(text: str) -> GameSpec:
-    if not text.strip():
-        raise SpecParseError("empty document")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return spec_from_dict(doc)
-
-
 def load_game(path: str | Path) -> GameSpec:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SpecParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        return loads_spec(text)
-    except (SpecParseError, InvariantViolation) as exc:
-        # name the file, keeping the error's type and invariant
-        exc.args = (f"{path}: {exc}",)
-        raise
+    """The game in the spec file at path; an error names the file."""
+    return load_record(path, spec_from_dict, SpecParseError)

@@ -9,11 +9,12 @@ post-episode observation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 from ..kg import KGObservation
+from ..records import load_record, read_record
 from .spec import GameSpec
 from .state import DEFAULT_STEP_LIMIT, admissible_actions, reset, step
 
@@ -39,77 +40,51 @@ class ReplayResult:
     divergence: Optional[str] = None  # human-readable, names the first bad step
 
 
+@dataclass(frozen=True)
+class TraceRow:
+    """One entry of a trace file: an action step, or the final observation."""
+
+    obs: tuple[tuple[str, ...], ...]
+    admissible: Optional[tuple[str, ...]] = None
+    action: Optional[str] = None
+    reward: Optional[int] = None
+    score: Optional[int] = None
+    done: Optional[bool] = None
+
+
 def load_trace(path: str | Path) -> list[TraceStep]:
-    try:
-        rows = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-        raise TraceFormatError(f"cannot load trace {path}: {exc}") from exc
-    return trace_from_jsonable(rows)
+    return load_record(path, trace_from_jsonable, TraceFormatError)
 
 
 def trace_from_jsonable(rows) -> list[TraceStep]:
     if not isinstance(rows, list) or not rows:
         raise TraceFormatError("trace must be a non-empty JSON list")
     steps: list[TraceStep] = []
-    for i, row in enumerate(rows):
+    for i, doc in enumerate(rows):
         try:
-            steps.append(_trace_step(row, steps[-1] if steps else None, i == len(rows) - 1))
-        except (TypeError, ValueError) as exc:
+            row = read_record(TraceRow, doc, TraceFormatError)
+            obs = KGObservation.from_lists(row.obs)
+            if row.action is None:
+                if i != len(rows) - 1:
+                    raise TraceFormatError("action-less entry before the end")
+                steps.append(TraceStep(obs=obs))
+                continue
+            if steps and steps[-1].done:
+                raise TraceFormatError("action after the game ended")
+            if None in (row.admissible, row.reward, row.score, row.done):
+                raise TraceFormatError("an action step needs admissible, reward, score and done")
+            steps.append(TraceStep(obs, list(row.admissible), row.action, row.reward, row.score, row.done))
+        except ValueError as exc:
             raise TraceFormatError(f"step {i}: {exc}") from exc
     return steps
 
 
-def _trace_step(row, previous: Optional[TraceStep], last: bool) -> TraceStep:
-    if not isinstance(row, dict):
-        raise TraceFormatError("not a JSON object")
-    if "obs" not in row:
-        raise TraceFormatError("missing obs")
-    obs = KGObservation.from_lists(row["obs"])
-    if row.get("action") is None:
-        if not last:
-            raise TraceFormatError("action-less entry before the end")
-        return TraceStep(obs=obs)
-    if previous is not None and previous.done:
-        raise TraceFormatError("action after the game ended")
-    for key in ("admissible", "reward", "score", "done"):
-        if key not in row:
-            raise TraceFormatError(f"missing {key}")
-    if not isinstance(row["done"], bool):
-        raise TraceFormatError(f"done must be true or false, got {row['done']!r}")
-    if not isinstance(row["action"], str):
-        raise TraceFormatError(f"action must be a string, got {row['action']!r}")
-    admissible = row["admissible"]
-    if not isinstance(admissible, list) or not all(isinstance(a, str) for a in admissible):
-        raise TraceFormatError(f"admissible must be a list of strings, got {admissible!r}")
-    for key in ("reward", "score"):
-        if not isinstance(row[key], int) or isinstance(row[key], bool):
-            raise TraceFormatError(f"{key} must be an integer, got {row[key]!r}")
-    return TraceStep(
-        obs=obs,
-        admissible=list(admissible),
-        action=row["action"],
-        reward=row["reward"],
-        score=row["score"],
-        done=row["done"],
-    )
-
-
-def trace_to_jsonable(steps: list[TraceStep]) -> list[dict]:
-    rows = []
-    for st in steps:
-        row: dict = {"obs": st.obs.as_lists()}
-        if st.action is not None:
-            row["admissible"] = st.admissible
-            row["action"] = st.action
-            row["reward"] = st.reward
-            row["score"] = st.score
-            row["done"] = st.done
-        rows.append(row)
-    return rows
-
-
 def save_trace(steps: list[TraceStep], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(trace_to_jsonable(steps), indent=1) + "\n")
+    """Write each step as its TraceRow, leaving out the fields it holds as null."""
+    rows = [asdict(TraceRow(st.obs.as_lists(), st.admissible, st.action, st.reward, st.score, st.done))
+            for st in steps]
+    rows = [{key: value for key, value in row.items() if value is not None} for row in rows]
+    Path(path).write_text(json.dumps(rows, indent=1) + "\n")
 
 
 def record_trace(spec: GameSpec, actions: list[str], step_limit: int = DEFAULT_STEP_LIMIT) -> list[TraceStep]:

@@ -7,12 +7,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..kg import KGObservation, RELATIONS, canonical_hash
+from ..records import load_record, read_record
 from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import AdamState
@@ -630,22 +632,25 @@ def clone_net(net: PolicyNet) -> PolicyNet:
 
 
 # -- checkpoints --------------------------------------------------------------
-# A checkpoint is one .npz: `param`, the net's flat vector; `meta`, JSON bytes
-# of the version, config, seed and vocabulary; and with Adam state, the moment
-# vectors `adam.m` and `adam.v` and the step count `adam.t`.
+# A checkpoint is one .npz: `param`, the net's flat vector; `meta`, the JSON
+# bytes of a CheckpointMeta; and with Adam state, the moment vectors `adam.m`
+# and `adam.v` and the step count `adam.t`.
+
+@dataclass(frozen=True)
+class CheckpointMeta:
+    checkpoint_version: int
+    config: dict[str, int]  # PolicyNet.config()
+    seed: int
+    vocab_tokens: tuple[str, ...]
+
 
 def save_checkpoint(net: PolicyNet, path: str | Path, optimizer_state: Optional[AdamState] = None) -> None:
     arrays = {"param": net.flat}
     if optimizer_state is not None:
         arrays.update({"adam.m": optimizer_state.m, "adam.v": optimizer_state.v,
                        "adam.t": np.array(optimizer_state.t)})
-    meta = {
-        "checkpoint_version": CHECKPOINT_VERSION,
-        "config": net.config(),
-        "seed": net.seed,
-        "vocab_tokens": list(net.vocab.tokens),
-    }
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    meta = CheckpointMeta(CHECKPOINT_VERSION, net.config(), net.seed, net.vocab.tokens)
+    arrays["meta"] = np.frombuffer(json.dumps(asdict(meta)).encode(), dtype=np.uint8)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
@@ -658,18 +663,20 @@ def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[AdamSt
     try:
         with np.load(Path(path)) as bundle:
             arrays = {key: bundle[key] for key in bundle.files}
-        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta_bytes = bytes(arrays["meta"])
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("checkpoint_version") != CHECKPOINT_VERSION:
+    meta = load_record(path, lambda doc: read_record(CheckpointMeta, doc, CheckpointError), CheckpointError,
+                       data=meta_bytes)
+    if meta.checkpoint_version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version in {path}")
     try:
-        tokens, config, seed = meta["vocab_tokens"], meta["config"], meta["seed"]
-        size = _layout_size(_param_layout(len(vocab), **config))
-    except (KeyError, TypeError, ValueError) as exc:
-        # a missing field, a setting PolicyNet does not take, or a bad value
+        if meta.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {meta.seed}")
+        size = _layout_size(_param_layout(len(vocab), **meta.config))
+    except (TypeError, ValueError) as exc:  # a missing setting, one PolicyNet does not take, or a bad value
         raise CheckpointError(f"malformed metadata in checkpoint {path}: {exc!r}") from exc
-    if tokens != list(vocab.tokens):
+    if meta.vocab_tokens != vocab.tokens:
         raise VocabularyMismatchError(f"checkpoint {path} was trained with a different vocabulary")
 
     def vector(name: str) -> np.ndarray:
@@ -681,7 +688,7 @@ def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[AdamSt
             )
         return values
 
-    net = PolicyNet._with_params(vocab, config, seed, vector("param"))
+    net = PolicyNet._with_params(vocab, meta.config, meta.seed, vector("param"))
     if "adam.t" not in arrays:
         return net, None
     t = arrays["adam.t"]

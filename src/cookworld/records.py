@@ -1,18 +1,21 @@
-"""Dataclass records read from JSON by their field type hints.
+"""JSON files read, by load_record, as dataclass records of their type hints.
 
 One rule types every value: a bool is never an int, an int serves as a
 float and a float is finite, null fills an Optional, a list becomes the
-hinted tuple and an object the hinted record. A record refuses unknown
-keys and needs every field without a default; hints resolve once per class.
+hinted tuple and an object the hinted record or dict[str, X] (a plain dict
+keeps it as it is). A record refuses unknown keys and needs every field
+without a default; hints resolve once per class.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import types
 import typing
+from pathlib import Path
 
 _NAMES = {str: "a string", bool: "a boolean", int: "an integer", float: "a number", type(None): "null"}
 
@@ -30,6 +33,26 @@ def check_fields(record, error: type[Exception]) -> None:
     for name, hint in _hints(type(record)).items():
         if not admits(hint, getattr(record, name)):
             raise error(f"{name} must be {_kind(hint)[1]}, got {getattr(record, name)!r}")
+
+
+def load_record(path, read, error: type[Exception], data: bytes | None = None):
+    """read(doc) of the JSON document doc in the file at path, or in data
+    where the caller holds the file's bytes (a member of an archive). The
+    bytes are UTF-8. Every error names path: a file that cannot be read or
+    parsed raises error, and a ValueError from read keeps its type."""
+    try:
+        text = (Path(path).read_bytes() if data is None else data).decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    try:
+        return read(doc)
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def read_record(cls, doc, error: type[Exception]):
@@ -81,8 +104,9 @@ def _reader(hint):
             return hint(**kwargs)
 
         return read_record
-    if typing.get_origin(hint) is tuple:
-        item = _reader(typing.get_args(hint)[0])
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        item = _reader(args[0])
 
         def read_list(value, path, error):
             if type(value) is not list:
@@ -90,6 +114,19 @@ def _reader(hint):
             return tuple([item(v, f"{path}[{i}]", error) for i, v in enumerate(value)])
 
         return read_list
+    if origin is dict:
+        item = _reader(args[1])
+
+        def read_dict(value, path, error):
+            if type(value) is not dict:
+                raise error(f"{path or 'the document'} must be an object, got {value!r}")
+            return {key: item(v, f"{path}.{key}", error) for key, v in value.items()}
+
+        return read_dict
+    if args[1:] == (type(None),) and typing.get_origin(args[0]) in (tuple, dict):
+        # Optional[X] of a list or object X
+        read_inner = _reader(args[0])
+        return lambda value, path, error: None if value is None else read_inner(value, path, error)
     accepted, name = _kind(hint)
 
     def read_plain(value, path, error):

@@ -45,9 +45,9 @@ class PrioritizedBuffer:
 
     `priorities[i]` holds entry i's priority ** alpha, and a draw picks
     entry i with probability priorities[i] / priorities[:size].sum(), so
-    `priorities[:size]` is the whole sampling state. Per-level running
-    means of the gate reward are maintained exactly (rewards are small
-    integers or halves, so float sums stay exact).
+    `priorities[:size]` is the whole sampling state. The per-level gate
+    reward sums are running sums, which with rewards such as -0.05 can
+    differ in the last bits from a fresh sum of the live entries.
     """
 
     def __init__(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..neural.nets import _param_layout
-from ..records import check_fields, read_record
+from ..records import check_fields, load_record, read_record
 
 VARIANTS = ("GATA", "GC-GATA", "H-KGA", "H-KGA-HalfJoint", "H-KGA-Ind")
 
@@ -101,11 +101,7 @@ def config_from_dict(doc) -> TrainConfig:
 
 
 def load_config(path: str | Path) -> TrainConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-        raise ConfigError(f"cannot load config {path}: {exc}") from exc
-    return config_from_dict(doc)
+    return load_record(path, config_from_dict, ConfigError)
 
 
 def check_resumable(saved: TrainConfig, cfg: TrainConfig) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from ..engine.generate import generate_game
 from ..engine.spec import LEVELS, GameSpec, UNSEEN_LEVELS, load_game, save_game
-from ..records import read_record
+from ..records import load_record, read_record
 
 MANIFEST_NAME = "manifest.json"
 SPLITS = ("train", "val", "test-seen", "test-unseen")
@@ -70,20 +70,21 @@ def generate_game_dir(
     return entries
 
 
+def manifest_from_dict(doc) -> Manifest:
+    """The manifest a JSON document holds, read by the field types of Manifest."""
+    manifest = read_record(Manifest, doc, ValueError)
+    for i, entry in enumerate(manifest.games):
+        if entry.split not in SPLITS:
+            raise ValueError(f"games[{i}].split must be one of {', '.join(SPLITS)}, got {entry.split!r}")
+    return manifest
+
+
 def load_game_dir(path: str | Path) -> dict[str, dict[str, list[GameSpec]]]:
     """manifest -> {split: {level: [GameSpec, ...]}}; a malformed manifest or
     spec file raises ValueError."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no {MANIFEST_NAME} in {root}")
-    try:
-        manifest = read_record(Manifest, json.loads(manifest_path.read_text()), ValueError)
-        for i, entry in enumerate(manifest.games):
-            if entry.split not in SPLITS:
-                raise ValueError(f"games[{i}].split must be one of {', '.join(SPLITS)}, got {entry.split!r}")
-    except ValueError as exc:  # not UTF-8, not JSON, or not a manifest
-        raise ValueError(f"malformed {manifest_path}: {exc}") from exc
+    manifest = load_record(manifest_path, manifest_from_dict, ValueError)
     out: dict[str, dict[str, list[GameSpec]]] = {}
     for entry in manifest.games:
         spec = load_game(root / entry.file)

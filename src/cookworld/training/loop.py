@@ -5,10 +5,9 @@ patience rollback, and variant/ablation wiring."""
 from __future__ import annotations
 
 import json
-import math
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -23,6 +22,7 @@ from ..neural.nets import (
     CheckpointError, PolicyNet, clone_net, load_checkpoint, save_checkpoint, sync_target,
 )
 from ..neural.optim import AdamState
+from ..records import load_record, read_record
 from ..rl.counts import VisitCounter, accumulate_meta_reward, bebold_reward, compose_sub_reward
 from ..rl.dqn import td_update
 from ..rl.replay import PER_BETA_START, PrioritizedBuffer, Transition, gated_flush
@@ -68,6 +68,21 @@ def _child_seed(seed: int, stream: int) -> int:
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, stream)))
+
+
+@dataclass
+class RunState:
+    """run_state.json: what a resume restores beside the checkpoints. The
+    rng states are numpy's bit generator states, which numpy checks."""
+
+    episode: int
+    k: int
+    updates_meta: int
+    updates_sub: int
+    best_val: float
+    patience_count: int
+    scheduler_history: dict[str, tuple[float, ...]]
+    rng: dict[str, dict]
 
 
 class Learner:
@@ -472,7 +487,7 @@ class Trainer:
         staging.mkdir(parents=True, exist_ok=True)
         for learner in self.learners:
             learner.save(staging)
-        (staging / "run_state.json").write_text(json.dumps(self._run_state_dict(), indent=2) + "\n")
+        (staging / "run_state.json").write_text(json.dumps(asdict(self._run_state()), indent=2) + "\n")
         if directory.exists():
             shutil.rmtree(retired, ignore_errors=True)  # left by a save cut after its swap
             os.replace(directory, retired)
@@ -482,27 +497,17 @@ class Trainer:
     def save_latest(self) -> None:
         self._save_policies(self.out_dir / "latest")
 
-    def _run_state_dict(self) -> dict:
-        rng = {
-            "level": self.rng_level.bit_generator.state,
-            "game": self.rng_game.bit_generator.state,
-            "meta": self.rng_meta.bit_generator.state,
-            "sub": self.rng_sub.bit_generator.state,
-        }
-        for learner in self.learners:
-            rng[f"buf_{learner.name}"] = learner.rng.bit_generator.state
-        return {
-            "episode": self.episode,
-            "k": self.k,
-            "updates_meta": self.updates_meta,
-            "updates_sub": self.updates_sub,
-            "best_val": self.best_val,
-            "patience_count": self.patience_count,
-            "scheduler_history": {
-                level: list(self.scheduler._history[level]) for level in self.scheduler.levels
-            },
-            "rng": rng,
-        }
+    def _rngs(self) -> dict[str, np.random.Generator]:
+        """The run's random streams, by their names in run_state.json."""
+        rngs = {"level": self.rng_level, "game": self.rng_game, "meta": self.rng_meta, "sub": self.rng_sub}
+        rngs.update((f"buf_{learner.name}", learner.rng) for learner in self.learners)
+        return rngs
+
+    def _run_state(self) -> RunState:
+        history = {level: tuple(self.scheduler._history[level]) for level in self.scheduler.levels}
+        rng = {name: rng.bit_generator.state for name, rng in self._rngs().items()}
+        return RunState(self.episode, self.k, self.updates_meta, self.updates_sub, self.best_val,
+                        self.patience_count, history, rng)
 
     def _load_run_state(self) -> None:
         directory, retired = self.out_dir / "latest", self.out_dir / "latest.old"
@@ -511,46 +516,31 @@ class Trainer:
         state_path = directory / "run_state.json"
         if not state_path.exists():
             return
-        try:
-            run_state = json.loads(state_path.read_text())
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise CheckpointError(f"{state_path} is not valid JSON: {exc}") from exc
 
-        def field(kinds: tuple, *keys: str):
-            """run_state[keys[0]][keys[1]]..., which must exist and be of one of
-            the types kinds; an int, always a count here, must not be negative,
-            and a float must be finite (json reads NaN and Infinity)."""
-            value = run_state
-            for key in keys:
-                value = value.get(key) if isinstance(value, dict) else None
-            if (type(value) not in kinds or type(value) is int and value < 0
-                    or type(value) is float and not math.isfinite(value)):
-                raise CheckpointError(f"{state_path}: field {'.'.join(keys)} is missing or malformed")
-            return value
+        def read(doc) -> RunState:
+            state = read_record(RunState, doc, CheckpointError)
+            for name in ("episode", "k", "updates_meta", "updates_sub", "patience_count"):
+                if getattr(state, name) < 0:
+                    raise CheckpointError(f"{name} must be at least 0, got {getattr(state, name)}")
+            missing = set(self.scheduler.levels) - state.scheduler_history.keys()
+            if missing:
+                raise CheckpointError(f"scheduler_history lacks level {min(missing)}")
+            return state
 
-        def restore_rng(rng: np.random.Generator, name: str) -> None:
-            state = field((dict,), "rng", name)
-            try:
-                rng.bit_generator.state = state
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(f"{state_path}: field rng.{name} is malformed") from exc
-
-        self.episode = field((int,), "episode")
-        self.k = field((int,), "k")
-        self.best_val = field((int, float), "best_val")
-        self.patience_count = field((int,), "patience_count")
+        state = load_record(state_path, read, CheckpointError)
+        self.episode, self.k = state.episode, state.k
+        self.best_val, self.patience_count = state.best_val, state.patience_count
         for level in self.scheduler.levels:
-            history = field((list,), "scheduler_history", level)
-            if any(type(value) not in (int, float) or not math.isfinite(value) for value in history):
-                raise CheckpointError(f"{state_path}: field scheduler_history.{level} is malformed")
-            for value in history:
+            for value in state.scheduler_history[level]:
                 self.scheduler.update(level, value)
-        for name in ("level", "game", "meta", "sub"):
-            restore_rng(getattr(self, f"rng_{name}"), name)
         for learner in self.learners:
             # the checkpoint first: it refuses a run of another variant
-            learner.load(directory, field((int,), f"updates_{learner.name}"))
-            restore_rng(learner.rng, f"buf_{learner.name}")
+            learner.load(directory, getattr(state, f"updates_{learner.name}"))
+        for name, rng in self._rngs().items():
+            try:
+                rng.bit_generator.state = state.rng[name]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"{state_path}: rng.{name} is missing or not a bit generator state") from exc
 
 
 # -- evaluation ---------------------------------------------------------------------

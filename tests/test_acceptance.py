@@ -608,6 +608,18 @@ def test_every_autodiff_op_has_a_caller_in_src():
     assert not ops - called, sorted(ops - called)
 
 
+def test_only_the_records_module_parses_json():
+    """Every JSON document is read through records.py (load_record), which
+    names the file in each error: no other source file calls json.load or
+    json.loads."""
+    callers = source_files_where(
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        and node.func.attr in ("load", "loads")
+    )
+    assert set(callers) == {"records.py"}, callers
+
+
 def test_only_the_engine_builds_trusted_graphs():
     """KGObservation._spliced skips every check of the constructor, so only
     the engine's splice of a checked parent (engine/state.py) may call it:

@@ -1,6 +1,8 @@
 """Command-line workflows: generation, replay, train/eval, play, inspect."""
 
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,9 @@ BAD_TRACES = {
     "fractional reward": (lambda rows: rows[:2] + [dict(rows[2], reward=1.7)] + rows[3:], 2),
     "boolean reward": (lambda rows: rows[:2] + [dict(rows[2], reward=True)] + rows[3:], 2),
     "string score": (lambda rows: rows[:2] + [dict(rows[2], score="1")] + rows[3:], 2),
+    "unknown key": (lambda rows: rows[:1] + [dict(rows[1], note="x")] + rows[2:], 1),
+    "action step without done": (lambda rows: rows[:4] + [{k: v for k, v in rows[4].items() if k != "done"}]
+                                 + rows[5:], 4),
 }
 
 
@@ -347,6 +352,13 @@ BAD_CHECKPOINT_META = {
     "state_parts three": lambda meta: dict(meta, config=dict(meta["config"], state_parts=3)),
     # a valid config whose net is smaller than the saved vector
     "one R-GCN layer fewer": lambda meta: dict(meta, config=dict(meta["config"], rgcn_layers=1)),
+    "seed a string": lambda meta: dict(meta, seed="x"),
+    "seed a float": lambda meta: dict(meta, seed=1.5),
+    "seed a bool": lambda meta: dict(meta, seed=True),
+    "seed null": lambda meta: dict(meta, seed=None),
+    "seed negative": lambda meta: dict(meta, seed=-3),
+    "vocab_tokens a string": lambda meta: dict(meta, vocab_tokens="abc"),
+    "vocab_tokens null": lambda meta: dict(meta, vocab_tokens=None),
 }
 
 
@@ -411,7 +423,7 @@ BAD_RUN_STATES = {
     "without k": ("k", _without_field("k")),
     "without rng.sub": ("rng.sub", _without_field("rng", "sub")),
     "a JSON list": ("episode", lambda doc: json.dumps([doc])),
-    "truncated": ("not valid JSON", lambda doc: json.dumps(doc)[:40]),
+    "truncated": ("invalid JSON", lambda doc: json.dumps(doc)[:40]),
     "k a string": ("k", lambda doc: json.dumps(dict(doc, k="7"))),
     "rng.sub not a state": ("rng.sub", lambda doc: json.dumps(dict(doc, rng=dict(doc["rng"], sub={})))),
     "episode negative": ("episode", lambda doc: json.dumps(dict(doc, episode=-3))),
@@ -421,6 +433,8 @@ BAD_RUN_STATES = {
     "best_val NaN": ("best_val", lambda doc: json.dumps(dict(doc, best_val=float("nan")))),
     "scheduler history infinite": ("scheduler_history.", lambda doc: json.dumps(dict(
         doc, scheduler_history={level: [float("inf")] for level in doc["scheduler_history"]}))),
+    "without a level's scheduler history": ("scheduler_history", _without_field("scheduler_history", "S1")),
+    "unknown key": ("extra", lambda doc: json.dumps(dict(doc, extra=1))),
 }
 
 
@@ -446,6 +460,29 @@ def test_train_resume_refuses_a_malformed_run_state(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "run_state.json" in err and field in err
     assert (out / "metrics.csv").read_bytes() == metrics
+
+
+@pytest.mark.parametrize("ending", ["finished", "failed"])
+def test_train_closes_metrics_csv(ending, tmp_path, monkeypatch, capsys):
+    games = tmp_path / "games"
+    run_cli("gen", "--levels", "S1", "--train", "1", "--val", "1", "--test", "1",
+            "--seed", "3", "--out", games)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "episodes": 1, "warmup_episodes": 1, "val_freq": 1, "variant": "GATA",
+        "hidden_dim": 8, "ff_dim": 8, "scorer_hidden": 8, "seed": 1,
+    }))
+    if ending == "failed":
+        def run(self, progress=False):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("cookworld.training.loop.Trainer.run", run)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code = run_cli("train", "--games", games, "--out", tmp_path / "r", "--config", cfg_path)
+        gc.collect()  # an unclosed file warns as it is collected
+    assert code == (0 if ending == "finished" else 3)
+    assert not [w for w in caught if "metrics.csv" in str(w.message)]
 
 
 def test_train_resume_refuses_a_changed_config(tmp_path, capsys):
@@ -524,7 +561,7 @@ def test_train_config_not_utf8_is_usage_error(tmp_path, capsys):
                    "--config", cfg_path)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot load config ") and "cfg.json" in err
+    assert err.startswith("error: cannot read ") and "cfg.json" in err
 
 
 def test_train_episodes_flag_below_one_is_usage_error(tmp_path, capsys):
@@ -572,7 +609,8 @@ def test_eval_walkthrough_oracle_all_ones(tmp_path, capsys):
     assert len(lines) == 2 + 3  # two levels + three aggregates
 
 
-@pytest.mark.parametrize("body", ["[1]", "null", '"walkthrough_oracle"', "{", '{"kind": "oracle"}'])
+@pytest.mark.parametrize("body", ["[1]", "null", '"walkthrough_oracle"', "{", '{"kind": "oracle"}',
+                                  '{"kind": "walkthrough_oracle", "note": "x"}'])
 def test_eval_malformed_pseudo_checkpoint_is_io_error(body, tmp_path, capsys):
     games = tmp_path / "games"
     run_cli("gen", "--levels", "S1", "--train", "1", "--val", "1", "--test", "1",
@@ -705,6 +743,24 @@ def test_inspect_trace(capsys):
     assert run_cli("inspect", FIXTURES / "s1_game1.trace.json") == 0
     out = capsys.readouterr().out
     assert "8 action steps" in out
+
+
+@pytest.mark.parametrize("damage", ["manifest with an unknown split", "trace with a string score"])
+def test_inspect_refuses_what_train_and_replay_refuse(damage, s1_trace_rows, tmp_path, capsys):
+    if damage.startswith("manifest"):
+        run_cli("gen", "--levels", "S1", "--train", "1", "--val", "0", "--test", "0",
+                "--seed", "3", "--out", tmp_path / "games")
+        bad = tmp_path / "games" / "manifest.json"
+        manifest = json.loads(bad.read_text())
+        manifest["games"][0]["split"] = "training"
+        bad.write_text(json.dumps(manifest))
+    else:
+        bad = tmp_path / "bad.trace.json"
+        bad.write_text(json.dumps(s1_trace_rows[:2] + [dict(s1_trace_rows[2], score="1")] + s1_trace_rows[3:]))
+    capsys.readouterr()
+    assert run_cli("inspect", bad) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad.name in err
 
 
 def test_inspect_truncated_file(tmp_path, capsys):

@@ -14,7 +14,7 @@ from cookworld.engine.spec import (
     SpecParseError,
     dumps_spec,
     load_game,
-    loads_spec,
+    spec_from_dict,
 )
 from cookworld.engine.state import (
     CUT_VERBS,
@@ -257,17 +257,20 @@ def test_determinism_bit_identical_runs(s4_spec):
     assert [s.reward for s in t1] == [s.reward for s in t2]
 
 
-def test_spec_round_trip(s4_spec):
+def test_spec_round_trip(s4_spec, tmp_path):
     text = dumps_spec(s4_spec)
-    assert loads_spec(text) == s4_spec
-    assert dumps_spec(loads_spec(text)) == text
+    path = tmp_path / "s4.json"
+    path.write_text(text)
+    assert load_game(path) == s4_spec
+    assert dumps_spec(load_game(path)) == text
 
 
-def test_empty_document_is_parse_error():
-    with pytest.raises(SpecParseError):
-        loads_spec("")
-    with pytest.raises(SpecParseError):
-        loads_spec("{not json")
+def test_empty_document_is_parse_error(tmp_path):
+    path = tmp_path / "bad.json"
+    for text in ("", "{not json"):
+        path.write_text(text)
+        with pytest.raises(SpecParseError):
+            load_game(path)
 
 
 def test_disconnected_rooms_is_invariant_violation(s4_spec):
@@ -276,7 +279,7 @@ def test_disconnected_rooms_is_invariant_violation(s4_spec):
         room["exits"] = []
     doc["doors"] = []
     with pytest.raises(InvariantViolation) as err:
-        loads_spec(json.dumps(doc))
+        spec_from_dict(doc)
     assert "rooms-connected" in str(err.value)
 
 
@@ -284,7 +287,7 @@ def test_wrong_max_score_is_invariant_violation(s1_spec):
     doc = json.loads(dumps_spec(s1_spec))
     doc["max_score"] = 7
     with pytest.raises(InvariantViolation) as err:
-        loads_spec(json.dumps(doc))
+        spec_from_dict(doc)
     assert "max-score-formula" in str(err.value)
 
 
@@ -294,7 +297,7 @@ def test_object_named_meal_is_invariant_violation(s1_spec):
         {"name": "meal", "kind": "distractor", "holder": "kitchen", "holder_relation": "at"}
     )
     with pytest.raises(InvariantViolation) as err:
-        loads_spec(json.dumps(doc))
+        spec_from_dict(doc)
     assert err.value.invariant == "reserved-name"
 
 
@@ -310,7 +313,7 @@ def test_room_references_must_be_entity_tokens(s4_spec):
         doc = json.loads(dumps_spec(s4_spec))
         edit(doc)
         with pytest.raises(SpecParseError, match=re.escape(f"{field} must be a string")):
-            loads_spec(json.dumps(doc))
+            spec_from_dict(doc)
 
 
 def test_load_game_names_the_file(s1_spec, tmp_path):
