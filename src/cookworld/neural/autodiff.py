@@ -1,7 +1,9 @@
-"""Small reverse-mode autodiff over float64 numpy arrays.
+"""Small reverse-mode autodiff over floating numpy arrays.
 
-Only the operations the policy networks need. Gradients accumulate into
-Tensor.grad; every backward formula is covered by finite-difference tests.
+Only the operations the policy networks need. Every op computes in its
+operands' dtype: the policy networks run in float32, and the
+finite-difference tests check every backward formula in float64.
+Gradients accumulate into Tensor.grad.
 
 Ops record only inside ad.tape(), which the trainer's td_update alone
 opens: each op computes its result and hands it to _wrap with its
@@ -42,7 +44,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_entry")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        """data as an array: a float array keeps its dtype (and is not
+        copied), anything else becomes float64."""
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._entry: Optional[int] = None  # index of the tape entry that made it
@@ -77,11 +82,11 @@ class Tensor:
 
 
 def _wrap(data: np.ndarray, formula, *args) -> Tensor:
-    """An op's result: the float64 array it computed, recorded on the open
-    tape with its backward formula and the operands and arrays that
+    """An op's result: the array it computed, recorded on the open tape
+    with its backward formula and the operands and arrays that
     formula(g, *args) reads, or bare outside a tape. Built without
-    __init__'s conversions, which a result computed from float64 tensors
-    does not need."""
+    __init__'s conversion, which a result computed from float tensors does
+    not need."""
     out = object.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -213,17 +218,20 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
 
 def _segment_sum(x: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
     # One bincount over every element: each output element sums its rows in
-    # their original order. np.add.reduceat pays a per-segment cost that
-    # dominates on the many one- and two-row segments of a packed graph.
+    # their original order, in float64, and is rounded once to x's dtype.
+    # np.add.reduceat pays a per-segment cost that dominates on the many
+    # one- and two-row segments of a packed graph; a one-hot product was
+    # faster only below about 100 rows, and np.add.at was slower throughout.
     width = math.prod(x.shape[1:])
     if count == 1 and width > 1 and x.flags.c_contiguous:
         # One segment: a reduction over the slow axis adds whole rows to the
         # running sum in order from 0.0 (pairwise summation applies only
         # along the fast axis), the same additions as the bincount.
-        return np.add.reduce(x, axis=0, keepdims=True, initial=0.0)
+        sums = np.add.reduce(x, axis=0, keepdims=True, dtype=np.float64, initial=0.0)
+        return sums.astype(x.dtype, copy=False)
     flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
     sums = np.bincount(flat, weights=x.reshape(-1), minlength=count * width)
-    return sums.reshape((count,) + x.shape[1:])
+    return sums.reshape((count,) + x.shape[1:]).astype(x.dtype, copy=False)
 
 
 def _segment_sum_grad(g, x, ids):

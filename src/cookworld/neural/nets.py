@@ -19,7 +19,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import AdamState
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# The dtype of every net PolicyNet draws and every checkpoint vector.
+DTYPE = np.float32
 
 
 class EmptyTextError(ValueError):
@@ -45,14 +47,15 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
 
 
 @functools.cache
-def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
-    """The (length, dim) positional table, built once per shape and shared
-    read-only."""
+def sinusoidal_positions(length: int, dim: int, dtype=DTYPE) -> np.ndarray:
+    """The (length, dim) positional table in dtype, computed in float64,
+    built once per shape and dtype and shared read-only."""
     positions = np.arange(length)[:, None]
     div = np.exp(np.arange(0, dim, 2) * (-np.log(10000.0) / dim))
     enc = np.zeros((length, dim))
     enc[:, 0::2] = np.sin(positions * div)
     enc[:, 1::2] = np.cos(positions * div)
+    enc = enc.astype(dtype, copy=False)
     enc.flags.writeable = False
     return enc
 
@@ -347,8 +350,9 @@ class PolicyNet:
             "zeros": lambda shape: 0.0,
             "ones": lambda shape: 1.0,
         }
-        # drawn straight into flat's views, so no second copy of the parameters exists
-        self._adopt(np.empty(_layout_size(self.param_layout)))
+        # drawn in float64 straight into flat's views, so no second copy of
+        # the parameters exists
+        self._adopt(np.empty(_layout_size(self.param_layout), dtype=DTYPE))
         for (_, init, shape), p in zip(self.param_layout, self.params.values()):
             p.data[...] = draw[init](shape)
 
@@ -372,13 +376,15 @@ class PolicyNet:
         self.ff_dim = ff_dim
         self.scorer_hidden = scorer_hidden
         self.seed = seed
-        self._attn_scale = 1.0 / np.sqrt(hidden_dim)
+        self._attn_scale = 1.0 / math.sqrt(hidden_dim)  # a Python float keeps the dtype
         self._vec_cache: dict = {}
         self._q_memo: dict = {}
 
     def _adopt(self, flat: np.ndarray) -> None:
         """Make flat this net's parameter vector: each parameter's data is a
         view of its segment, never rebound, so writing flat writes them all.
+        flat's dtype is the net's: every activation and constant of its
+        passes, and its Adam state, take it.
         Resolve each R-GCN layer's self weight, bias and per-relation weights
         (indexed like RELATIONS) once, for graph_tensor."""
         self.flat = flat
@@ -416,6 +422,11 @@ class PolicyNet:
 
     # -- forward passes ------------------------------------------------------
 
+    def _constant(self, values: np.ndarray) -> Tensor:
+        """values, computed in float64, as a constant in this net's dtype:
+        a float64 constant would promote the whole chain it enters."""
+        return ad.constant(values.astype(self.flat.dtype, copy=False))
+
     def graph_tensor(self, observations: Sequence[KGObservation]) -> Tensor:
         """Mean-pooled R-GCN encodings of the observations, one row each.
 
@@ -430,14 +441,14 @@ class PolicyNet:
         nodes' rows and scales them by 1 / its node count."""
         layouts = [_layout_for(obs, self.vocab) for obs in observations]
         if not any(x.n_nodes for x in layouts):
-            return ad.constant(np.zeros((len(observations), self.d)))
+            return ad.constant(np.zeros((len(observations), self.d), dtype=self.flat.dtype))
         plan = _encoder_pass(layouts, self.rgcn_layers)
         h = ad.mul(
             ad.segment_sum(
                 ad.gather_rows(self.params["word_emb"], plan.token_ids),
                 plan.token_rows, len(plan.token_scale),
             ),
-            ad.constant(plan.token_scale),
+            self._constant(plan.token_scale),
         )
         for (self_w, bias, rel_ws), (self_rows, groups, n_rows) in zip(self._rgcn, plan.layers):
             total = ad.affine(h, self_w, bias)
@@ -446,7 +457,7 @@ class PolicyNet:
             if groups.relations:
                 mean = ad.mul(
                     ad.segment_sum(ad.gather_rows(h, groups.src), groups.ids, len(groups.rel)),
-                    ad.constant(groups.scale),
+                    self._constant(groups.scale),
                 )
                 messages = ad.add(
                     ad.grouped_matmul(mean, [rel_ws[r] for r in groups.relations], groups.bounds),
@@ -455,8 +466,8 @@ class PolicyNet:
                 total = ad.add(total, ad.segment_sum(messages, groups.dst, n_rows))
             h = ad.relu(total)
         if plan.pool is not None:
-            return ad.matmul(ad.constant(plan.pool), h)
-        return ad.mul(ad.segment_sum(h, plan.graph_ids, 1), ad.constant(plan.graph_scale))
+            return ad.matmul(self._constant(plan.pool), h)
+        return ad.mul(ad.segment_sum(h, plan.graph_ids, 1), self._constant(plan.graph_scale))
 
     def text_tensor(self, texts: Sequence[str]) -> Tensor:
         """Single-block transformer encodings of the texts, mean-pooled over
@@ -476,7 +487,7 @@ class PolicyNet:
         if len(encoded) == 1:
             width = len(encoded[0])
             token_ids = np.array(encoded[0], dtype=np.intp)
-            positions = sinusoidal_positions(width, self.d)
+            positions = sinusoidal_positions(width, self.d, self.flat.dtype)
             spans = [(0, width, width)]
             weights = np.full((width, 1), 1.0 / width)
             text_rows = np.zeros(width, dtype=np.intp)
@@ -487,7 +498,7 @@ class PolicyNet:
             starts = np.cumsum(lengths) - lengths
             token_ids = np.array([tid for i in order for tid in encoded[i]], dtype=np.intp)
             offsets = np.arange(len(token_ids)) - np.repeat(starts, lengths)
-            positions = sinusoidal_positions(int(lengths[-1]), self.d)[offsets]
+            positions = sinusoidal_positions(int(lengths[-1]), self.d, self.flat.dtype)[offsets]
             widths, first, counts = np.unique(lengths, return_index=True, return_counts=True)
             spans = [(int(starts[f]), int(starts[f] + c * w), int(w)) for w, f, c in zip(widths, first, counts)]
             weights = np.repeat(1.0 / lengths, lengths)[:, None]
@@ -511,7 +522,7 @@ class PolicyNet:
             self.params["ff.b2"],
         )
         h2 = ad.layer_norm(ad.add(h1, ff), self.params["ln2.gain"], self.params["ln2.bias"])
-        return ad.segment_sum(ad.mul(h2, ad.constant(weights)), text_rows, len(texts))
+        return ad.segment_sum(ad.mul(h2, self._constant(weights)), text_rows, len(texts))
 
     def _w1_rows(self, part: int) -> slice:
         """The rows of scorer.w1 that multiply input part `part` of
@@ -634,7 +645,9 @@ def clone_net(net: PolicyNet) -> PolicyNet:
 # -- checkpoints --------------------------------------------------------------
 # A checkpoint is one .npz: `param`, the net's flat vector; `meta`, the JSON
 # bytes of a CheckpointMeta; and with Adam state, the moment vectors `adam.m`
-# and `adam.v` and the step count `adam.t`.
+# and `adam.v` and the step count `adam.t`. Version 3 holds the vectors in
+# float32 (DTYPE); a file of another version, or with vectors of another
+# dtype, is refused, and there is no converter.
 
 @dataclass(frozen=True)
 class CheckpointMeta:
@@ -661,7 +674,8 @@ def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[AdamSt
     """The net a checkpoint holds, and its Adam state if it has one. The
     loaded vectors become the net's and the optimizer's own, uncopied."""
     try:
-        with np.load(Path(path)) as bundle:
+        # np.load leaves a file it opened itself open when it fails to parse it
+        with open(path, "rb") as fh, np.load(fh) as bundle:
             arrays = {key: bundle[key] for key in bundle.files}
         meta_bytes = bytes(arrays["meta"])
     except Exception as exc:
@@ -669,7 +683,10 @@ def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[AdamSt
     meta = load_record(path, lambda doc: read_record(CheckpointMeta, doc, CheckpointError), CheckpointError,
                        data=meta_bytes)
     if meta.checkpoint_version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version in {path}")
+        raise CheckpointError(
+            f"unsupported checkpoint version {meta.checkpoint_version} in {path} "
+            f"(this program reads version {CHECKPOINT_VERSION})"
+        )
     try:
         if meta.seed < 0:
             raise ValueError(f"seed must be at least 0, got {meta.seed}")
@@ -681,10 +698,10 @@ def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[AdamSt
 
     def vector(name: str) -> np.ndarray:
         values = arrays.get(name)
-        if values is None or values.dtype != np.float64 or values.shape != (size,):
+        if values is None or values.dtype != DTYPE or values.shape != (size,):
             found = "missing" if values is None else f"{values.dtype} of shape {values.shape}"
             raise CheckpointError(
-                f"checkpoint {path}: array {name} is {found}, not float64 of shape ({size},)"
+                f"checkpoint {path}: array {name} is {found}, not {np.dtype(DTYPE)} of shape ({size},)"
             )
         return values
 

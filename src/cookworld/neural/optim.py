@@ -13,7 +13,7 @@ if TYPE_CHECKING:
 
 class AdamState:
     """Adam's first and second moments, two vectors laid out like the net's
-    flat parameter vector, and the number of steps taken. The scratch
+    flat parameter vector and of its dtype, and the number of steps taken. The scratch
     vectors an update works in are allocated by the first update."""
 
     def __init__(self, net: PolicyNet, m=None, v=None, t: int = 0):

@@ -18,6 +18,14 @@ import typing
 from pathlib import Path
 
 _NAMES = {str: "a string", bool: "a boolean", int: "an integer", float: "a number", type(None): "null"}
+_SHOWN = 60  # characters of an offending value's repr that a refusal quotes
+
+
+def _shown(value) -> str:
+    """value's repr, cut to _SHOWN characters with an ellipsis: a refusal
+    names the field, and a whole document in its message helps nobody."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN else text[:_SHOWN - 3] + "..."
 
 
 def admits(hint, value) -> bool:
@@ -32,7 +40,7 @@ def check_fields(record, error: type[Exception]) -> None:
     value that its field's hint does not admit."""
     for name, hint in _hints(type(record)).items():
         if not admits(hint, getattr(record, name)):
-            raise error(f"{name} must be {_kind(hint)[1]}, got {getattr(record, name)!r}")
+            raise error(f"{name} must be {_kind(hint)[1]}, got {_shown(getattr(record, name))}")
 
 
 def load_record(path, read, error: type[Exception], data: bytes | None = None):
@@ -94,7 +102,7 @@ def _reader(hint):
 
         def read_record(doc, path, error):
             if type(doc) is not dict:
-                raise error(f"{path or 'the document'} must be an object, got {doc!r}")
+                raise error(f"{path or 'the document'} must be an object, got {_shown(doc)}")
             prefix = f"{path}." if path else ""
             kwargs = {}
             for key, value in doc.items():
@@ -110,7 +118,7 @@ def _reader(hint):
 
         def read_list(value, path, error):
             if type(value) is not list:
-                raise error(f"{path} must be a list, got {value!r}")
+                raise error(f"{path} must be a list, got {_shown(value)}")
             return tuple([item(v, f"{path}[{i}]", error) for i, v in enumerate(value)])
 
         return read_list
@@ -119,7 +127,7 @@ def _reader(hint):
 
         def read_dict(value, path, error):
             if type(value) is not dict:
-                raise error(f"{path or 'the document'} must be an object, got {value!r}")
+                raise error(f"{path or 'the document'} must be an object, got {_shown(value)}")
             return {key: item(v, f"{path}.{key}", error) for key, v in value.items()}
 
         return read_dict
@@ -131,7 +139,7 @@ def _reader(hint):
 
     def read_plain(value, path, error):
         if not _fits(accepted, value):
-            raise error(f"{path} must be {name}, got {value!r}")
+            raise error(f"{path} must be {name}, got {_shown(value)}")
         return value
 
     return read_plain

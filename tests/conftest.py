@@ -8,6 +8,7 @@ import pytest
 from cookworld.engine.spec import load_game
 from cookworld.engine.trace import load_trace
 from cookworld.neural import autodiff as ad
+from cookworld.neural.nets import PolicyNet
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,6 +24,14 @@ def world(state):
         for f in dataclasses.fields(state)
         if f.compare and f.name not in NOT_WORLD
     }
+
+
+def float64_net(net):
+    """A float64 net holding net's weights, widened exactly. Finite
+    differences and the structural equivalences (a batch against each item
+    alone, cached against batched, factorized against concatenated) check
+    the dtype-generic passes in float64, where they agree to 1e-12."""
+    return PolicyNet._with_params(net.vocab, net.config(), net.seed, net.flat.astype(np.float64))
 
 
 def concatenated_scores(net, *parts):

@@ -26,6 +26,7 @@ from cookworld.neural.nets import PolicyNet
 from cookworld.rl.counts import VisitCounter, accumulate_meta_reward, bebold_reward, compose_sub_reward
 from cookworld.rl.replay import PrioritizedBuffer, gated_flush
 from cookworld.training.scheduler import softmax_probabilities
+from conftest import float64_net
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -237,8 +238,8 @@ def test_criterion_gradient_checks():
     h = 1e-4
     worst = 0.0
     for trial in range(20):
-        net = PolicyNet(vocab, hidden_dim=8, rgcn_layers=2, state_parts=2,
-                        ff_dim=16, scorer_hidden=16, seed=500 + trial)
+        net = float64_net(PolicyNet(vocab, hidden_dim=8, rgcn_layers=2, state_parts=2,
+                                    ff_dim=16, scorer_hidden=16, seed=500 + trial))
         state_vec = np.linspace(-1, 1, 16).reshape(1, 16)
         cand_vecs = rng.standard_normal((3, 8))
         # texts hold the three candidates, then the state's instruction half

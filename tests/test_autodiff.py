@@ -305,3 +305,68 @@ def test_ops_outside_a_tape_record_nothing():
         again = ad.relu(x)
     assert [entry[0] for entry in entries] == [taped, again]
     assert ad.relu(x)._entry is None and ad._TAPE is None
+
+
+# Every op on operands of the given shapes, as the policy nets call it.
+OPS = {
+    "add": (lambda a, b: ad.add(a, b), [(3, 4), (1, 4)]),
+    "sub": (lambda a, b: ad.sub(a, b), [(3, 4), (3, 4)]),
+    "mul": (lambda a, b: ad.mul(a, b), [(3, 4), (1, 4)]),
+    "scale": (lambda a: ad.scale(a, -1.7), [(2, 5)]),
+    "matmul": (lambda a, b: ad.matmul(a, b), [(3, 4), (4, 2)]),
+    "grouped_matmul": (lambda x, w, v: ad.grouped_matmul(x, [w, v], [0, 2, 5]), [(5, 3), (3, 4), (3, 4)]),
+    "relu": (lambda a: ad.relu(a), [(4, 4)]),
+    "row_block": (lambda a: ad.row_block(a, slice(1, 3)), [(4, 3)]),
+    "sum_all": (lambda a: ad.sum_all(a), [(3, 4)]),
+    "gather_rows": (lambda a: ad.gather_rows(a, [0, 2, 2, 1]), [(4, 3)]),
+    "segment_sum": (lambda a: ad.segment_sum(a, [3, 0, 3, 1, 0], 5), [(5, 2)]),
+    "segment_sum of one segment": (lambda a: ad.segment_sum(a, np.zeros(6, dtype=np.intp), 1), [(6, 3)]),
+    "attention": (lambda q, k, v: ad.attention(q, k, v, ATTENTION_SPANS, 0.7), [(12, 3)] * 3),
+    "layer_norm": (lambda x, g, b: ad.layer_norm(x, g, b), [(4, 6), (1, 6), (1, 6)]),
+    "affine": (lambda x, w, b: ad.affine(x, w, b), [(3, 4), (4, 2), (1, 2)]),
+}
+
+
+def test_every_op_is_in_the_dtype_table():
+    public = {name for name, value in vars(ad).items()
+              if callable(value) and getattr(value, "__module__", None) == ad.__name__
+              and not name.startswith("_") and not isinstance(value, type)}
+    assert public - {"tape", "constant"} == {name.split(" ")[0] for name in OPS}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", list(OPS))
+def test_ops_compute_in_their_operands_dtype(op, dtype):
+    """A result and every gradient keep the operands' dtype: one float64
+    array inside a float32 chain would promote everything after it."""
+    build, shapes = OPS[op]
+    rng = np.random.default_rng(11)
+    tensors = [ad.Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+    assert all(t.data.dtype == dtype for t in tensors)
+    with ad.tape():
+        out = build(*tensors)
+        loss = ad.sum_all(ad.mul(out, out))
+        loss.backward()
+    assert out.data.dtype == dtype and loss.data.dtype == dtype
+    for t in tensors:
+        assert t.grad is not None and t.grad.dtype == dtype
+
+
+def test_a_float32_segment_sum_rounds_its_float64_sum_once():
+    rng = np.random.default_rng(12)
+    x = (rng.standard_normal((40, 5)) * np.exp(rng.uniform(-8, 8, (40, 5)))).astype(np.float32)
+    ids = rng.integers(0, 3, 40)
+    for ids, count in ((ids, 3), (np.zeros(40, dtype=np.intp), 1)):
+        expected = np.zeros((count, 5))
+        for row, seg in enumerate(ids):
+            expected[seg] += x[row]
+        out = ad.segment_sum(ad.constant(x), ids, count).data
+        assert out.dtype == np.float32 and out.tobytes() == expected.astype(np.float32).tobytes()
+
+
+def test_a_tensor_keeps_a_float_arrays_dtype_uncopied():
+    for dtype in (np.float32, np.float64):
+        x = np.ones((2, 3), dtype=dtype)
+        assert ad.Tensor(x).data is x
+    assert ad.constant([[1, 2]]).data.dtype == np.float64
+    assert ad.constant(np.arange(3)).data.dtype == np.float64

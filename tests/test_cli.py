@@ -187,6 +187,19 @@ def test_spec_breaking_an_invariant_is_io_error(command, tmp_path, monkeypatch, 
         assert err.startswith("error: ") and f"broken.spec.json: {expected}" in err, damage
 
 
+def test_a_refusal_quotes_the_offending_value_cut_short(tmp_path, monkeypatch, capsys):
+    """A whole game spec wrapped in a list: the refusal names the document
+    and quotes the start of the value, not all of it."""
+    monkeypatch.setattr("builtins.input", lambda prompt="": pytest.fail("play took a command"))
+    spec = tmp_path / "wrapped.spec.json"
+    spec.write_text(json.dumps([json.loads((FIXTURES / "s1_game1.spec.json").read_text())]))
+    assert len(spec.read_text()) > 1000
+    assert run_cli("play", spec) == 3
+    err = capsys.readouterr().err
+    assert f"error: {spec}: the document must be an object, got [{{" in err
+    assert err.endswith("...\n") and len(err) < len(f"error: {spec}: ") + 100
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         run_cli("gen", "--levels", "S1", "--out", "/tmp/x", "--frobnicate")
@@ -343,6 +356,7 @@ BAD_CHECKPOINT_META = {
     "unknown config key": lambda meta: dict(meta, config=dict(meta["config"], depth=3)),
     "meta a list": lambda meta: [meta],
     "version 1": lambda meta: dict(meta, checkpoint_version=1),
+    "version 2": lambda meta: dict(meta, checkpoint_version=2),
     "hidden_dim a string": lambda meta: dict(meta, config=dict(meta["config"], hidden_dim="8")),
     "hidden_dim a float": lambda meta: dict(meta, config=dict(meta["config"], hidden_dim=8.0)),
     "ff_dim a bool": lambda meta: dict(meta, config=dict(meta["config"], ff_dim=True)),
@@ -422,7 +436,7 @@ def _without_field(*keys):
 BAD_RUN_STATES = {
     "without k": ("k", _without_field("k")),
     "without rng.sub": ("rng.sub", _without_field("rng", "sub")),
-    "a JSON list": ("episode", lambda doc: json.dumps([doc])),
+    "a JSON list": ("the document must be an object", lambda doc: json.dumps([doc])),
     "truncated": ("invalid JSON", lambda doc: json.dumps(doc)[:40]),
     "k a string": ("k", lambda doc: json.dumps(dict(doc, k="7"))),
     "rng.sub not a state": ("rng.sub", lambda doc: json.dumps(dict(doc, rng=dict(doc["rng"], sub={})))),

@@ -15,7 +15,7 @@ from cookworld.engine.vocab import default_vocabulary
 from cookworld.kg import KGObservation, Triplet
 from cookworld.neural import autodiff as ad
 from cookworld.neural.nets import (
-    CheckpointError, PolicyNet, _param_layout, clone_net, load_checkpoint, save_checkpoint,
+    DTYPE, CheckpointError, PolicyNet, _param_layout, clone_net, load_checkpoint, save_checkpoint,
     sync_target,
 )
 from cookworld.neural.optim import AdamState, apply_update
@@ -38,7 +38,7 @@ def assert_tiles_flat(net):
     _param_layout order, with the layout's shapes."""
     layout = _param_layout(len(net.vocab), **net.config())
     assert [name for name, _, _ in layout] == list(net.params)
-    assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
+    assert net.flat.dtype == DTYPE and net.flat.flags.c_contiguous
     base = net.flat.__array_interface__["data"][0]
     start = 0
     for (name, _, shape), p in zip(layout, net.params.values()):
@@ -241,6 +241,7 @@ BAD_VECTORS = {
     "one long": lambda key: _replaced(key, lambda x: np.append(x, 0.0)),
     "2-D": lambda key: _replaced(key, lambda x: x.reshape(1, -1)),
     "integer": lambda key: _replaced(key, lambda x: x.astype(np.int64)),
+    "float64": lambda key: _replaced(key, lambda x: x.astype(np.float64)),  # as version 2 held them
 }
 
 BAD_STEP_COUNTS = {
@@ -285,7 +286,7 @@ def test_checkpoint_keeps_one_array_per_vector(vocab, tmp_path):
     assert set(arrays) == {"meta", "param", "adam.m", "adam.v", "adam.t"}
     assert int(arrays["adam.t"]) == 4
     for key, vector in (("param", net.flat), ("adam.m", state.m), ("adam.v", state.v)):
-        assert arrays[key].dtype == np.float64 and np.array_equal(arrays[key], vector), key
+        assert arrays[key].dtype == DTYPE and np.array_equal(arrays[key], vector), key
 
 
 class _Bundle(dict):

@@ -13,6 +13,10 @@ regenerates the fixture:
 
     PYTHONPATH=src python tests/test_golden_runs.py --diff
     PYTHONPATH=src python tests/test_golden_runs.py --write
+
+The bits hold per numpy build and OpenBLAS core: a BLAS product rounds
+differently under another core's kernels (SkylakeX and Haswell part here).
+So the fixture records the core it was cut on, and a mismatch names both.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ from cookworld.cli import main
 from cookworld.training.config import VARIANTS
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_runs.json"
+CORE = "openblas_core"  # the fixture's record of the core it was cut on
 META_VARIANTS = ("H-KGA", "H-KGA-HalfJoint", "H-KGA-Ind")
 CONFIG = {
     "episodes": 8, "warmup_episodes": 1, "val_freq": 4, "batch_size": 4,
@@ -34,6 +39,21 @@ CONFIG = {
     "tau": 0.5, "r_min": -0.05,  # the meta gate then admits enough spans to train
     "hidden_dim": 8, "ff_dim": 8, "scorer_hidden": 8, "seed": 5,
 }
+
+
+def openblas_core() -> str:
+    """The kernel set numpy's bundled OpenBLAS chose at run time, such as
+    SkylakeX, or "unknown" where numpy exports no such symbol."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def _sha(chunks) -> str:
@@ -90,15 +110,17 @@ def golden_games(tmp_path_factory):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_golden_run_pinned(variant, golden_games, tmp_path):
-    expected = json.loads(FIXTURE.read_text())[variant]
-    assert run_digests(golden_games, tmp_path, variant) == expected
+    fixture = json.loads(FIXTURE.read_text())
+    assert run_digests(golden_games, tmp_path, variant) == fixture[variant], (
+        f"pins cut on OpenBLAS core {fixture[CORE]}, run on {openblas_core()}"
+    )
 
 
 def changed_pins(expected: dict, pins: dict) -> dict[str, list[str]]:
     """Per variant, the pinned files whose digests differ (or exist on one
     side only)."""
     changed = {}
-    for variant in sorted(set(expected) | set(pins)):
+    for variant in sorted((set(expected) | set(pins)) - {CORE}):
         old, new = expected.get(variant, {}), pins.get(variant, {})
         changed[variant] = sorted(k for k in set(old) | set(new) if old.get(k) != new.get(k))
     return changed
@@ -115,9 +137,11 @@ if __name__ == "__main__":
         games = _make_games(root)
         pins = {variant: run_digests(games, root, variant) for variant in VARIANTS}
     if mode == ["--diff"]:
-        changed = changed_pins(json.loads(FIXTURE.read_text()), pins)
+        fixture = json.loads(FIXTURE.read_text())
+        print(f"fixture cut on OpenBLAS core {fixture.get(CORE)}, this run on {openblas_core()}")
+        changed = changed_pins(fixture, pins)
         for variant, keys in changed.items():
             print(f"{variant}: {', '.join(keys) if keys else 'unchanged'}")
         sys.exit(1 if any(changed.values()) else 0)
-    FIXTURE.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    FIXTURE.write_text(json.dumps(dict(pins, **{CORE: openblas_core()}), indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")

@@ -467,6 +467,7 @@ def test_validation_and_eval_draw_the_same_goals(tmp_path, monkeypatch):
     tr.run_episode()
     tr.validate()
     tr.save_latest()
+    tr.metrics.close()
     evaluate_agent(_agent_factory_from_checkpoint(tmp_path / "latest", tr.vocab), val)
     n = sum(len(specs) for specs in val.values())
     assert len(first_goals) == 3 * n
