@@ -1,7 +1,7 @@
 """Small reverse-mode autodiff over floating numpy arrays.
 
 Only the operations the policy networks need. Every op computes in its
-operands' dtype: the policy networks run in float32, and the
+operands' dtype: the policy networks' passes run in float32, and the
 finite-difference tests check every backward formula in float64.
 Gradients accumulate into Tensor.grad.
 

@@ -19,9 +19,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import AdamState
 
-CHECKPOINT_VERSION = 3
-# The dtype of every net PolicyNet draws and every checkpoint vector.
-DTYPE = np.float32
+CHECKPOINT_VERSION = 2
+# The dtype a PolicyNet's passes compute in: its parameter tensors, every
+# activation and every constant. Its weights (flat), Adam's moments and the
+# checkpoint vectors stay float64, so no update is lost to float32 rounding.
+PASS_DTYPE = np.float32
 
 
 class EmptyTextError(ValueError):
@@ -47,7 +49,7 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
 
 
 @functools.cache
-def sinusoidal_positions(length: int, dim: int, dtype=DTYPE) -> np.ndarray:
+def sinusoidal_positions(length: int, dim: int, dtype) -> np.ndarray:
     """The (length, dim) positional table in dtype, computed in float64,
     built once per shape and dtype and shared read-only."""
     positions = np.arange(length)[:, None]
@@ -350,19 +352,20 @@ class PolicyNet:
             "zeros": lambda shape: 0.0,
             "ones": lambda shape: 1.0,
         }
-        # drawn in float64 straight into flat's views, so no second copy of
-        # the parameters exists
-        self._adopt(np.empty(_layout_size(self.param_layout), dtype=DTYPE))
-        for (_, init, shape), p in zip(self.param_layout, self.params.values()):
-            p.data[...] = draw[init](shape)
+        flat = np.empty(_layout_size(self.param_layout))
+        for (_, init, shape), view in zip(self.param_layout, _views(self.param_layout, flat).values()):
+            view[...] = draw[init](shape)
+        self._adopt(flat, PASS_DTYPE)
 
     @classmethod
-    def _with_params(cls, vocab, config: dict, seed: int, flat: np.ndarray) -> "PolicyNet":
-        """A net of this config whose parameter vector is flat, laid out as
-        _param_layout lists the parameters, instead of draws from the seed."""
+    def _with_params(cls, vocab, config: dict, seed: int, flat: np.ndarray,
+                     dtype=PASS_DTYPE) -> "PolicyNet":
+        """A net of this config whose weight vector is flat, laid out as
+        _param_layout lists the parameters, instead of draws from the seed.
+        Its passes compute in dtype: the tests build float64 twins."""
         net = cls.__new__(cls)
         net._configure(vocab, seed=seed, **config)
-        net._adopt(flat)
+        net._adopt(flat, dtype)
         return net
 
     def _configure(self, vocab, hidden_dim: int, rgcn_layers: int, state_parts: int,
@@ -380,16 +383,20 @@ class PolicyNet:
         self._vec_cache: dict = {}
         self._q_memo: dict = {}
 
-    def _adopt(self, flat: np.ndarray) -> None:
-        """Make flat this net's parameter vector: each parameter's data is a
-        view of its segment, never rebound, so writing flat writes them all.
-        flat's dtype is the net's: every activation and constant of its
-        passes, and its Adam state, take it.
-        Resolve each R-GCN layer's self weight, bias and per-relation weights
-        (indexed like RELATIONS) once, for graph_tensor."""
+    def _adopt(self, flat: np.ndarray, dtype) -> None:
+        """Make flat, a float64 vector, this net's weights, and its copy
+        rounded to dtype (flat itself when dtype is float64) the vector its
+        passes read: each parameter's data is a view of its segment, never
+        rebound. Adam and sync_target write flat, and bump_version rounds it
+        into the pass vector. Resolve each R-GCN layer's self weight, bias
+        and per-relation weights (indexed like RELATIONS) once, for
+        graph_tensor."""
         self.flat = flat
+        self.dtype = np.dtype(dtype)
+        self.pass_flat = flat if flat.dtype == self.dtype else flat.astype(self.dtype)
         self.params = {
-            name: Tensor(view, requires_grad=True) for name, view in _views(self.param_layout, flat).items()
+            name: Tensor(view, requires_grad=True)
+            for name, view in _views(self.param_layout, self.pass_flat).items()
         }
         self._rgcn = [
             (
@@ -407,7 +414,10 @@ class PolicyNet:
             p.grad = None
 
     def bump_version(self) -> None:
-        """Forget every cached row and Q vector: the weights changed."""
+        """The weights in flat changed: round them into the pass vector and
+        forget every cached row and Q vector."""
+        if self.pass_flat is not self.flat:
+            np.copyto(self.pass_flat, self.flat)
         self._vec_cache.clear()
         self._q_memo.clear()
 
@@ -422,10 +432,11 @@ class PolicyNet:
 
     # -- forward passes ------------------------------------------------------
 
-    def _constant(self, values: np.ndarray) -> Tensor:
-        """values, computed in float64, as a constant in this net's dtype:
-        a float64 constant would promote the whole chain it enters."""
-        return ad.constant(values.astype(self.flat.dtype, copy=False))
+    def constant(self, values: np.ndarray) -> Tensor:
+        """values, computed in float64, as a constant of this net's passes,
+        in their dtype: a float64 constant would promote the whole chain it
+        enters. Every constant a pass or the loss builds comes through here."""
+        return ad.constant(values.astype(self.dtype, copy=False))
 
     def graph_tensor(self, observations: Sequence[KGObservation]) -> Tensor:
         """Mean-pooled R-GCN encodings of the observations, one row each.
@@ -441,14 +452,14 @@ class PolicyNet:
         nodes' rows and scales them by 1 / its node count."""
         layouts = [_layout_for(obs, self.vocab) for obs in observations]
         if not any(x.n_nodes for x in layouts):
-            return ad.constant(np.zeros((len(observations), self.d), dtype=self.flat.dtype))
+            return self.constant(np.zeros((len(observations), self.d)))
         plan = _encoder_pass(layouts, self.rgcn_layers)
         h = ad.mul(
             ad.segment_sum(
                 ad.gather_rows(self.params["word_emb"], plan.token_ids),
                 plan.token_rows, len(plan.token_scale),
             ),
-            self._constant(plan.token_scale),
+            self.constant(plan.token_scale),
         )
         for (self_w, bias, rel_ws), (self_rows, groups, n_rows) in zip(self._rgcn, plan.layers):
             total = ad.affine(h, self_w, bias)
@@ -457,7 +468,7 @@ class PolicyNet:
             if groups.relations:
                 mean = ad.mul(
                     ad.segment_sum(ad.gather_rows(h, groups.src), groups.ids, len(groups.rel)),
-                    self._constant(groups.scale),
+                    self.constant(groups.scale),
                 )
                 messages = ad.add(
                     ad.grouped_matmul(mean, [rel_ws[r] for r in groups.relations], groups.bounds),
@@ -466,8 +477,8 @@ class PolicyNet:
                 total = ad.add(total, ad.segment_sum(messages, groups.dst, n_rows))
             h = ad.relu(total)
         if plan.pool is not None:
-            return ad.matmul(self._constant(plan.pool), h)
-        return ad.mul(ad.segment_sum(h, plan.graph_ids, 1), self._constant(plan.graph_scale))
+            return ad.matmul(self.constant(plan.pool), h)
+        return ad.mul(ad.segment_sum(h, plan.graph_ids, 1), self.constant(plan.graph_scale))
 
     def text_tensor(self, texts: Sequence[str]) -> Tensor:
         """Single-block transformer encodings of the texts, mean-pooled over
@@ -487,7 +498,7 @@ class PolicyNet:
         if len(encoded) == 1:
             width = len(encoded[0])
             token_ids = np.array(encoded[0], dtype=np.intp)
-            positions = sinusoidal_positions(width, self.d, self.flat.dtype)
+            positions = sinusoidal_positions(width, self.d, self.dtype)
             spans = [(0, width, width)]
             weights = np.full((width, 1), 1.0 / width)
             text_rows = np.zeros(width, dtype=np.intp)
@@ -498,7 +509,7 @@ class PolicyNet:
             starts = np.cumsum(lengths) - lengths
             token_ids = np.array([tid for i in order for tid in encoded[i]], dtype=np.intp)
             offsets = np.arange(len(token_ids)) - np.repeat(starts, lengths)
-            positions = sinusoidal_positions(int(lengths[-1]), self.d, self.flat.dtype)[offsets]
+            positions = sinusoidal_positions(int(lengths[-1]), self.d, self.dtype)[offsets]
             widths, first, counts = np.unique(lengths, return_index=True, return_counts=True)
             spans = [(int(starts[f]), int(starts[f] + c * w), int(w)) for w, f, c in zip(widths, first, counts)]
             weights = np.repeat(1.0 / lengths, lengths)[:, None]
@@ -522,7 +533,7 @@ class PolicyNet:
             self.params["ff.b2"],
         )
         h2 = ad.layer_norm(ad.add(h1, ff), self.params["ln2.gain"], self.params["ln2.bias"])
-        return ad.segment_sum(ad.mul(h2, self._constant(weights)), text_rows, len(texts))
+        return ad.segment_sum(ad.mul(h2, self.constant(weights)), text_rows, len(texts))
 
     def _w1_rows(self, part: int) -> slice:
         """The rows of scorer.w1 that multiply input part `part` of
@@ -639,15 +650,15 @@ def sync_target(online: PolicyNet, target: PolicyNet) -> None:
 
 
 def clone_net(net: PolicyNet) -> PolicyNet:
-    return PolicyNet._with_params(net.vocab, net.config(), net.seed, net.flat.copy())
+    return PolicyNet._with_params(net.vocab, net.config(), net.seed, net.flat.copy(), net.dtype)
 
 
 # -- checkpoints --------------------------------------------------------------
-# A checkpoint is one .npz: `param`, the net's flat vector; `meta`, the JSON
-# bytes of a CheckpointMeta; and with Adam state, the moment vectors `adam.m`
-# and `adam.v` and the step count `adam.t`. Version 3 holds the vectors in
-# float32 (DTYPE); a file of another version, or with vectors of another
-# dtype, is refused, and there is no converter.
+# A checkpoint is one .npz: `param`, the net's flat float64 weights (its
+# passes' float32 copy is not stored); `meta`, the JSON bytes of a
+# CheckpointMeta; and with Adam state, the float64 moment vectors `adam.m`
+# and `adam.v` and the step count `adam.t`. A file of another version is
+# refused, with no converter.
 
 @dataclass(frozen=True)
 class CheckpointMeta:
@@ -698,10 +709,10 @@ def load_checkpoint(path: str | Path, vocab) -> tuple[PolicyNet, Optional[AdamSt
 
     def vector(name: str) -> np.ndarray:
         values = arrays.get(name)
-        if values is None or values.dtype != DTYPE or values.shape != (size,):
+        if values is None or values.dtype != np.float64 or values.shape != (size,):
             found = "missing" if values is None else f"{values.dtype} of shape {values.shape}"
             raise CheckpointError(
-                f"checkpoint {path}: array {name} is {found}, not {np.dtype(DTYPE)} of shape ({size},)"
+                f"checkpoint {path}: array {name} is {found}, not float64 of shape ({size},)"
             )
         return values
 

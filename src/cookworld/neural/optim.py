@@ -13,7 +13,7 @@ if TYPE_CHECKING:
 
 class AdamState:
     """Adam's first and second moments, two vectors laid out like the net's
-    flat parameter vector and of its dtype, and the number of steps taken. The scratch
+    flat parameter vector, and the number of steps taken. The scratch
     vectors an update works in are allocated by the first update."""
 
     def __init__(self, net: PolicyNet, m=None, v=None, t: int = 0):
@@ -32,9 +32,11 @@ def apply_update(
     eps: float = 1e-8,
     clip_norm: float = 5.0,
 ) -> None:
-    """One Adam step over the flat parameter vector; gradients are cleared
-    afterwards. A parameter without a gradient counts as zeros: moments still
-    advance, so a fresh optimizer leaves it unchanged but a warmed one may not.
+    """One Adam step in float64 over the net's flat weight vector, from the
+    gradients of its passes widened to float64; gradients are cleared
+    afterwards, and bump_version rounds the new weights into the passes.
+    A parameter without a gradient counts as zeros: moments still advance,
+    so a fresh optimizer leaves it unchanged but a warmed one may not.
     The clip norm sums each parameter's squares in layout order.
     """
     if state._scratch is None:

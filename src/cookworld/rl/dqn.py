@@ -35,9 +35,8 @@ def _next_state_targets(batch, online: PolicyNet, target: PolicyNet, gamma: floa
     non-terminal transitions. The online net, whose weights change at every
     update, scores them in one fresh pass, run before td_update opens its
     tape and so recording nothing; the target net scores them from its
-    memo, which lasts until the next sync_target. Each target is computed
-    in float64 and stored in the online net's dtype."""
-    targets = np.array([tr.td_reward for tr in batch], dtype=online.flat.dtype)
+    memo, which lasts until the next sync_target."""
+    targets = np.array([tr.td_reward for tr in batch], dtype=np.float64)
     live = [(i, tr) for i, tr in enumerate(batch) if not tr.done]
     if not live:
         return targets
@@ -67,16 +66,16 @@ def td_update(
     The one place the program records a tape: the online net scores the
     batch's chosen actions on it in one packed pass (see
     PolicyNet.q_tensor), and the loss is taken back through it. The
-    targets and importance weights enter it in the net's dtype, so the
-    whole chain runs in that dtype."""
+    targets and importance weights enter it as the net's constants, so the
+    whole chain runs in its passes' dtype."""
     batch, indices, weights = buffer.sample(batch_size, rng)
     targets = _next_state_targets(batch, online, target, gamma)
 
     online.zero_grad()
     with ad.tape():
         q_rows = online.q_tensor([(tr.obs, tr.cond_text, (tr.chosen_text,)) for tr in batch])
-        errors = ad.sub(q_rows, ad.constant(targets[:, None]))
-        weighted = ad.mul(ad.mul(errors, errors), ad.constant(weights[:, None].astype(online.flat.dtype)))
+        errors = ad.sub(q_rows, online.constant(targets[:, None]))
+        weighted = ad.mul(ad.mul(errors, errors), online.constant(weights[:, None]))
         loss = ad.scale(ad.sum_all(weighted), 1.0 / len(batch))
         loss.backward()
     apply_update(online, adam, lr=lr)

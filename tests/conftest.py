@@ -8,7 +8,7 @@ import pytest
 from cookworld.engine.spec import load_game
 from cookworld.engine.trace import load_trace
 from cookworld.neural import autodiff as ad
-from cookworld.neural.nets import PolicyNet
+from cookworld.neural.nets import PolicyNet, _views
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,11 +27,23 @@ def world(state):
 
 
 def float64_net(net):
-    """A float64 net holding net's weights, widened exactly. Finite
-    differences and the structural equivalences (a batch against each item
-    alone, cached against batched, factorized against concatenated) check
-    the dtype-generic passes in float64, where they agree to 1e-12."""
-    return PolicyNet._with_params(net.vocab, net.config(), net.seed, net.flat.astype(np.float64))
+    """A net whose passes run in float64 on net's pass weights, widened
+    exactly. Finite differences and the structural equivalences (a batch
+    against each item alone, cached against batched, factorized against
+    concatenated) check the dtype-generic passes in float64, where they
+    agree to 1e-12."""
+    return PolicyNet._with_params(net.vocab, net.config(), net.seed, net.pass_flat.astype(np.float64),
+                                  np.float64)
+
+
+def write_weights(net, values):
+    """Set the parameters values names in net's float64 weights, and round
+    them into its passes. A write to params[name].data alone would be
+    undone by the next update or sync."""
+    weights = _views(net.param_layout, net.flat)
+    for name, value in values.items():
+        weights[name][...] = value
+    net.bump_version()
 
 
 def concatenated_scores(net, *parts):

@@ -356,7 +356,7 @@ BAD_CHECKPOINT_META = {
     "unknown config key": lambda meta: dict(meta, config=dict(meta["config"], depth=3)),
     "meta a list": lambda meta: [meta],
     "version 1": lambda meta: dict(meta, checkpoint_version=1),
-    "version 2": lambda meta: dict(meta, checkpoint_version=2),
+    "version 3": lambda meta: dict(meta, checkpoint_version=3),
     "hidden_dim a string": lambda meta: dict(meta, config=dict(meta["config"], hidden_dim="8")),
     "hidden_dim a float": lambda meta: dict(meta, config=dict(meta["config"], hidden_dim=8.0)),
     "ff_dim a bool": lambda meta: dict(meta, config=dict(meta["config"], ff_dim=True)),

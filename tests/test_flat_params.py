@@ -1,9 +1,10 @@
-"""Each net keeps its parameters in one flat vector.
+"""Each net keeps its weights in one flat float64 vector.
 
-Every params[name].data is a view of its segment of net.flat, so a copy
-into flat or an in-place update of it moves every parameter at once; a
-rebound .data would silently drop that parameter out of target syncs,
-snapshots and Adam. Adam's moments are two vectors laid out the same way.
+Every params[name].data is a view of its segment of net.pass_flat, flat
+rounded to the passes' dtype, so a copy into flat or an in-place update of
+it moves every parameter at once when bump_version rounds it in; a rebound
+.data would silently drop that parameter out of target syncs, snapshots and
+Adam. Adam's moments are two float64 vectors laid out the same way.
 """
 
 import math
@@ -15,8 +16,8 @@ from cookworld.engine.vocab import default_vocabulary
 from cookworld.kg import KGObservation, Triplet
 from cookworld.neural import autodiff as ad
 from cookworld.neural.nets import (
-    DTYPE, CheckpointError, PolicyNet, _param_layout, clone_net, load_checkpoint, save_checkpoint,
-    sync_target,
+    PASS_DTYPE, CheckpointError, PolicyNet, _param_layout, _views, clone_net, load_checkpoint,
+    save_checkpoint, sync_target,
 )
 from cookworld.neural.optim import AdamState, apply_update
 from cookworld.training.config import TrainConfig
@@ -34,17 +35,20 @@ def tiny_net(vocab, seed=0, parts=1):
 
 
 def assert_tiles_flat(net):
-    """params[name].data views consecutive segments of net.flat, in
-    _param_layout order, with the layout's shapes."""
+    """params[name].data views consecutive segments of net.pass_flat, in
+    _param_layout order, with the layout's shapes, and pass_flat is flat
+    rounded to PASS_DTYPE."""
     layout = _param_layout(len(net.vocab), **net.config())
     assert [name for name, _, _ in layout] == list(net.params)
-    assert net.flat.dtype == DTYPE and net.flat.flags.c_contiguous
-    base = net.flat.__array_interface__["data"][0]
+    assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
+    assert net.pass_flat.dtype == PASS_DTYPE and net.pass_flat.flags.c_contiguous
+    assert np.array_equal(net.pass_flat, net.flat.astype(PASS_DTYPE))
+    base = net.pass_flat.__array_interface__["data"][0]
     start = 0
     for (name, _, shape), p in zip(layout, net.params.values()):
         assert p.data.shape == shape and p.data.flags.c_contiguous, name
-        assert np.shares_memory(p.data, net.flat), name
-        assert p.data.__array_interface__["data"][0] == base + start * net.flat.itemsize, name
+        assert np.shares_memory(p.data, net.pass_flat), name
+        assert p.data.__array_interface__["data"][0] == base + start * net.pass_flat.itemsize, name
         start += math.prod(shape)
     assert start == net.flat.size
 
@@ -102,19 +106,25 @@ def backward_q(net, step):
 
 @pytest.mark.parametrize("parts", [2, 1], ids=["sub", "meta"])
 def test_apply_update_matches_the_per_array_loop_bit_for_bit(vocab, parts):
+    """The float64 weights step as the per-array loop steps them on the
+    passes' gradients widened to float64, and the passes read them rounded."""
     net = PolicyNet(vocab, state_parts=parts, seed=7)
     state = AdamState(net)
-    params = {name: p.data.copy() for name, p in net.params.items()}
+    params = {name: x.copy() for name, x in _views(net.param_layout, net.flat).items()}
     m = {name: np.zeros_like(x) for name, x in params.items()}
     v = {name: np.zeros_like(x) for name, x in params.items()}
     clipped = missing = 0
     for step in range(1, 61):
         grads = backward_q(net, step)
+        assert {g.dtype for g in grads.values() if g is not None} == {np.dtype(PASS_DTYPE)}
         missing += sum(g is None for g in grads.values())
-        clipped += reference_update(params, grads, m, v, step)
+        clipped += reference_update(params, {name: None if g is None else g.astype(np.float64)
+                                             for name, g in grads.items()}, m, v, step)
         apply_update(net, state)
+        weights = _views(net.param_layout, net.flat)
         for name, p in net.params.items():
-            assert np.array_equal(p.data, params[name]), (step, name)
+            assert np.array_equal(weights[name], params[name]), (step, name)
+            assert np.array_equal(p.data, params[name].astype(PASS_DTYPE)), (step, name)
     assert clipped >= 20 and 60 - clipped >= 20
     assert missing >= 60
     layout = list(net.params)
@@ -202,12 +212,14 @@ def test_resume_refuses_a_checkpoint_of_another_net_shape(vocab, tmp_path):
 def test_parameters_stay_views_of_the_flat_vector(vocab, tmp_path, make):
     for net in make(vocab, tmp_path):
         assert_tiles_flat(net)
-        # a write through flat reaches every parameter, and the reverse
+        # a write through flat reaches every parameter once bump_version
+        # rounds it in, and a write through a parameter reaches pass_flat
         net.flat[:] = np.arange(net.flat.size)
+        net.bump_version()
         assert np.array_equal(np.concatenate([p.data.ravel() for p in net.params.values()]),
                               net.flat)
         net.params["scorer.b2"].data += 1.0
-        assert net.flat[-1] == net.flat.size
+        assert net.pass_flat[-1] == net.flat.size
 
 
 def test_clones_and_snapshots_own_their_vectors(vocab):
@@ -241,7 +253,7 @@ BAD_VECTORS = {
     "one long": lambda key: _replaced(key, lambda x: np.append(x, 0.0)),
     "2-D": lambda key: _replaced(key, lambda x: x.reshape(1, -1)),
     "integer": lambda key: _replaced(key, lambda x: x.astype(np.int64)),
-    "float64": lambda key: _replaced(key, lambda x: x.astype(np.float64)),  # as version 2 held them
+    "float32": lambda key: _replaced(key, lambda x: x.astype(np.float32)),  # the passes' dtype
 }
 
 BAD_STEP_COUNTS = {
@@ -286,7 +298,7 @@ def test_checkpoint_keeps_one_array_per_vector(vocab, tmp_path):
     assert set(arrays) == {"meta", "param", "adam.m", "adam.v", "adam.t"}
     assert int(arrays["adam.t"]) == 4
     for key, vector in (("param", net.flat), ("adam.m", state.m), ("adam.v", state.v)):
-        assert arrays[key].dtype == DTYPE and np.array_equal(arrays[key], vector), key
+        assert arrays[key].dtype == np.float64 and np.array_equal(arrays[key], vector), key
 
 
 class _Bundle(dict):

@@ -16,6 +16,7 @@ from cookworld.neural.nets import (
     EmptyCandidatesError,
     EmptyTextError,
     PolicyNet,
+    _views,
     clone_net,
     load_checkpoint,
     save_checkpoint,
@@ -23,7 +24,7 @@ from cookworld.neural.nets import (
     sync_target,
 )
 from cookworld.neural.optim import AdamState, apply_update
-from conftest import concatenated_scores, float64_net
+from conftest import concatenated_scores, float64_net, write_weights
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +269,7 @@ def test_single_token_hand_computed(vocab):
     d = 8
     net = tiny_net(vocab, seed=2, d=d)
     token = "knife"
-    x = net.params["word_emb"].data[vocab.id_of(token)] + sinusoidal_positions(1, d)[0]
+    x = net.params["word_emb"].data[vocab.id_of(token)] + sinusoidal_positions(1, d, net.dtype)[0]
 
     def layer_norm(v, g, b, eps=1e-5):
         mu = v.mean()
@@ -303,8 +304,9 @@ def test_empty_text_raises(vocab):
 
 
 def test_positional_table_is_shared_and_read_only():
-    table = sinusoidal_positions(5, 8)
-    assert sinusoidal_positions(5, 8) is table
+    table = sinusoidal_positions(5, 8, np.float32)
+    assert sinusoidal_positions(5, 8, np.float32) is table
+    assert sinusoidal_positions(5, 8, np.float64).dtype == np.float64
     with pytest.raises(ValueError):
         table[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -596,14 +598,17 @@ def test_adam_zero_gradient_fresh_optimizer_no_change(vocab):
 
 
 def test_adam_single_step_hand_computed(vocab):
-    net = float64_net(tiny_net(vocab, seed=4))
+    """The step is taken in float64 on the weights from a float32 gradient,
+    and the passes read its result rounded once to float32."""
+    net = tiny_net(vocab, seed=4)
     state = AdamState(net)
     name = "scorer.b2"
+    write_weights(net, {name: 1.0})
     p = net.params[name]
-    p.data[:] = 1.0
     grad = 0.5
     net.zero_grad()
     p.grad = np.full_like(p.data, grad)
+    assert p.grad.dtype == np.float32
     apply_update(net, state, lr=1e-3, clip_norm=0.0)
 
     m = 0.1 * grad
@@ -611,7 +616,28 @@ def test_adam_single_step_hand_computed(vocab):
     mhat = m / (1 - 0.9)
     vhat = v / (1 - 0.999)
     expected = 1.0 - 1e-3 * mhat / (np.sqrt(vhat) + 1e-8)
-    assert np.allclose(p.data, expected, rtol=1e-12)
+    weight = _views(net.param_layout, net.flat)[name]
+    assert weight.dtype == np.float64 and np.allclose(weight, expected, rtol=1e-12)
+    assert np.array_equal(p.data, weight.astype(np.float32))
+
+
+def test_adam_keeps_steps_under_half_a_float32_ulp(vocab):
+    """Each step of 1e-8 on a weight of 1.0 is under half its float32 ulp
+    (6.0e-8), so float32 weights would never move; the float64 weights add
+    them up, and the passes see the sum once it rounds past 1.0."""
+    net = tiny_net(vocab, seed=4)
+    state = AdamState(net)
+    name = "scorer.b2"
+    write_weights(net, {name: 1.0})
+    p = net.params[name]
+    for step in range(10):
+        net.zero_grad()
+        p.grad = np.full_like(p.data, 0.5)
+        apply_update(net, state, lr=1e-8, clip_norm=0.0)
+        if step == 0:
+            assert p.data[0, 0] == 1.0 and _views(net.param_layout, net.flat)[name][0, 0] < 1.0
+    assert _views(net.param_layout, net.flat)[name][0, 0] == pytest.approx(1.0 - 1e-7, rel=1e-9)
+    assert p.data[0, 0] < 1.0
 
 
 def test_adam_identical_nets_identical_updates(vocab):
@@ -679,32 +705,16 @@ def test_checkpoint_vocabulary_mismatch(tmp_path, vocab):
         load_checkpoint(tmp_path / "net.npz", other)
 
 
-def _old_checkpoint(path, net, version, arrays):
-    meta = {"checkpoint_version": version, "config": net.config(), "seed": net.seed,
-            "vocab_tokens": list(net.vocab.tokens)}
-    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-
-
 def test_checkpoint_of_version_1_is_refused(tmp_path, vocab):
     from cookworld.neural.nets import CheckpointError
 
     # version 1 kept one array per parameter, named param.<name>
     net = tiny_net(vocab)
-    _old_checkpoint(tmp_path / "net.npz", net, 1, {f"param.{name}": p.data for name, p in net.params.items()})
+    meta = {"checkpoint_version": 1, "config": net.config(), "seed": net.seed,
+            "vocab_tokens": list(vocab.tokens)}
+    np.savez(tmp_path / "net.npz", meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             **{f"param.{name}": p.data for name, p in net.params.items()})
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 1 in .*net.npz"):
-        load_checkpoint(tmp_path / "net.npz", vocab)
-
-
-def test_checkpoint_of_version_2_is_refused(tmp_path, vocab):
-    from cookworld.neural.nets import CheckpointError
-
-    # version 2 kept the vectors of version 3, in float64
-    net = tiny_net(vocab)
-    state = AdamState(net, t=2)
-    vectors = {"param": net.flat, "adam.m": state.m, "adam.v": state.v}
-    _old_checkpoint(tmp_path / "net.npz", net, 2, {"adam.t": np.array(2),
-                    **{key: vector.astype(np.float64) for key, vector in vectors.items()}})
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2 in .*net.npz"):
         load_checkpoint(tmp_path / "net.npz", vocab)
 
 

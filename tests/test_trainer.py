@@ -300,8 +300,7 @@ def test_validation_rollback_restores_snapshots(s1_games, s1_val):
     tr.validate()  # establishes the snapshot (>= 0.0 always refreshes)
     snap = tr.sub.best_flat.copy()
     tr.best_val = 2.0  # force every later validation to be "worse"
-    for p in tr.sub.online.params.values():
-        p.data += 0.125
+    tr.sub.online.flat += 0.125
     tr.sub.online.bump_version()
     tr.validate()  # patience 1
     tr.validate()  # patience 2 > P=1 -> rollback
